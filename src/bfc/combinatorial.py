@@ -11,7 +11,6 @@ All measures here are integers obtained by exhaustive search:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,7 +167,6 @@ def certificate_complexity(f: TruthTable) -> LocalMeasure:
 
 
 _depth_memo: dict[tuple[int, int], int] = {}
-_depth_lock = threading.Lock()
 
 
 def _depth(n: int, t: int) -> int:
@@ -206,5 +204,4 @@ def deterministic_query_complexity(f: TruthTable, max_arity: int = DEPTH_DEFAULT
 
 
 def clear_depth_memo() -> None:
-    with _depth_lock:
-        _depth_memo.clear()
+    _depth_memo.clear()

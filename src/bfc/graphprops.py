@@ -302,10 +302,12 @@ class PropertyChainReport:
 
 
 def property_chain_report(p: GraphProperty) -> PropertyChainReport:
-    """deg2 <= deg <= lambda^2 <= D for a monotone graph property.
+    """deg2 <= deg and sqrt(deg) <= lambda for a monotone graph property.
 
-    The spectral-vs-degree steps are checked with a 1e-6 slack; the
-    degree comparisons are exact integers.  Property tables on 5
+    ``lambda >= sqrt(deg)`` (Huang) is checked with a 1e-6 slack;
+    ``deg2 <= deg`` is an exact integer comparison.  D is reported but
+    not compared with ``lambda^2``: that inequality fails in general
+    (PARITY has ``lambda^2 = n^2 > D = n``).  Property tables on 5
     vertices have arity 10, above the default decision-depth cap, so
     the cap is raised here (with a warning) — dense memoization keeps
     that tractable.
@@ -321,11 +323,7 @@ def property_chain_report(p: GraphProperty) -> PropertyChainReport:
     dg = degree(f)
     lam = spectral_sensitivity(f).value
     depth = deterministic_query_complexity(f, max_arity=f.arity)
-    chain_ok = (
-        lam >= math.sqrt(dg) - CHAIN_SLACK
-        and math.sqrt(dg) >= math.sqrt(d2) - CHAIN_SLACK
-        and dg >= d2
-    )
+    chain_ok = lam >= math.sqrt(dg) - CHAIN_SLACK and dg >= d2
     return PropertyChainReport(
         n_vertices=p.n_vertices,
         property_id=p.property_id,

@@ -2,8 +2,8 @@
 
 Reports are plain dictionaries rendered through one canonical JSON
 encoder, so identical inputs produce byte-identical output except for
-the timing block; a sha256 over the canonical form (timing excluded)
-makes reruns comparable at a glance.
+the timing and diagnostics blocks; a sha256 over the canonical form
+(those blocks excluded) makes reruns comparable at a glance.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .tables import TruthTable, format_table
 
 REPORT_DEPTH_CAP = 10  # decision depth stays tractable well past the engine default
 SPECTRAL_TAG = "tolerance(1e-09)"
-VOLATILE_KEYS = ("timing", "report_hash")
+VOLATILE_KEYS = ("timing", "diagnostics", "report_hash")
 
 
 def canonical_json(obj) -> str:
@@ -47,7 +47,8 @@ def _without_keys(obj, keys: tuple[str, ...]):
 
 
 def report_hash(body: dict) -> str:
-    """sha256 of the canonical JSON, ignoring timing and embedded hashes."""
+    """sha256 of the canonical JSON, ignoring timing, diagnostics and
+    embedded hashes."""
     text = canonical_json(_without_keys(body, VOLATILE_KEYS))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -9,6 +9,13 @@ inequality the function with the smallest slack is recorded as a
 witness.  Ratio pairs that are only conjectured to be bounded are
 reported as observed maxima with witnesses, never asserted.
 
+Every check and ratio is invariant under permuting inputs, complementing
+inputs and complementing the output, so an exhaustive sweep measures one
+table per NPN class (its least member) and counts it once per class
+member.  Float margins and ratios are ranked on a ``TIE_GRID`` grid and
+ties go to the least table, so eigenvalue rounding cannot pick the
+witness and the quotient reports exactly what a per-table fold would.
+
 Aggregation is associative and commutative with deterministic
 tie-breaks, so results are independent of chunking and thread count.
 """
@@ -61,6 +68,12 @@ FLOAT_CHECKS = frozenset(
     ("deg<=lambda^2", "s<=lambda^2", "lambda<=s", "lambda<=sqrt(s0*s1)", "avg_s<=lambda")
 )
 RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4")
+FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4"))
+TIE_GRID = 1e-9  # float margins and ratios are ranked in units of this
+
+
+def _on_grid(value: float) -> int:
+    return round(value / TIE_GRID)
 
 
 def _measures_for(n: int, table: int) -> dict:
@@ -126,31 +139,37 @@ def _empty_partial() -> dict:
     }
 
 
-def _fold_function(partial: dict, n: int, table: int, tolerance: float) -> None:
-    m = _measures_for(n, table)
+def _passes(name: str, margin: float, tolerance: float) -> bool:
+    return margin >= (-tolerance if name in FLOAT_CHECKS else 0)
+
+
+def _fold(partial: dict, table: int, m: dict, tolerance: float, weight: int = 1) -> None:
+    """Fold the measures ``m`` of ``table`` into ``partial``, counted as
+    ``weight`` tables that share them.
+
+    Witness keys rank by margin (float checks on the grid), then by
+    table, and carry the chosen table's own values.
+    """
     for name, margin, lhs, rhs in _check_margins(m):
         slot = partial["checks"][name]
-        tol = tolerance if name in FLOAT_CHECKS else 0.0
-        if margin >= -tol:
-            slot[0] += 1
-        else:
-            slot[1] += 1
-        key = (margin, table, lhs, rhs)
+        slot[0 if _passes(name, margin, tolerance) else 1] += weight
+        rank = _on_grid(margin) if name in FLOAT_CHECKS else margin
+        key = (rank, table, margin, lhs, rhs)
         if slot[2] is None or key < slot[2]:
             slot[2] = key
     for name, ratio, num, den in _ratio_entries(m):
         cur = partial["ratios"][name]
-        key = (-ratio, table, num, den)
+        rank = _on_grid(ratio) if name in FLOAT_RATIOS else ratio
+        key = (-rank, table, ratio, num, den)
         if cur is None or key < cur:
             partial["ratios"][name] = key
 
 
 def _sweep_chunk(args: tuple) -> dict:
-    n, spec, tolerance = args
+    n, tables, tolerance = args
     partial = _empty_partial()
-    tables = range(spec[1], spec[2]) if spec[0] == "range" else spec[1]
     for table in tables:
-        _fold_function(partial, n, table, tolerance)
+        _fold(partial, table, _measures_for(n, table), tolerance)
     return partial
 
 
@@ -179,21 +198,18 @@ def sample_tables(n: int, count: int, seed: int) -> list[int]:
     return out
 
 
-def _npn_transforms(n: int) -> list[list[int]]:
-    """Index maps p with g(x) = f(p[x]) for every variable permutation
-    combined with every pattern of input complementations."""
-    size = 1 << n
+def _permutation_maps(n: int) -> list[list[int]]:
+    """Index maps p with g(x) = f(p[x]), one per variable permutation."""
     maps = []
     for pi in itertools.permutations(range(n)):
         base = []
-        for x in range(size):
+        for x in range(1 << n):
             y = 0
             for i in range(n):
                 if (x >> i) & 1:
                     y |= 1 << pi[i]
             base.append(y)
-        for flips in range(size):
-            maps.append([b ^ flips for b in base])
+        maps.append(base)
     return maps
 
 
@@ -203,40 +219,62 @@ def npn_canonical_array(n: int) -> np.ndarray:
     if not 1 <= n <= APPROX_RATIO_MAX_N:
         raise ValueError(f"canonicalization supports 1 <= n <= {APPROX_RATIO_MAX_N}")
     size = 1 << n
-    count = 1 << size
-    idx = np.arange(count, dtype=np.uint32)
+    full = (1 << size) - 1
+    idx = np.arange(full + 1, dtype=np.uint16)  # tables of arity <= 4 fit in 16 bits
     canon = idx.copy()
-    full = np.uint32(count - 1)
-    for p in _npn_transforms(n):
-        tt = np.zeros(count, dtype=np.uint32)
-        for x in range(size):
-            tt |= ((idx >> np.uint32(p[x])) & np.uint32(1)) << np.uint32(x)
-        np.minimum(canon, tt, out=canon)
-        np.minimum(canon, tt ^ full, out=canon)
+    tt = np.empty_like(idx)
+    bit = np.empty_like(idx)
+    # table bits x with input i at 0; complementing input i swaps them
+    # with the bits 2^i above
+    lows = [sum(1 << x for x in range(size) if not (x >> i) & 1) for i in range(n)]
+    for p in _permutation_maps(n):
+        tt.fill(0)
+        for x, px in enumerate(p):
+            np.right_shift(idx, px, out=bit)
+            bit &= 1
+            bit <<= x
+            tt |= bit
+        # step k complements the input of k's lowest set bit, so the
+        # steps visit every complementation pattern once (Gray code)
+        for k in range(size):
+            if k:
+                i = (k & -k).bit_length() - 1
+                np.bitwise_and(tt, lows[i], out=bit)
+                bit <<= 1 << i
+                tt >>= 1 << i
+                tt &= lows[i]
+                tt |= bit
+            np.minimum(canon, tt, out=canon)
+            np.bitwise_xor(tt, full, out=bit)
+            np.minimum(canon, bit, out=canon)
     return canon
 
 
-def approx_degree_ratio(n: int, epsilon: float = 1.0 / 3.0) -> dict:
+def approx_degree_ratio(
+    n: int, epsilon: float = 1.0 / 3.0, canon: np.ndarray | None = None
+) -> dict:
     """Max observed spectral-sensitivity / approximate-degree ratio at arity n.
 
     Both quantities are invariant under variable permutation and
     input/output complementation, so only one representative per
-    equivalence class is evaluated; the witness is the class's least
-    table.
+    equivalence class is evaluated; the witness is the least table
+    whose ratio is largest on the ``TIE_GRID`` grid.  ``canon`` is
+    ``npn_canonical_array(n)`` when the caller already has it.
     """
-    canon = npn_canonical_array(n)
+    if canon is None:
+        canon = npn_canonical_array(n)
     reps = np.unique(canon)
     best = None
-    for rep in reps:
-        f = TruthTable(n, int(rep))
+    for rep in reps.tolist():
+        f = TruthTable(n, rep)
         if f.is_constant():
             continue
         ad = approximate_degree(f, epsilon)
         lam = spectral_sensitivity(f).value
-        key = (-(lam / ad), int(rep), lam, float(ad))
+        key = (-_on_grid(lam / ad), rep, lam / ad, lam, float(ad))
         if best is None or key < best:
             best = key
-    ratio, table, num, den = -best[0], best[1], best[2], best[3]
+    _, table, ratio, num, den = best
     return {
         "name": "lambda/adeg",
         "max_ratio": ratio,
@@ -257,6 +295,7 @@ class SweepResult:
     violation_count: int
     report_hash: str
     elapsed_seconds: float
+    diagnostics: dict
 
     def to_dict(self) -> dict:
         return {
@@ -266,30 +305,54 @@ class SweepResult:
             "ratios": self.ratios,
             "violation_count": self.violation_count,
             "report_hash": self.report_hash,
+            "diagnostics": self.diagnostics,
             "timing": {"elapsed_seconds": self.elapsed_seconds},
         }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def resolve_threads(requested: int | None) -> int:
-    """BFC_THREADS wins over the flag; 0 or None means one per CPU."""
+    """BFC_THREADS wins over the flag; 0 or None means one per usable CPU."""
     env = os.environ.get("BFC_THREADS")
     if env is not None:
         requested = int(env)
     if not requested or requested < 1:
-        return os.cpu_count() or 1
+        return _usable_cpus()
     return requested
 
 
-def _chunk_specs(n: int, sample: int | None, seed: int, threads: int) -> list[tuple]:
-    if sample is None:
-        total = 1 << (1 << n)
-        pieces = min(max(threads * 4, 1), total)
-        step = (total + pieces - 1) // pieces
-        return [("range", lo, min(lo + step, total)) for lo in range(0, total, step)]
-    tables = sample_tables(n, sample, seed)
-    pieces = min(max(threads * 4, 1), len(tables)) or 1
+def _chunks(tables: list[int], threads: int) -> list[tuple[int, ...]]:
+    pieces = min(threads * 4, len(tables))
     step = (len(tables) + pieces - 1) // pieces
-    return [("list", tuple(tables[lo : lo + step])) for lo in range(0, len(tables), step)]
+    return [tuple(tables[lo : lo + step]) for lo in range(0, len(tables), step)]
+
+
+def _universe(max_n: int, sample: int | None, seed: int) -> dict:
+    """The universe block of a sweep; ValueError beyond the arity caps."""
+    if sample is None:
+        if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
+            raise ValueError(f"exhaustive sweeps support 1 <= max_n <= {EXHAUSTIVE_MAX_N}")
+        return {
+            "mode": "exhaustive",
+            "arity": max_n,
+            "function_count": 1 << (1 << max_n),
+        }
+    if not 1 <= max_n <= SAMPLED_MAX_N:
+        raise ValueError(f"sampled sweeps support 1 <= max_n <= {SAMPLED_MAX_N}")
+    if sample < 1:
+        raise ValueError("sample count must be positive")
+    return {
+        "mode": "sampled",
+        "arity": max_n,
+        "function_count": sample,
+        "seed": seed,
+    }
 
 
 def run_sweep(
@@ -302,49 +365,40 @@ def run_sweep(
     """Run the full inequality suite over one universe of functions.
 
     ``sample=None`` checks all 2^(2^max_n) tables of arity ``max_n``
-    (max_n <= 4); otherwise ``sample`` seeded random tables of that
-    arity (max_n <= 8).  The spectral/approximate-degree ratio block
-    runs only for exhaustive universes, where class representatives
-    cover every function.
+    (max_n <= 4) by measuring one representative per NPN class, serially;
+    otherwise ``sample`` seeded random tables of that arity (max_n <= 8),
+    each measured, on up to ``threads`` worker processes.  The
+    spectral/approximate-degree ratio block runs only for exhaustive
+    universes, where class representatives cover every function.
     """
-    if sample is None:
-        if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
-            raise ValueError(f"exhaustive sweeps support 1 <= max_n <= {EXHAUSTIVE_MAX_N}")
-        universe = {
-            "mode": "exhaustive",
-            "arity": max_n,
-            "function_count": 1 << (1 << max_n),
-        }
-    else:
-        if not 1 <= max_n <= SAMPLED_MAX_N:
-            raise ValueError(f"sampled sweeps support 1 <= max_n <= {SAMPLED_MAX_N}")
-        if sample < 1:
-            raise ValueError("sample count must be positive")
-        universe = {
-            "mode": "sampled",
-            "arity": max_n,
-            "function_count": sample,
-            "seed": seed,
-        }
-
+    universe = _universe(max_n, sample, seed)
     started = time.perf_counter()
-    threads = max(1, threads)
-    specs = _chunk_specs(max_n, sample, seed, threads)
     acc = _empty_partial()
-    if threads == 1 or len(specs) == 1:
-        for spec in specs:
-            _merge(acc, _sweep_chunk((max_n, spec, tolerance)))
+    if sample is None:
+        canon = npn_canonical_array(max_n)
+        reps, sizes = np.unique(canon, return_counts=True)
+        for rep, size in zip(reps.tolist(), sizes.tolist()):
+            _fold(acc, rep, _measures_for(max_n, rep), tolerance, weight=size)
+        diagnostics = {"evaluated_functions": len(reps), "method": "npn-quotient"}
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(
-                _sweep_chunk, [(max_n, spec, tolerance) for spec in specs]
-            ):
-                _merge(acc, partial)
+        specs = _chunks(sample_tables(max_n, sample, seed), max(1, threads))
+        # a fork pool starts every worker up front, so never ask for more
+        # than there are chunks or CPUs to run them
+        workers = min(threads, len(specs), _usable_cpus())
+        jobs = [(max_n, spec, tolerance) for spec in specs]
+        if workers <= 1:
+            partials = map(_sweep_chunk, jobs)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                partials = list(pool.map(_sweep_chunk, jobs))
+        for partial in partials:
+            _merge(acc, partial)
+        diagnostics = {"evaluated_functions": sample, "method": "per-table"}
 
     checks = []
     for name in CHECK_NAMES:
         passes, failures, worst = acc["checks"][name]
-        margin, table, lhs, rhs = worst
+        _, table, margin, lhs, rhs = worst
         checks.append(
             {
                 "name": name,
@@ -361,18 +415,18 @@ def run_sweep(
         key = acc["ratios"][name]
         if key is None:
             continue
-        neg_ratio, table, num, den = key
+        _, table, ratio, num, den = key
         ratios.append(
             {
                 "name": name,
-                "max_ratio": -neg_ratio,
+                "max_ratio": ratio,
                 "witness": format_table(TruthTable(max_n, table)),
                 "numerator": num,
                 "denominator": den,
             }
         )
     if sample is None and max_n <= APPROX_RATIO_MAX_N:
-        ratios.append(approx_degree_ratio(max_n))
+        ratios.append(approx_degree_ratio(max_n, canon=canon))
 
     violation_count = sum(c["failures"] for c in checks)
     body = {
@@ -390,6 +444,7 @@ def run_sweep(
         violation_count=violation_count,
         report_hash=report_hash(body),
         elapsed_seconds=time.perf_counter() - started,
+        diagnostics=diagnostics,
     )
 
 
@@ -399,16 +454,28 @@ def iter_csv_rows(
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
 ):
-    """One CSV row per (function, inequality), streamed in table order."""
+    """One CSV row per (function, inequality), streamed in table order.
+
+    An exhaustive universe reuses its NPN class representative's
+    measures for every table of the class, as ``run_sweep`` does, so
+    the ``pass`` column agrees with the JSON counts.
+    """
+    _universe(max_n, sample, seed)
     yield "n,table,check,lhs,rhs,margin,pass"
+
+    def cells(table: int) -> list[str]:
+        return [
+            f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
+            for name, margin, lhs, rhs in _check_margins(_measures_for(max_n, table))
+        ]
+
     if sample is None:
-        tables = range(1 << (1 << max_n))
+        canon = npn_canonical_array(max_n).tolist()
+        by_class = {rep: cells(rep) for rep in set(canon)}
+        rows = ((table, by_class[rep]) for table, rep in enumerate(canon))
     else:
-        tables = sample_tables(max_n, sample, seed)
-    for table in tables:
-        m = _measures_for(max_n, table)
+        rows = ((table, cells(table)) for table in sample_tables(max_n, sample, seed))
+    for table, row_cells in rows:
         spec = format_table(TruthTable(max_n, table))
-        for name, margin, lhs, rhs in _check_margins(m):
-            tol = tolerance if name in FLOAT_CHECKS else 0.0
-            ok = margin >= -tol
-            yield f"{max_n},{spec},{name},{lhs!r},{rhs!r},{margin!r},{str(ok).lower()}"
+        for cell in row_cells:
+            yield f"{max_n},{spec},{cell}"

@@ -1,16 +1,28 @@
+import itertools
+import os
+
 import numpy as np
 import pytest
 
+from bfc import sweep
+from bfc.report import report_hash
 from bfc.sweep import (
     CHECK_NAMES,
+    DEFAULT_TOLERANCE,
     EXHAUSTIVE_MAX_N,
+    FLOAT_CHECKS,
+    RATIO_NAMES,
     SAMPLED_MAX_N,
+    _check_margins,
+    _measures_for,
+    _ratio_entries,
     approx_degree_ratio,
     iter_csv_rows,
     npn_canonical_array,
     resolve_threads,
     run_sweep,
 )
+from bfc.tables import TruthTable, format_table
 
 
 def _by_name(entries):
@@ -95,6 +107,30 @@ def test_npn_class_counts_frozen():
         assert len(np.unique(npn_canonical_array(n))) == count
 
 
+def npn_reference(n):
+    """Least table over every permutation, input complementation and
+    output complementation, straight from the definition."""
+    size = 1 << n
+    full = (1 << size) - 1
+    out = []
+    for t in range(1 << size):
+        best = t
+        for pi in itertools.permutations(range(n)):
+            for flips in range(size):
+                g = 0
+                for x in range(size):
+                    y = sum(1 << pi[i] for i in range(n) if (x >> i) & 1) ^ flips
+                    g |= ((t >> y) & 1) << x
+                best = min(best, g, g ^ full)
+        out.append(best)
+    return out
+
+
+def test_npn_canonical_matches_definition():
+    for n in (1, 2, 3):
+        assert npn_canonical_array(n).tolist() == npn_reference(n)
+
+
 def test_npn_canonical_is_a_retraction():
     # every table maps to a representative, and representatives are fixed
     for n in (2, 3):
@@ -151,3 +187,170 @@ def test_resolve_threads(monkeypatch):
     monkeypatch.setenv("BFC_THREADS", "not-a-number")
     with pytest.raises(ValueError):
         resolve_threads(None)
+
+
+def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
+    """Exhaustive report body from measuring every table on its own.
+
+    Float margins and the lambda/deg and D/lambda^4 ratios are ranked in
+    units of 1e-9 and ties go to the least table; the lambda/adeg block
+    comes from ``approx_degree_ratio``."""
+
+    def grid(x):
+        return round(x / 1e-9)
+
+    counts = {name: [0, 0] for name in CHECK_NAMES}
+    worst, best = {}, {}
+    for table in range(1 << (1 << n)):
+        m = _measures_for(n, table)
+        for name, margin, lhs, rhs in _check_margins(m):
+            is_float = name in FLOAT_CHECKS
+            ok = margin >= (-tolerance if is_float else 0)
+            counts[name][0 if ok else 1] += 1
+            rank = (grid(margin) if is_float else margin, table)
+            if name not in worst or rank < worst[name][0]:
+                worst[name] = (rank, margin, lhs, rhs)
+        for name, ratio, num, den in _ratio_entries(m):
+            rank = (-(ratio if name == "D/bs^2" else grid(ratio)), table)
+            if name not in best or rank < best[name][0]:
+                best[name] = (rank, ratio, num, den)
+
+    def spec(table):
+        return format_table(TruthTable(n, table))
+
+    checks = [
+        {
+            "name": name,
+            "passes": counts[name][0],
+            "failures": counts[name][1],
+            "min_margin": worst[name][1],
+            "witness": spec(worst[name][0][1]),
+            "witness_lhs": worst[name][2],
+            "witness_rhs": worst[name][3],
+        }
+        for name in CHECK_NAMES
+    ]
+    ratios = [
+        {
+            "name": name,
+            "max_ratio": best[name][1],
+            "witness": spec(best[name][0][1]),
+            "numerator": best[name][2],
+            "denominator": best[name][3],
+        }
+        for name in RATIO_NAMES
+        if name in best
+    ]
+    ratios.append(approx_degree_ratio(n))
+    return {
+        "universe": {"mode": "exhaustive", "arity": n, "function_count": 1 << (1 << n)},
+        "tolerance": tolerance,
+        "checks": checks,
+        "ratios": ratios,
+        "violation_count": sum(c["failures"] for c in checks),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_npn_quotient_equals_per_table_fold(n):
+    expected = per_table_report(n)
+    r = run_sweep(max_n=n)
+    assert r.universe == expected["universe"]
+    assert r.checks == expected["checks"]
+    assert r.ratios == expected["ratios"]
+    assert r.violation_count == expected["violation_count"]
+    assert r.report_hash == report_hash(expected)
+
+
+def test_float_witness_ties_go_to_least_table():
+    # every float check has zero slack on the constant 0 function, and
+    # eigenvalue round-off elsewhere must not displace it
+    for entry in run_sweep(max_n=3).checks:
+        if entry["name"] in FLOAT_CHECKS:
+            assert entry["witness"] == "3:00"
+            assert entry["min_margin"] == 0.0
+
+
+def test_sweep_diagnostics_block():
+    assert run_sweep(max_n=3).diagnostics == {
+        "evaluated_functions": 14,
+        "method": "npn-quotient",
+    }
+    assert run_sweep(max_n=3, sample=7, seed=1).diagnostics == {
+        "evaluated_functions": 7,
+        "method": "per-table",
+    }
+
+
+def test_hash_ignores_diagnostics():
+    r = run_sweep(max_n=2)
+    body = r.to_dict()
+    assert body["diagnostics"] == {"evaluated_functions": 4, "method": "npn-quotient"}
+    assert report_hash(body) == r.report_hash
+    body["diagnostics"] = {"evaluated_functions": 16, "method": "per-table"}
+    assert report_hash(body) == r.report_hash
+    del body["diagnostics"]
+    assert report_hash(body) == r.report_hash
+
+
+def test_report_hash_thread_invariant_sampled():
+    a = run_sweep(max_n=5, sample=24, seed=3, threads=1)
+    b = run_sweep(max_n=5, sample=24, seed=3, threads=2)
+    assert a.report_hash == b.report_hash
+
+
+def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, forks nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    huge = 10**6
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    clamped = run_sweep(max_n=2, sample=8, seed=1, threads=huge)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
+    run_sweep(max_n=2, sample=8, seed=1, threads=huge)  # 8 tables make 8 chunks
+    run_sweep(max_n=2, sample=8, seed=1, threads=2)
+    run_sweep(max_n=2, threads=huge)  # exhaustive sweeps never use the pool
+    assert sizes == [3, 8, 2]
+    assert clamped.report_hash == run_sweep(max_n=2, sample=8, seed=1).report_hash
+
+
+def test_usable_cpus_bounded():
+    assert 1 <= sweep._usable_cpus() <= (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("tolerance", [DEFAULT_TOLERANCE, 0.0])
+def test_csv_exhaustive_agrees_with_json_counts(tolerance):
+    rows = list(iter_csv_rows(3, tolerance=tolerance))
+    assert len(rows) == 1 + 256 * 13
+    false_rows = {name: 0 for name in CHECK_NAMES}
+    tables = []
+    for row in rows[1:]:
+        parts = row.split(",")
+        tables.append(parts[1])
+        if parts[-1] == "false":
+            false_rows[parts[2]] += 1
+    assert tables[::13] == [format_table(TruthTable(3, t)) for t in range(256)]
+    result = run_sweep(max_n=3, tolerance=tolerance)
+    assert false_rows == {c["name"]: c["failures"] for c in result.checks}
+
+
+def test_csv_rejects_arity_beyond_caps():
+    with pytest.raises(ValueError):
+        next(iter_csv_rows(EXHAUSTIVE_MAX_N + 1))
+    with pytest.raises(ValueError):
+        next(iter_csv_rows(SAMPLED_MAX_N + 1, sample=3))
