@@ -81,21 +81,6 @@ class SdpDual:
     r_blocks: tuple[np.ndarray, ...]  # one PSD block per bit
 
 
-def _graph(f: TruthTable | PartialTruthTable) -> SensitivityGraph:
-    return SensitivityGraph(f)
-
-
-def _sensitive_pairs(g: SensitivityGraph) -> list[tuple[int, int, int]]:
-    """All (x, y, bit) with x < y and (x, y) an edge of G_f."""
-    out = []
-    for x in g.domain_inputs:
-        for i in range(g.arity):
-            y = x ^ (1 << i)
-            if y > x and g.is_edge(x, y):
-                out.append((x, y, i))
-    return out
-
-
 def _require_nonconstant(g: SensitivityGraph, what: str) -> None:
     zeros, ones = g.sides()
     if not zeros or not ones:
@@ -103,15 +88,15 @@ def _require_nonconstant(g: SensitivityGraph, what: str) -> None:
 
 
 def bipartite_block(f: TruthTable | PartialTruthTable) -> BipartiteBlock:
-    g = _graph(f)
+    g = SensitivityGraph(f)
     zeros, ones = g.sides()
+    side_pos = np.zeros(g.values.size, dtype=np.int64)
+    side_pos[zeros] = np.arange(len(zeros))
+    side_pos[ones] = np.arange(len(ones))
+    xs, ys, _ = g.pairs()
+    x_is_zero = ~g.values[xs]
     q = np.zeros((len(zeros), len(ones)))
-    col = {y: j for j, y in enumerate(ones)}
-    for i, x in enumerate(zeros):
-        for bit in range(g.arity):
-            y = x ^ (1 << bit)
-            if y in col and g.is_edge(x, y):
-                q[i, col[y]] = 1.0
+    q[side_pos[np.where(x_is_zero, xs, ys)], side_pos[np.where(x_is_zero, ys, xs)]] = 1.0
     return BipartiteBlock(tuple(zeros), tuple(ones), q)
 
 
@@ -132,31 +117,25 @@ def edge_scheme_from_eigenvector(
     sqrt(wt(x) wt(y)) / w(x, y); with the exact eigenvector this ratio
     is the spectral sensitivity itself on every supported pair.
     """
-    g = _graph(f)
+    g = SensitivityGraph(f)
     _require_nonconstant(g, "the edge-weight scheme")
     res = spectral_sensitivity(f)
-    pos = {x: k for k, x in enumerate(g.domain_inputs)}
-    v = res.vector
-    entries = []
-    wt: dict[int, float] = {}
-    for x, y, _bit in _sensitive_pairs(g):
-        vx, vy = v[pos[x]], v[pos[y]]
-        if vx > SUPPORT_EPS and vy > SUPPORT_EPS:
-            w = float(vx * vy)
-            entries.append((x, y, w))
-            wt[x] = wt.get(x, 0.0) + w
-            wt[y] = wt.get(y, 0.0) + w
-    if not entries:
+    v = np.zeros(g.values.size)
+    v[g.domain_inputs] = res.vector
+    xs, ys, _ = g.pairs()
+    vx, vy = v[xs], v[ys]
+    keep = (vx > SUPPORT_EPS) & (vy > SUPPORT_EPS)
+    if not keep.any():
         raise ValueError("principal eigenvector has empty support on the edges")
-    value = min(math.sqrt(wt[x] * wt[y]) / w for x, y, w in entries)
-    return EdgeWeightScheme(g.arity, tuple(entries)), float(value)
-
-
-def _side_sensitivities(g: SensitivityGraph) -> tuple[int, int]:
-    zeros, ones = g.sides()
-    s0 = max((g.degree_of(x) for x in zeros), default=0)
-    s1 = max((g.degree_of(x) for x in ones), default=0)
-    return s0, s1
+    xs, ys, w = xs[keep], ys[keep], vx[keep] * vy[keep]
+    # pairs run in ascending x, so each vertex's sum adds its lower
+    # neighbours' weights first, as a running sum over the pairs would
+    wt = np.zeros(g.values.size)
+    np.add.at(wt, ys, w)
+    np.add.at(wt, xs, w)
+    value = float((np.sqrt(wt[xs] * wt[ys]) / w).min())
+    entries = tuple(zip(xs.tolist(), ys.tolist(), w.tolist()))
+    return EdgeWeightScheme(g.arity, entries), value
 
 
 def balanced_vertex_scheme(
@@ -168,45 +147,25 @@ def balanced_vertex_scheme(
     coordinates are zeroed (recorded in the scheme note).  The value is
     at most sqrt(s0 * s1).
     """
-    g = _graph(f)
+    g = SensitivityGraph(f)
     _require_nonconstant(g, "the balanced scheme")
-    s0, s1 = _side_sensitivities(g)
-    entries = []
+    zeros, ones = g.sides()
+    s0 = int(g.degrees[zeros].max())
+    s1 = int(g.degrees[ones].max())
+    entries: tuple = ()
     if s0 > 0 and s1 > 0:
-        ones = set(g.sides()[1])
-        w_one = math.sqrt(s0 / s1)
-        w_zero = math.sqrt(s1 / s0)
-        for x, y, bit in _sensitive_pairs(g):
-            # exactly one endpoint of a sensitive pair is a one-input
-            wx = w_one if x in ones else w_zero
-            wy = w_zero if x in ones else w_one
-            entries.append((x, bit, wx))
-            entries.append((y, bit, wy))
+        xs, ys, bit = g.pairs()
+        # exactly one endpoint of a sensitive pair is a one-input
+        w_one, w_zero = math.sqrt(s0 / s1), math.sqrt(s1 / s0)
+        wx = np.where(g.values[xs], w_one, w_zero)
+        wy = np.where(g.values[xs], w_zero, w_one)
+        inputs = np.column_stack((xs, ys)).ravel().tolist()
+        weights = np.column_stack((wx, wy)).ravel().tolist()
+        entries = tuple(zip(inputs, np.repeat(bit, 2).tolist(), weights))
     scheme = VertexBitWeightScheme(
-        g.arity, tuple(entries), note="insensitive coordinates carry zero weight"
+        g.arity, entries, note="insensitive coordinates carry zero weight"
     )
     return scheme, vertex_scheme_value(scheme)
-
-
-def _components(g: SensitivityGraph) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in g.domain_inputs:
-        if start in seen or g.degree_of(start) == 0:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for i in range(g.arity):
-                y = x ^ (1 << i)
-                if y not in seen and g.is_edge(x, y):
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
 
 
 def optimal_vertex_scheme(
@@ -219,30 +178,23 @@ def optimal_vertex_scheme(
     equal the component's spectral norm; the global value is therefore
     the spectral sensitivity itself.
     """
-    g = _graph(f)
+    g = SensitivityGraph(f)
     _require_nonconstant(g, "the eigenvector scheme")
     entries = []
     lam = 0.0
-    for comp in _components(g):
-        pos = {x: k for k, x in enumerate(comp)}
-        a = np.zeros((len(comp), len(comp)))
-        for x in comp:
-            for i in range(g.arity):
-                y = x ^ (1 << i)
-                if y in pos and g.is_edge(x, y):
-                    a[pos[x], pos[y]] = 1.0
-        w, vecs = np.linalg.eigh(a)
+    for comp in g.components():
+        w, vecs = np.linalg.eigh(g.adjacency(comp))
         lam = max(lam, float(w[-1]))
         v = np.abs(vecs[:, -1])
         if v.min() <= 0.0:
             raise ArithmeticError(
                 "component eigenvector has a zero entry; cannot form weight ratios"
             )
-        for x in comp:
-            for i in range(g.arity):
-                y = x ^ (1 << i)
-                if y in pos and g.is_edge(x, y):
-                    entries.append((x, i, float(v[pos[y]] / v[pos[x]])))
+        # every neighbour of a component vertex lies in the component
+        rows, bit = np.nonzero(g.edges[:, comp].T)
+        cols = np.searchsorted(comp, comp[rows] ^ (1 << bit))
+        ratios = v[cols] / v[rows]
+        entries.extend(zip(comp[rows].tolist(), bit.tolist(), ratios.tolist()))
     scheme = VertexBitWeightScheme(
         g.arity, tuple(entries), note="per-component principal-eigenvector ratios"
     )
@@ -266,27 +218,31 @@ def verify_vertex_scheme(
     scheme: VertexBitWeightScheme,
     slack: float = FEAS_SLACK,
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Feasibility: w(x, i) w(y, i) >= 1 on every sensitive pair (y = x^i).
+    """Feasibility: every weight is finite and nonnegative, and
+    w(x, i) w(y, i) >= 1 on every sensitive pair (y = x^i).
 
-    Returns (ok, first violated pair) where the pair is (x, bit).
+    Returns (ok, first offending (x, bit)): a bad weight, else the lower
+    input of a violated pair.
     """
-    g = _graph(f)
+    for x, i, w in scheme.weights:
+        if not (math.isfinite(w) and w >= 0.0):
+            return False, (x, i)
     wm = scheme.weight_map()
-    for x, y, bit in _sensitive_pairs(g):
-        wx = wm.get((x, bit), 0.0)
-        wy = wm.get((y, bit), 0.0)
-        if wx * wy < 1.0 - slack:
-            return False, (x, bit)
+    xs, ys, bit = SensitivityGraph(f).pairs()
+    for x, y, i in zip(xs.tolist(), ys.tolist(), bit.tolist()):
+        if wm.get((x, i), 0.0) * wm.get((y, i), 0.0) < 1.0 - slack:
+            return False, (x, i)
     return True, None
 
 
 def verify_edge_scheme(
     f: TruthTable | PartialTruthTable, scheme: EdgeWeightScheme
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Support check: weights only on sensitive distance-1 pairs, w >= 0."""
-    g = _graph(f)
+    """Support check: finite weights w >= 0, only on sensitive
+    distance-1 pairs."""
+    g = SensitivityGraph(f)
     for x, y, w in scheme.weights:
-        if w < 0 or not g.is_edge(x, y):
+        if not (math.isfinite(w) and w >= 0.0) or not g.is_edge(x, y):
             return False, (x, y)
     return True, None
 
@@ -308,7 +264,7 @@ def sdp_primal_certificate(f: TruthTable | PartialTruthTable) -> SdpPrimal:
     theorem because I - A o D_i is (a partial matching has eigenvalues
     in [-1, 1]).
     """
-    g = _graph(f)
+    g = SensitivityGraph(f)
     if g.arity > SDP_MAX_ARITY:
         raise ValueError(f"semidefinite certificates support arity <= {SDP_MAX_ARITY}")
     _require_nonconstant(g, "the semidefinite primal")
@@ -329,7 +285,7 @@ def sdp_primal_certificate(f: TruthTable | PartialTruthTable) -> SdpPrimal:
 def verify_sdp_primal(
     f: TruthTable | PartialTruthTable, cert: SdpPrimal, slack: float = PSD_SLACK
 ) -> bool:
-    g = _graph(f)
+    g = SensitivityGraph(f)
     a = g.adjacency()
     z, delta = cert.z, cert.delta
     if not np.allclose(z, z.T, atol=1e-12):
@@ -358,22 +314,18 @@ def sdp_dual_certificate(
     is the largest weight row sum.  An infeasible scheme is rejected
     with the violated pair.
     """
-    g = _graph(f)
+    g = SensitivityGraph(f)
     if g.arity > SDP_MAX_ARITY:
         raise ValueError(f"semidefinite certificates support arity <= {SDP_MAX_ARITY}")
     _require_nonconstant(g, "the semidefinite dual")
     ok, violated = verify_vertex_scheme(f, scheme)
     if not ok:
-        raise ValueError(f"infeasible weight scheme: pair {violated} multiplies below 1")
+        raise ValueError(f"infeasible weight scheme at (input, bit) {violated}")
     dom = tuple(g.domain_inputs)
-    pos = {x: k for k, x in enumerate(dom)}
     wm = scheme.weight_map()
     blocks = []
     for i in range(g.arity):
-        r = np.zeros(len(dom))
-        for x in dom:
-            w = wm.get((x, i), 0.0)
-            r[pos[x]] = math.sqrt(max(w, 0.0))
+        r = np.sqrt([wm.get((x, i), 0.0) for x in dom])
         blocks.append(np.outer(r, r))
     return SdpDual(domain=dom, alpha=vertex_scheme_value(scheme), r_blocks=tuple(blocks))
 
@@ -381,7 +333,7 @@ def sdp_dual_certificate(
 def verify_sdp_dual(
     f: TruthTable | PartialTruthTable, cert: SdpDual, slack: float = FEAS_SLACK
 ) -> bool:
-    g = _graph(f)
+    g = SensitivityGraph(f)
     a = g.adjacency()
     diag_sum = np.zeros(len(cert.domain))
     cover = np.zeros_like(a)

@@ -57,31 +57,27 @@ def multilinear_expansion(f: TruthTable) -> MultilinearExpansion:
     return MultilinearExpansion(f.arity, tuple(nz))
 
 
+def _top_popcount(coeffs: np.ndarray) -> int:
+    """Largest popcount among the indices of nonzero coefficients (0 if none)."""
+    nz = np.flatnonzero(coeffs)
+    return int(bits.popcount_array(nz).max()) if nz.size else 0
+
+
 def degree(f: TruthTable) -> int:
     """deg(f): top monomial size of the exact multilinear expansion."""
-    coeffs = mobius_coefficients(f)
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        return 0
-    return int(bits.popcount_array(nz).max())
+    return _top_popcount(mobius_coefficients(f))
 
 
 def degree_gf2(f: TruthTable) -> int:
     """deg2(f): degree of the polynomial over GF(2)."""
-    n, t = f.arity, f.table
-    if n > DEGREE_MAX_ARITY:
-        raise ValueError(f"degree supports arity <= {DEGREE_MAX_ARITY}")
-    for i in range(n):
-        t ^= (t & bits.axis_mask(n, i)) << (1 << i)
-    if t == 0:
-        return 0
-    nz = np.nonzero(bits.to_bit_array(t, n))[0]
-    return int(bits.popcount_array(nz).max())
+    return _top_popcount(gf2_coefficients(f))
 
 
 def gf2_coefficients(f: TruthTable) -> np.ndarray:
     """GF(2) monomial indicator vector (uint8 of length 2^n)."""
     n, t = f.arity, f.table
+    if n > DEGREE_MAX_ARITY:
+        raise ValueError(f"degree supports arity <= {DEGREE_MAX_ARITY}")
     for i in range(n):
         t ^= (t & bits.axis_mask(n, i)) << (1 << i)
     return bits.to_bit_array(t, n)

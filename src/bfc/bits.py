@@ -7,6 +7,7 @@ input index, so flipping variable i maps index x to x ^ (1 << (i - 1)).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -53,9 +54,13 @@ def xor_permute(t: int, n: int, mask: int) -> int:
     return t
 
 
-def sensitive_positions(t: int, n: int, axis: int) -> int:
-    """Bitmask of inputs x with f(x) != f(x ^ (1 << axis))."""
-    return t ^ flip_axis(t, n, axis)
+def gather_bits(keys: int | np.ndarray, index_map: Sequence[int]) -> int | np.ndarray:
+    """Out bit k = key bit ``index_map[k]``, for an int or an integer
+    array of packed keys at once."""
+    out = keys & 0
+    for k, p in enumerate(index_map):
+        out |= ((keys >> p) & 1) << k
+    return out
 
 
 def restrict_axis(t: int, n: int, axis: int, value: int) -> int:

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import bits
+from .spectral import SensitivityGraph
 from .tables import TruthTable
 
 BLOCK_MEASURE_MAX_ARITY = 12
@@ -55,24 +54,19 @@ def sensitivity(f: TruthTable) -> SensitivityReport:
 
     A side with an empty preimage reports 0 and is flagged undefined.
     """
-    n, t = f.arity, f.table
-    size = f.size
-    counts = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        counts += bits.to_bit_array(bits.sensitive_positions(t, n, i), n)
-    vals = f.to_bit_array()
-    zeros = vals == 0
-    ones = ~zeros
+    graph = SensitivityGraph(f)
+    counts = graph.degrees
+    ones = graph.values
+    zeros = ~ones
     s0 = int(counts[zeros].max()) if zeros.any() else 0
     s1 = int(counts[ones].max()) if ones.any() else 0
-    per_input = [int(c) for c in counts]
     return SensitivityReport(
-        local=_local(per_input),
+        local=_local(counts.tolist()),
         s0=s0,
         s1=s1,
         s0_defined=bool(zeros.any()),
         s1_defined=bool(ones.any()),
-        average=Fraction(int(counts.sum()), size),
+        average=Fraction(int(counts.sum()), f.size),
     )
 
 
@@ -135,9 +129,7 @@ def certificate_complexity(f: TruthTable) -> LocalMeasure:
         )
     if f.is_constant():
         return _local([0] * f.size)
-    sens_counts = np.zeros(f.size, dtype=np.int64)
-    for i in range(n):
-        sens_counts += bits.to_bit_array(bits.sensitive_positions(t, n, i), n)
+    sens_counts = SensitivityGraph(f).degrees.tolist()
     by_card: list[list[int]] = [[] for _ in range(n + 1)]
     for s in range(1 << n):
         by_card[s.bit_count()].append(s)
@@ -146,7 +138,7 @@ def certificate_complexity(f: TruthTable) -> LocalMeasure:
     for x in range(f.size):
         fx = (t >> x) & 1
         found = n
-        start = max(1, int(sens_counts[x]))
+        start = max(1, sens_counts[x])
         for k in range(start, n + 1):
             hit = False
             for s in by_card[k]:

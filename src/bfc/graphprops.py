@@ -26,14 +26,13 @@ import numpy as np
 
 from . import bits
 from .algebraic import degree, degree_gf2
-from .combinatorial import deterministic_query_complexity
+from .combinatorial import DEPTH_DEFAULT_MAX_ARITY, deterministic_query_complexity
 from .spectral import spectral_sensitivity
 from .tables import TruthTable, format_table
 
 ENUMERATION_MAX_VERTICES = 5
 TABLE_MAX_VERTICES = 6
 CHAIN_SLACK = 1e-6
-DEPTH_DEFAULT_CAP = 6
 
 CSV_HEADER = "n_vertices,property,deg2,deg,lambda,depth,chain_ok"
 
@@ -49,7 +48,10 @@ def pair_list(n_vertices: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _bit_maps(n_vertices: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex permutation, where each edge bit lands."""
+    """For each vertex permutation, where each edge bit lands.
+
+    Read as ``bits.gather_bits`` maps they relabel by the inverse
+    permutations, so the set of maps is the same either way."""
     pairs = pair_list(n_vertices)
     index = {p: k for k, p in enumerate(pairs)}
     maps = []
@@ -73,27 +75,15 @@ def apply_vertex_permutation(mask: int, n_vertices: int, sigma: tuple[int, ...])
 
 def canonical_graph(mask: int, n_vertices: int) -> int:
     """Minimum edge mask over all vertex relabelings."""
-    best = mask
-    for bm in _bit_maps(n_vertices):
-        y = 0
-        for k, p in enumerate(bm):
-            if (mask >> k) & 1:
-                y |= 1 << p
-        if y < best:
-            best = y
-    return best
+    return min(bits.gather_bits(mask, bm) for bm in _bit_maps(n_vertices))
 
 
 def _class_array(n_vertices: int) -> np.ndarray:
     """canonical_graph for every mask at once."""
-    m = edge_arity(n_vertices)
-    xs = np.arange(1 << m, dtype=np.int64)
+    xs = np.arange(1 << edge_arity(n_vertices), dtype=np.int64)
     best = xs.copy()
     for bm in _bit_maps(n_vertices):
-        ys = np.zeros_like(xs)
-        for k, p in enumerate(bm):
-            ys |= ((xs >> k) & 1) << p
-        np.minimum(best, ys, out=best)
+        np.minimum(best, bits.gather_bits(xs, bm), out=best)
     return best
 
 
@@ -107,14 +97,7 @@ def is_graph_property(f: TruthTable, n_vertices: int) -> bool:
     if n_vertices > TABLE_MAX_VERTICES:
         raise ValueError(f"graph property tables are capped at {TABLE_MAX_VERTICES} vertices")
     vals = f.to_bit_array()
-    xs = np.arange(1 << m, dtype=np.int64)
-    for bm in _bit_maps(n_vertices):
-        ys = np.zeros_like(xs)
-        for k, p in enumerate(bm):
-            ys |= ((xs >> k) & 1) << p
-        if not np.array_equal(vals[ys], vals):
-            return False
-    return True
+    return np.array_equal(vals[_class_array(n_vertices)], vals)
 
 
 def is_monotone(f: TruthTable) -> bool:
@@ -270,14 +253,15 @@ def named_property(name: str, n_vertices: int, clique_size: int | None = None) -
         if predicate(mask):
             t |= 1 << mask
     table = TruthTable(m, t)
-    if not is_graph_property(table, n_vertices):
+    cls = _class_array(n_vertices)
+    vals = table.to_bit_array()
+    if not np.array_equal(vals[cls], vals):
         raise RuntimeError(f"{name}: table is not permutation-invariant")
     if not is_monotone(table):
         raise RuntimeError(f"{name}: table is not monotone")
     if table.value(0) != 0 or table.value((1 << m) - 1) != 1:
         raise ValueError(f"{name} is trivial on {n_vertices} vertices")
-    cls = _class_array(n_vertices)
-    upset = frozenset(int(cls[mask]) for mask in range(1 << m) if table.value(mask))
+    upset = frozenset(cls[vals == 1].tolist())
     display = name if name != "contains-clique" else f"contains-clique-{clique_size}"
     return GraphProperty(n_vertices, table, upset, name=display)
 
@@ -313,7 +297,7 @@ def property_chain_report(p: GraphProperty) -> PropertyChainReport:
     that tractable.
     """
     f = p.table
-    if f.arity > DEPTH_DEFAULT_CAP:
+    if f.arity > DEPTH_DEFAULT_MAX_ARITY:
         warnings.warn(
             f"raising the decision-depth cap to arity {f.arity} for a property table",
             RuntimeWarning,

@@ -61,61 +61,94 @@ def _domain_parts(f: TruthTable | PartialTruthTable) -> tuple[int, int, int]:
     return f.arity, f.table, bits.table_mask(f.arity)
 
 
-def _edge_masks(n: int, t: int, dom: int) -> list[int]:
-    """Per direction: bitmask of x such that (x, x^e_i) is an edge."""
-    out = []
-    for i in range(n):
-        pair_ok = dom & bits.flip_axis(dom, n, i)
-        out.append((t ^ bits.flip_axis(t, n, i)) & pair_ok)
-    return out
-
-
 class SensitivityGraph:
-    """Adjacency structure of G_f over the defined inputs."""
+    """G_f over the defined inputs, built once as numpy arrays.
+
+    ``edges[i, x]`` is True when (x, x ^ 2^i) is an edge, ``degrees[x]``
+    counts the edges at x, and ``values`` / ``defined`` unpack the table
+    and the domain.  Every other view (pairs, components, adjacency,
+    matvec) is read off these arrays.
+    """
 
     def __init__(self, f: TruthTable | PartialTruthTable):
-        self.arity, self._table, self._domain = _domain_parts(f)
-        self._edges = _edge_masks(self.arity, self._table, self._domain)
-        self.domain_inputs = [
-            x for x in range(1 << self.arity) if (self._domain >> x) & 1
-        ]
-        self._position = {x: k for k, x in enumerate(self.domain_inputs)}
+        self.arity, table, domain = _domain_parts(f)
+        self.values = bits.to_bit_array(table, self.arity).astype(bool)
+        self.defined = bits.to_bit_array(domain, self.arity).astype(bool)
+        flip = np.arange(1 << self.arity) ^ (1 << np.arange(self.arity))[:, None]
+        self.edges = (self.values != self.values[flip]) & self.defined & self.defined[flip]
+        self.degrees = self.edges.sum(axis=0)
+        self.domain_inputs = np.flatnonzero(self.defined).tolist()
 
     def is_edge(self, x: int, y: int) -> bool:
         d = x ^ y
-        if d == 0 or d & (d - 1):
+        size = self.values.size
+        if not (0 <= x < size and 0 <= y < size) or d == 0 or d & (d - 1):
             return False
-        return bool((self._edges[d.bit_length() - 1] >> x) & 1)
+        return bool(self.edges[d.bit_length() - 1, x])
 
     def degree_of(self, x: int) -> int:
-        return sum((m >> x) & 1 for m in self._edges)
+        return int(self.degrees[x])
 
     def max_degree(self) -> int:
-        if not self.domain_inputs:
-            return 0
-        return max(self.degree_of(x) for x in self.domain_inputs)
+        return int(self.degrees.max())
 
     def edge_count(self) -> int:
-        return sum(bin(m).count("1") for m in self._edges) // 2
+        return int(self.degrees.sum()) // 2
 
     def sides(self) -> tuple[list[int], list[int]]:
         """Defined inputs split by function value (zeros, ones)."""
-        zeros = [x for x in self.domain_inputs if not (self._table >> x) & 1]
-        ones = [x for x in self.domain_inputs if (self._table >> x) & 1]
+        zeros = np.flatnonzero(self.defined & ~self.values).tolist()
+        ones = np.flatnonzero(self.values).tolist()
         return zeros, ones
 
-    def adjacency(self) -> np.ndarray:
-        """Dense adjacency over the defined inputs, in ascending order."""
-        m = len(self.domain_inputs)
-        if m > DENSE_MAX_VERTICES:
-            raise ValueError(f"dense adjacency capped at {DENSE_MAX_VERTICES} vertices")
-        a = np.zeros((m, m))
-        for i, mask in enumerate(self._edges):
-            xs = np.nonzero(bits.to_bit_array(mask, self.arity))[0]
-            for x in xs:
-                y = int(x) ^ (1 << i)
-                a[self._position[int(x)], self._position[y]] = 1.0
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge once as arrays (x, y, bit) with x < y = x ^ 2^bit,
+        ordered by x, then bit."""
+        idx = np.arange(self.values.size)
+        bit_clear = (idx >> np.arange(self.arity)[:, None]) & 1 == 0
+        xs, bit = np.nonzero((self.edges & bit_clear).T)
+        return xs, xs ^ (1 << bit), bit
+
+    def components(self) -> list[np.ndarray]:
+        """Vertex sets of the components with at least one edge, each
+        ascending, ordered by least member."""
+        label = np.arange(self.values.size)
+        while True:
+            nxt = label.copy()
+            for i, row in enumerate(self.edges):
+                np.minimum(nxt, np.where(row, _axis_swap(label, i), nxt), out=nxt)
+            nxt = nxt[nxt]  # every label is a vertex of the same component
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+        active = np.flatnonzero(self.degrees)
+        order = active[np.argsort(label[active], kind="stable")]
+        cuts = np.flatnonzero(np.diff(label[order])) + 1
+        return np.split(order, cuts) if order.size else []
+
+    def adjacency(self, vertices: list[int] | np.ndarray | None = None) -> np.ndarray:
+        """Dense adjacency over ``vertices`` (ascending; default: every
+        defined input)."""
+        if vertices is None:
+            vertices = self.domain_inputs
+            if len(vertices) > DENSE_MAX_VERTICES:
+                raise ValueError(f"dense adjacency capped at {DENSE_MAX_VERTICES} vertices")
+        vs = np.asarray(vertices, dtype=np.int64)
+        pos = np.full(self.values.size, -1)
+        pos[vs] = np.arange(vs.size)
+        a = np.zeros((vs.size, vs.size))
+        for i, row in enumerate(self.edges):
+            cols = pos[vs ^ (1 << i)]
+            hit = row[vs] & (cols >= 0)
+            a[np.flatnonzero(hit), cols[hit]] = 1.0
         return a
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u for u indexed by all 2^n inputs (zero outside the domain)."""
+        y = np.zeros_like(u)
+        for i, row in enumerate(self.edges):
+            y += _axis_swap(u, i) * row
+        return y
 
 
 def _axis_swap(u: np.ndarray, axis: int) -> np.ndarray:
@@ -137,21 +170,9 @@ def _dense_spectral(graph: SensitivityGraph) -> SpectralResult:
     return SpectralResult(value, v, residual)
 
 
-def _iterative_spectral(n: int, t: int, dom: int) -> SpectralResult:
-    size = 1 << n
-    edge_bits = [
-        bits.to_bit_array(m, n).astype(np.float64) for m in _edge_masks(n, t, dom)
-    ]
-    dom_arr = bits.to_bit_array(dom, n).astype(bool)
-    val_arr = bits.to_bit_array(t, n).astype(bool)
-
-    def matvec(u: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(u)
-        for i, eb in enumerate(edge_bits):
-            y += _axis_swap(u, i) * eb
-        return y
-
-    if not any(eb.any() for eb in edge_bits):
+def _iterative_spectral(graph: SensitivityGraph) -> SpectralResult:
+    dom_arr, val_arr, matvec = graph.defined, graph.values, graph.matvec
+    if not graph.edges.any():
         m = int(dom_arr.sum())
         vec = np.full(m, 1.0 / math.sqrt(m)) if m else np.zeros(0)
         return SpectralResult(0.0, vec, 0.0)
@@ -163,7 +184,7 @@ def _iterative_spectral(n: int, t: int, dom: int) -> SpectralResult:
         side = zeros_side if zeros_side.any() else ones_side
 
     rng = np.random.default_rng(POWER_SEED)
-    u = rng.random(size) + 0.5
+    u = rng.random(dom_arr.size) + 0.5
     u *= side
     u /= np.linalg.norm(u)
 
@@ -209,14 +230,13 @@ def spectral_sensitivity(
     ``method`` is "auto", "dense", or "iterative"; auto switches to the
     matrix-free path above 4096 defined inputs.
     """
-    n, t, dom = _domain_parts(f)
-    defined = dom.bit_count()
+    graph = SensitivityGraph(f)
     if method == "auto":
-        method = "dense" if defined <= DENSE_MAX_VERTICES else "iterative"
+        method = "dense" if len(graph.domain_inputs) <= DENSE_MAX_VERTICES else "iterative"
     if method == "dense":
-        return _dense_spectral(SensitivityGraph(f))
+        return _dense_spectral(graph)
     if method == "iterative":
-        return _iterative_spectral(n, t, dom)
+        return _iterative_spectral(graph)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -368,9 +388,7 @@ def full_degree_witness(f: TruthTable) -> DegreeWitness:
     nrm = float(np.linalg.norm(vprime))
     vprime = vprime / nrm
 
-    graph = SensitivityGraph(f)
-    a = graph.adjacency()
-    ratio = float(np.linalg.norm(a @ vprime))
+    ratio = float(np.linalg.norm(SensitivityGraph(f).matvec(vprime)))
     if ratio < math.sqrt(n) - WITNESS_SLACK:
         raise RuntimeError(
             f"witness ratio {ratio:.12g} fell below sqrt({n}) - {WITNESS_SLACK}"

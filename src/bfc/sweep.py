@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bits
 from .algebraic import approximate_degree, degree, degree_gf2
 from .combinatorial import (
     block_sensitivity,
@@ -222,18 +223,12 @@ def npn_canonical_array(n: int) -> np.ndarray:
     full = (1 << size) - 1
     idx = np.arange(full + 1, dtype=np.uint16)  # tables of arity <= 4 fit in 16 bits
     canon = idx.copy()
-    tt = np.empty_like(idx)
     bit = np.empty_like(idx)
     # table bits x with input i at 0; complementing input i swaps them
     # with the bits 2^i above
-    lows = [sum(1 << x for x in range(size) if not (x >> i) & 1) for i in range(n)]
+    lows = [bits.axis_mask(n, i) for i in range(n)]
     for p in _permutation_maps(n):
-        tt.fill(0)
-        for x, px in enumerate(p):
-            np.right_shift(idx, px, out=bit)
-            bit &= 1
-            bit <<= x
-            tt |= bit
+        tt = bits.gather_bits(idx, p)
         # step k complements the input of k's lowest set bit, so the
         # steps visit every complementation pattern once (Gray code)
         for k in range(size):

@@ -19,6 +19,7 @@ from bfc.adversary import (
     verify_sdp_primal,
     verify_vertex_scheme,
     vertex_scheme_value,
+    EdgeWeightScheme,
     VertexBitWeightScheme,
 )
 from bfc.spectral import spectral_sensitivity
@@ -246,3 +247,29 @@ def test_scheme_value_helper():
     s = VertexBitWeightScheme(2, ((0, 0, 1.5), (0, 1, 0.5), (3, 0, 1.0)))
     assert vertex_scheme_value(s) == 2.0
     assert s.row_sum(0) == 2.0
+
+
+def test_vertex_scheme_verifier_rejects_negative_and_nonfinite_weights():
+    # every product of two -1 weights is 1, so only the sign check can
+    # refuse this scheme (lambda(OR_2) = sqrt(2), not -1)
+    f = named_family("OR", 2)
+    negative = VertexBitWeightScheme(2, ((0, 0, -1.0), (0, 1, -1.0), (1, 0, -1.0), (2, 1, -1.0)))
+    assert verify_vertex_scheme(f, negative) == (False, (0, 0))
+    blob = certificate_json(f, negative)
+    assert blob["verdict"] is False
+    assert blob["violated_pair"] == [0, 0]
+    for bad in (math.nan, math.inf):
+        scheme = VertexBitWeightScheme(2, ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (2, 1, bad)))
+        assert verify_vertex_scheme(f, scheme) == (False, (2, 1))
+    with pytest.raises(ValueError):
+        sdp_dual_certificate(f, negative)
+
+
+def test_edge_scheme_verifier_rejects_nonfinite_weight():
+    f = named_family("OR", 2)
+    scheme, _ = edge_scheme_from_eigenvector(f)
+    assert verify_edge_scheme(f, scheme) == (True, None)
+    x, y, _w = scheme.weights[0]
+    for bad in (math.nan, math.inf):
+        tampered = EdgeWeightScheme(2, ((x, y, bad),) + scheme.weights[1:])
+        assert verify_edge_scheme(f, tampered) == (False, (x, y))

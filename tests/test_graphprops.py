@@ -202,3 +202,37 @@ def test_chain_report_warns_above_depth_comfort_zone():
 def test_enumeration_rejects_large_n():
     with pytest.raises(ValueError):
         enumerate_monotone_properties(6)
+
+
+def _orbits(n):
+    """Isomorphism classes of graphs on n vertices, by closing each mask
+    under the adjacent transpositions."""
+    label = {}
+    swaps = [tuple(range(v)) + (v + 1, v) + tuple(range(v + 2, n)) for v in range(n - 1)]
+    for mask in range(1 << edge_arity(n)):
+        if mask in label:
+            continue
+        label[mask] = mask
+        stack = [mask]
+        while stack:
+            g = stack.pop()
+            for sigma in swaps:
+                h = apply_vertex_permutation(g, n, sigma)
+                if h not in label:
+                    label[h] = mask
+                    stack.append(h)
+    return label
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_is_graph_property_seeded_tables(n):
+    rng = random.Random(100 + n)
+    label = _orbits(n)
+    m = edge_arity(n)
+    for _ in range(5):
+        on = {c for c in set(label.values()) if rng.random() < 0.5}
+        t = sum(1 << mask for mask, c in label.items() if c in on)
+        assert is_graph_property(TruthTable(m, t), n)
+        # flipping one graph whose class has other members breaks invariance
+        mask = rng.choice([x for x, c in label.items() if x != c])
+        assert not is_graph_property(TruthTable(m, t ^ (1 << mask)), n)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from bfc.bits import from_bit_array
 from bfc.spectral import (
     SensitivityGraph,
     SpectralConvergenceError,
@@ -240,3 +241,74 @@ def test_vector_to_csv_shape():
     assert lines[0] == "index,entry"
     assert lines[1].startswith("0,0.5")
     assert len(lines) == 3
+
+
+def _graph_tables():
+    """All arity-3 tables, then seeded partial tables at arity 4..6."""
+    for t in range(256):
+        yield TruthTable(3, t)
+    rng = np.random.default_rng(2024)
+    for n in (4, 5, 6):
+        for _ in range(8):
+            dom = (rng.random(1 << n) < 0.75).astype(np.uint8)
+            val = rng.integers(0, 2, size=1 << n, dtype=np.uint8) & dom
+            yield PartialTruthTable(n, from_bit_array(val), from_bit_array(dom))
+
+
+def test_graph_core_matches_definition():
+    rng = np.random.default_rng(7)
+    for f in _graph_tables():
+        n = f.arity
+        size = 1 << n
+        dom = getattr(f, "domain", (1 << size) - 1)
+        defined = [x for x in range(size) if (dom >> x) & 1]
+
+        def edge(x, y):  # for y = x ^ 2^i
+            both = (dom >> x) & 1 and (dom >> y) & 1
+            return bool(both) and (f.table >> x) & 1 != (f.table >> y) & 1
+
+        g = SensitivityGraph(f)
+        assert g.domain_inputs == defined
+        degrees = [sum(edge(x, x ^ (1 << i)) for i in range(n)) for x in range(size)]
+        assert g.degrees.tolist() == degrees
+        pairs = [
+            (x, x ^ (1 << i), i)
+            for x in defined
+            for i in range(n)
+            if x < x ^ (1 << i) and edge(x, x ^ (1 << i))
+        ]
+        xs, ys, bit = g.pairs()
+        assert list(zip(xs.tolist(), ys.tolist(), bit.tolist())) == pairs
+
+        seen: set[int] = set()
+        comps = []
+        for start in defined:
+            if start in seen or degrees[start] == 0:
+                continue
+            comp, stack = [], [start]
+            seen.add(start)
+            while stack:
+                x = stack.pop()
+                comp.append(x)
+                for i in range(n):
+                    y = x ^ (1 << i)
+                    if y not in seen and edge(x, y):
+                        seen.add(y)
+                        stack.append(y)
+            comps.append(sorted(comp))
+        assert [c.tolist() for c in g.components()] == comps
+
+        a = np.array(
+            [[1.0 if (x ^ y).bit_count() == 1 and edge(x, y) else 0.0 for y in defined] for x in defined]
+        ).reshape(len(defined), len(defined))
+        assert np.array_equal(g.adjacency(), a)
+        for comp in comps:
+            sub = [defined.index(x) for x in comp]
+            assert np.array_equal(g.adjacency(comp), a[np.ix_(sub, sub)])
+
+        # integer entries keep every sum exact, whatever its order
+        u = np.zeros(size)
+        u[defined] = rng.integers(-5, 6, size=len(defined))
+        out = g.matvec(u)
+        assert np.array_equal(out[defined], a @ u[defined])
+        assert not out[[x for x in range(size) if x not in defined]].any()
