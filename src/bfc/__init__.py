@@ -41,7 +41,6 @@ from .combinatorial import (
     SensitivityReport,
     block_sensitivity,
     certificate_complexity,
-    clear_depth_memo,
     deterministic_query_complexity,
     sensitivity,
 )
@@ -63,7 +62,7 @@ from .lp import (
     verify_infeasibility_certificate,
     verify_point,
 )
-from .report import canonical_json, measure_report, report_hash
+from .report import canonical_json, measure, measure_report, report_hash
 from .spectral import (
     DegreeWitness,
     SensitivityGraph,

@@ -252,6 +252,15 @@ def _bit_difference_masks(domain: tuple[int, ...], arity: int) -> list[np.ndarra
     return [((idx[:, None] ^ idx[None, :]) >> i) & 1 for i in range(arity)]
 
 
+def _fits(g: SensitivityGraph, cert: SdpPrimal | SdpDual, blocks: list[np.ndarray]) -> bool:
+    """True iff the certificate is labelled by g's domain and every
+    block is a matrix over it."""
+    side = len(g.domain_inputs)
+    return cert.domain == tuple(g.domain_inputs) and all(
+        np.shape(b) == (side, side) for b in blocks
+    )
+
+
 def _min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
@@ -286,6 +295,8 @@ def verify_sdp_primal(
     f: TruthTable | PartialTruthTable, cert: SdpPrimal, slack: float = PSD_SLACK
 ) -> bool:
     g = SensitivityGraph(f)
+    if not _fits(g, cert, [cert.z, cert.delta]):
+        return False
     a = g.adjacency()
     z, delta = cert.z, cert.delta
     if not np.allclose(z, z.T, atol=1e-12):
@@ -334,6 +345,8 @@ def verify_sdp_dual(
     f: TruthTable | PartialTruthTable, cert: SdpDual, slack: float = FEAS_SLACK
 ) -> bool:
     g = SensitivityGraph(f)
+    if len(cert.r_blocks) != g.arity or not _fits(g, cert, list(cert.r_blocks)):
+        return False
     a = g.adjacency()
     diag_sum = np.zeros(len(cert.domain))
     cover = np.zeros_like(a)

@@ -19,7 +19,7 @@ from .spectral import SensitivityGraph
 from .tables import TruthTable
 
 BLOCK_MEASURE_MAX_ARITY = 12
-DEPTH_DEFAULT_MAX_ARITY = 6
+DEPTH_MAX_ARITY = 10
 
 
 @dataclass(frozen=True)
@@ -158,42 +158,30 @@ def certificate_complexity(f: TruthTable) -> LocalMeasure:
     return _local(per_input)
 
 
-_depth_memo: dict[tuple[int, int], int] = {}
+def deterministic_query_complexity(f: TruthTable) -> int:
+    """D(f): optimal decision-tree depth by minimax over restrictions,
+    memoized per call."""
+    if f.arity > DEPTH_MAX_ARITY:
+        raise ValueError(f"decision-tree depth supports arity <= {DEPTH_MAX_ARITY}")
+    memo: dict[tuple[int, int], int] = {}
 
+    def depth(n: int, t: int) -> int:
+        if t == 0 or t == bits.table_mask(n):
+            return 0
+        key = (n, t)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        best = n
+        for i in range(n):
+            lo = depth(n - 1, bits.restrict_axis(t, n, i, 0))
+            hi = depth(n - 1, bits.restrict_axis(t, n, i, 1))
+            cand = 1 + max(lo, hi)
+            if cand < best:
+                best = cand
+            if best == 1:
+                break
+        memo[key] = best
+        return best
 
-def _depth(n: int, t: int) -> int:
-    if t == 0 or t == bits.table_mask(n):
-        return 0
-    key = (n, t)
-    hit = _depth_memo.get(key)
-    if hit is not None:
-        return hit
-    best = n
-    for i in range(n):
-        lo = _depth(n - 1, bits.restrict_axis(t, n, i, 0))
-        hi = _depth(n - 1, bits.restrict_axis(t, n, i, 1))
-        cand = 1 + max(lo, hi)
-        if cand < best:
-            best = cand
-        if best == 1:
-            break
-    _depth_memo[key] = best
-    return best
-
-
-def deterministic_query_complexity(f: TruthTable, max_arity: int = DEPTH_DEFAULT_MAX_ARITY) -> int:
-    """D(f): optimal decision-tree depth by memoized minimax.
-
-    The memo is shared process-wide; entries are immutable values so
-    concurrent duplicated writes are harmless.
-    """
-    if f.arity > max_arity:
-        raise ValueError(
-            f"decision-tree depth supports arity <= {max_arity} "
-            "(raise max_arity explicitly to go higher)"
-        )
-    return _depth(f.arity, f.table)
-
-
-def clear_depth_memo() -> None:
-    _depth_memo.clear()
+    return depth(f.arity, f.table)

@@ -18,21 +18,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bits
-from .algebraic import degree, degree_gf2
-from .combinatorial import DEPTH_DEFAULT_MAX_ARITY, deterministic_query_complexity
-from .spectral import spectral_sensitivity
+from .report import cap_reason, measure
 from .tables import TruthTable, format_table
 
 ENUMERATION_MAX_VERTICES = 5
 TABLE_MAX_VERTICES = 6
 CHAIN_SLACK = 1e-6
+CHAIN_MEASURES = ("deg2", "deg", "lambda", "D")
 
 CSV_HEADER = "n_vertices,property,deg2,deg,lambda,depth,chain_ok"
 
@@ -291,22 +289,16 @@ def property_chain_report(p: GraphProperty) -> PropertyChainReport:
     ``lambda >= sqrt(deg)`` (Huang) is checked with a 1e-6 slack;
     ``deg2 <= deg`` is an exact integer comparison.  D is reported but
     not compared with ``lambda^2``: that inequality fails in general
-    (PARITY has ``lambda^2 = n^2 > D = n``).  Property tables on 5
-    vertices have arity 10, above the default decision-depth cap, so
-    the cap is raised here (with a warning) — dense memoization keeps
-    that tractable.
+    (PARITY has ``lambda^2 = n^2 > D = n``).  Above the decision-depth
+    cap (arity 10, i.e. 5 vertices) it raises ValueError before
+    measuring anything.
     """
     f = p.table
-    if f.arity > DEPTH_DEFAULT_MAX_ARITY:
-        warnings.warn(
-            f"raising the decision-depth cap to arity {f.arity} for a property table",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    d2 = degree_gf2(f)
-    dg = degree(f)
-    lam = spectral_sensitivity(f).value
-    depth = deterministic_query_complexity(f, max_arity=f.arity)
+    reason = cap_reason("D", f.arity)
+    if reason is not None:
+        raise ValueError(f"D of property {p.property_id}: {reason}")
+    m, _ = measure(f, CHAIN_MEASURES)
+    d2, dg, lam, depth = (m[name]["value"] for name in CHAIN_MEASURES)
     chain_ok = lam >= math.sqrt(dg) - CHAIN_SLACK and dg >= d2
     return PropertyChainReport(
         n_vertices=p.n_vertices,

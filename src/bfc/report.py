@@ -21,6 +21,7 @@ from .algebraic import (
 )
 from .combinatorial import (
     BLOCK_MEASURE_MAX_ARITY,
+    DEPTH_MAX_ARITY,
     block_sensitivity,
     certificate_complexity,
     deterministic_query_complexity,
@@ -29,9 +30,19 @@ from .combinatorial import (
 from .spectral import spectral_sensitivity
 from .tables import TruthTable, format_table
 
-REPORT_DEPTH_CAP = 10  # decision depth stays tractable well past the engine default
 SPECTRAL_TAG = "tolerance(1e-09)"
 VOLATILE_KEYS = ("timing", "diagnostics", "report_hash")
+MEASURE_NAMES = ("s", "s0", "s1", "avg_s", "bs", "C", "D", "deg", "deg2", "adeg", "lambda")
+# Each engine's own arity cap; above it the measure is skipped.
+MEASURE_CAPS = {
+    "bs": BLOCK_MEASURE_MAX_ARITY,
+    "C": BLOCK_MEASURE_MAX_ARITY,
+    "D": DEPTH_MAX_ARITY,
+    "adeg": APPROX_DEGREE_MAX_ARITY,
+    "certificates": adversary.SDP_MAX_ARITY,
+}
+_SENSITIVITY_GROUP = ("s", "s0", "s1", "avg_s")  # one engine call gives all four
+_ENGINE_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
 def canonical_json(obj) -> str:
@@ -57,6 +68,71 @@ def _exact(value) -> dict:
     return {"value": value, "exactness": "exact"}
 
 
+def cap_reason(name: str, n: int) -> str | None:
+    """Why ``name`` is skipped at arity ``n``; None at or under its cap."""
+    cap = MEASURE_CAPS.get(name)
+    return f"arity {n} above cap {cap}" if cap is not None and n > cap else None
+
+
+# the engine names are looked up at call time, so rebinding them in this
+# module (as tracing and tests do) reaches every caller of measure()
+_INTEGER_ENGINES = {
+    "bs": lambda f: block_sensitivity(f).global_value,
+    "C": lambda f: certificate_complexity(f).global_value,
+    "D": lambda f: deterministic_query_complexity(f),
+    "deg": lambda f: degree(f),
+    "deg2": lambda f: degree_gf2(f),
+    "adeg": lambda f: approximate_degree(f),
+}
+
+
+def _engine_entries(f: TruthTable, key: str) -> dict[str, dict]:
+    """The entries one engine call gives: the four sensitivity measures
+    for ``"sensitivity"``, otherwise the measure ``key`` alone."""
+    if key == "sensitivity":
+        sens = sensitivity(f)
+        return {
+            "s": _exact(sens.local.global_value),
+            "s0": {**_exact(sens.s0), "defined": sens.s0_defined},
+            "s1": {**_exact(sens.s1), "defined": sens.s1_defined},
+            "avg_s": {
+                "value": float(sens.average),
+                "fraction": f"{sens.average.numerator}/{sens.average.denominator}",
+                "exactness": "exact",
+            },
+        }
+    if key == "lambda":
+        sr = spectral_sensitivity(f)
+        return {"lambda": {"value": sr.value, "exactness": SPECTRAL_TAG, "residual": sr.residual}}
+    return {key: _exact(_INTEGER_ENGINES[key](f))}
+
+
+def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict[str, float]]:
+    """The measures ``names`` of one function, in that order, and the
+    seconds each engine call took.
+
+    Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
+    reason}`` above the measure's ``MEASURE_CAPS`` arity.  An engine
+    error is re-raised with the measure and table prefixed to its text.
+    """
+    got: dict[str, dict] = {}
+    timing: dict[str, float] = {}
+    for name in names:
+        reason = cap_reason(name, f.arity)
+        if reason is not None:
+            got[name] = {"skipped": reason}
+        elif name not in got:
+            key = "sensitivity" if name in _SENSITIVITY_GROUP else name
+            t0 = time.perf_counter()
+            try:
+                got.update(_engine_entries(f, key))
+            except _ENGINE_ERRORS as exc:
+                exc.args = (f"{name} of {format_table(f)}: {exc}",)
+                raise
+            timing[key] = time.perf_counter() - t0
+    return {name: got[name] for name in names}, timing
+
+
 def measure_report(
     f: TruthTable,
     family: str | None = None,
@@ -69,65 +145,10 @@ def measure_report(
     Certificates (optional) cover the adversary forms and carry their
     own verifier verdicts.
     """
-    n = f.arity
-    timing: dict[str, float] = {}
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        timing[name] = time.perf_counter() - t0
-        return out
-
-    measures: dict[str, dict] = {}
-    sens = timed("sensitivity", lambda: sensitivity(f))
-    measures["s"] = _exact(sens.local.global_value)
-    measures["s0"] = {**_exact(sens.s0), "defined": sens.s0_defined}
-    measures["s1"] = {**_exact(sens.s1), "defined": sens.s1_defined}
-    measures["avg_s"] = {
-        "value": float(sens.average),
-        "fraction": f"{sens.average.numerator}/{sens.average.denominator}",
-        "exactness": "exact",
-    }
-
-    if n <= BLOCK_MEASURE_MAX_ARITY:
-        measures["bs"] = _exact(
-            timed("bs", lambda: block_sensitivity(f).global_value)
-        )
-        measures["C"] = _exact(
-            timed("C", lambda: certificate_complexity(f).global_value)
-        )
-    else:
-        reason = f"arity {n} above cap {BLOCK_MEASURE_MAX_ARITY}"
-        measures["bs"] = {"skipped": reason}
-        measures["C"] = {"skipped": reason}
-
-    if n <= REPORT_DEPTH_CAP:
-        measures["D"] = _exact(
-            timed("D", lambda: deterministic_query_complexity(f, max_arity=n))
-        )
-    else:
-        measures["D"] = {"skipped": f"arity {n} above cap {REPORT_DEPTH_CAP}"}
-
-    measures["deg"] = _exact(timed("deg", lambda: degree(f)))
-    measures["deg2"] = _exact(timed("deg2", lambda: degree_gf2(f)))
-
-    if n <= APPROX_DEGREE_MAX_ARITY:
-        measures["adeg"] = _exact(timed("adeg", lambda: approximate_degree(f)))
-    else:
-        measures["adeg"] = {
-            "skipped": f"arity {n} above cap {APPROX_DEGREE_MAX_ARITY}"
-        }
-
-    sr = timed("lambda", lambda: spectral_sensitivity(f))
-    measures["lambda"] = {
-        "value": sr.value,
-        "exactness": SPECTRAL_TAG,
-        "residual": sr.residual,
-    }
-
+    measures, timing = measure(f, MEASURE_NAMES)
     body = {
         "function": {
-            "arity": n,
+            "arity": f.arity,
             "table": format_table(f),
             "family": family,
         },
@@ -135,32 +156,27 @@ def measure_report(
     }
 
     if include_certificates:
-        if f.is_constant():
-            body["certificates"] = {"skipped": "constant function"}
-        elif n > adversary.SDP_MAX_ARITY:
-            body["certificates"] = {
-                "skipped": f"arity {n} above cap {adversary.SDP_MAX_ARITY}"
-            }
+        reason = "constant function" if f.is_constant() else cap_reason("certificates", f.arity)
+        if reason is not None:
+            body["certificates"] = {"skipped": reason}
         else:
-
-            def certs():
-                edge_scheme, edge_value = adversary.edge_scheme_from_eigenvector(f)
-                balanced, balanced_value = adversary.balanced_vertex_scheme(f)
-                optimal, optimal_value = adversary.optimal_vertex_scheme(f)
-                primal = adversary.sdp_primal_certificate(f)
-                dual = adversary.sdp_dual_certificate(f, optimal)
-                return {
-                    "edge_scheme": {
-                        **adversary.certificate_json(f, edge_scheme),
-                        "claimed_value": edge_value,
-                    },
-                    "vertex_scheme_balanced": adversary.certificate_json(f, balanced),
-                    "vertex_scheme_optimal": adversary.certificate_json(f, optimal),
-                    "sdp_primal": adversary.certificate_json(f, primal),
-                    "sdp_dual": adversary.certificate_json(f, dual),
-                }
-
-            body["certificates"] = timed("certificates", certs)
+            t0 = time.perf_counter()
+            edge_scheme, edge_value = adversary.edge_scheme_from_eigenvector(f)
+            balanced, balanced_value = adversary.balanced_vertex_scheme(f)
+            optimal, optimal_value = adversary.optimal_vertex_scheme(f)
+            primal = adversary.sdp_primal_certificate(f)
+            dual = adversary.sdp_dual_certificate(f, optimal)
+            body["certificates"] = {
+                "edge_scheme": {
+                    **adversary.certificate_json(f, edge_scheme),
+                    "claimed_value": edge_value,
+                },
+                "vertex_scheme_balanced": adversary.certificate_json(f, balanced),
+                "vertex_scheme_optimal": adversary.certificate_json(f, optimal),
+                "sdp_primal": adversary.certificate_json(f, primal),
+                "sdp_dual": adversary.certificate_json(f, dual),
+            }
+            timing["certificates"] = time.perf_counter() - t0
 
     body["timing"] = timing
     return body

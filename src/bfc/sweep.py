@@ -32,23 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
-from .algebraic import approximate_degree, degree, degree_gf2
-from .combinatorial import (
-    block_sensitivity,
-    certificate_complexity,
-    clear_depth_memo,
-    deterministic_query_complexity,
-    sensitivity,
-)
-from .report import report_hash
-from .spectral import spectral_sensitivity
+from .report import measure, report_hash
 from .tables import TruthTable, format_table
 
 EXHAUSTIVE_MAX_N = 4
 SAMPLED_MAX_N = 8
-APPROX_RATIO_MAX_N = 4
 DEFAULT_TOLERANCE = 1e-6
-MEMO_CLEAR_ARITY = 7  # above this, the depth memo is reset per function
+SWEEP_MEASURES = ("s", "s0", "s1", "avg_s", "bs", "C", "D", "deg", "deg2", "lambda")
 
 CHECK_NAMES = (
     "deg<=lambda^2",
@@ -77,28 +67,15 @@ def _on_grid(value: float) -> int:
     return round(value / TIE_GRID)
 
 
-def _measures_for(n: int, table: int) -> dict:
-    f = TruthTable(n, table)
-    if n >= MEMO_CLEAR_ARITY:
-        clear_depth_memo()
-    sens = sensitivity(f)
-    return {
-        "s": sens.local.global_value,
-        "s0": sens.s0,
-        "s1": sens.s1,
-        "avg": float(sens.average),
-        "bs": block_sensitivity(f).global_value,
-        "c": certificate_complexity(f).global_value,
-        "d": deterministic_query_complexity(f, max_arity=n),
-        "deg": degree(f),
-        "deg2": degree_gf2(f),
-        "lam": spectral_sensitivity(f).value,
-    }
+def _values(n: int, table: int) -> dict:
+    """The sweep's measures of one table, keyed by their report names."""
+    entries, _ = measure(TruthTable(n, table), SWEEP_MEASURES)
+    return {name: entry["value"] for name, entry in entries.items()}
 
 
 def _check_margins(m: dict) -> list[tuple[str, float, float, float]]:
     """(name, margin, lhs, rhs) per inequality; margin >= 0 means satisfied."""
-    lam = m["lam"]
+    lam = m["lambda"]
     lam2 = lam * lam
     s0s1 = m["s0"] * m["s1"]
     root = math.sqrt(s0s1)
@@ -107,15 +84,15 @@ def _check_margins(m: dict) -> list[tuple[str, float, float, float]]:
         ("s<=lambda^2", lam2 - m["s"], m["s"], lam2),
         ("lambda<=s", m["s"] - lam, lam, m["s"]),
         ("lambda<=sqrt(s0*s1)", root - lam, lam, root),
-        ("avg_s<=lambda", lam - m["avg"], m["avg"], lam),
+        ("avg_s<=lambda", lam - m["avg_s"], m["avg_s"], lam),
         ("deg<=s0*s1", s0s1 - m["deg"], m["deg"], s0s1),
         ("deg2<=deg", m["deg"] - m["deg2"], m["deg2"], m["deg"]),
         ("s<=bs", m["bs"] - m["s"], m["s"], m["bs"]),
-        ("bs<=C", m["c"] - m["bs"], m["bs"], m["c"]),
-        ("C<=bs*s", m["bs"] * m["s"] - m["c"], m["c"], m["bs"] * m["s"]),
-        ("D<=bs*C", m["bs"] * m["c"] - m["d"], m["d"], m["bs"] * m["c"]),
-        ("D<=bs*deg", m["bs"] * m["deg"] - m["d"], m["d"], m["bs"] * m["deg"]),
-        ("deg<=D", m["d"] - m["deg"], m["deg"], m["d"]),
+        ("bs<=C", m["C"] - m["bs"], m["bs"], m["C"]),
+        ("C<=bs*s", m["bs"] * m["s"] - m["C"], m["C"], m["bs"] * m["s"]),
+        ("D<=bs*C", m["bs"] * m["C"] - m["D"], m["D"], m["bs"] * m["C"]),
+        ("D<=bs*deg", m["bs"] * m["deg"] - m["D"], m["D"], m["bs"] * m["deg"]),
+        ("deg<=D", m["D"] - m["deg"], m["deg"], m["D"]),
     ]
 
 
@@ -123,13 +100,13 @@ def _ratio_entries(m: dict) -> list[tuple[str, float, float, float]]:
     """(name, ratio, numerator, denominator); constants contribute nothing."""
     out = []
     if m["deg"] > 0:
-        out.append(("lambda/deg", m["lam"] / m["deg"], m["lam"], float(m["deg"])))
+        out.append(("lambda/deg", m["lambda"] / m["deg"], m["lambda"], float(m["deg"])))
     if m["bs"] > 0:
         bs2 = m["bs"] ** 2
-        out.append(("D/bs^2", m["d"] / bs2, float(m["d"]), float(bs2)))
-    if m["lam"] > 0:
-        lam4 = m["lam"] ** 4
-        out.append(("D/lambda^4", m["d"] / lam4, float(m["d"]), lam4))
+        out.append(("D/bs^2", m["D"] / bs2, float(m["D"]), float(bs2)))
+    if m["lambda"] > 0:
+        lam4 = m["lambda"] ** 4
+        out.append(("D/lambda^4", m["D"] / lam4, float(m["D"]), lam4))
     return out
 
 
@@ -170,7 +147,7 @@ def _sweep_chunk(args: tuple) -> dict:
     n, tables, tolerance = args
     partial = _empty_partial()
     for table in tables:
-        _fold(partial, table, _measures_for(n, table), tolerance)
+        _fold(partial, table, _values(n, table), tolerance)
     return partial
 
 
@@ -217,8 +194,8 @@ def _permutation_maps(n: int) -> list[list[int]]:
 def npn_canonical_array(n: int) -> np.ndarray:
     """Per table: the least table reachable by permuting variables,
     complementing inputs, and complementing the output."""
-    if not 1 <= n <= APPROX_RATIO_MAX_N:
-        raise ValueError(f"canonicalization supports 1 <= n <= {APPROX_RATIO_MAX_N}")
+    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"canonicalization supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
     size = 1 << n
     full = (1 << size) - 1
     idx = np.arange(full + 1, dtype=np.uint16)  # tables of arity <= 4 fit in 16 bits
@@ -245,9 +222,7 @@ def npn_canonical_array(n: int) -> np.ndarray:
     return canon
 
 
-def approx_degree_ratio(
-    n: int, epsilon: float = 1.0 / 3.0, canon: np.ndarray | None = None
-) -> dict:
+def approx_degree_ratio(n: int, canon: np.ndarray | None = None) -> dict:
     """Max observed spectral-sensitivity / approximate-degree ratio at arity n.
 
     Both quantities are invariant under variable permutation and
@@ -264,8 +239,8 @@ def approx_degree_ratio(
         f = TruthTable(n, rep)
         if f.is_constant():
             continue
-        ad = approximate_degree(f, epsilon)
-        lam = spectral_sensitivity(f).value
+        m, _ = measure(f, ("adeg", "lambda"))
+        ad, lam = m["adeg"]["value"], m["lambda"]["value"]
         key = (-_on_grid(lam / ad), rep, lam / ad, lam, float(ad))
         if best is None or key < best:
             best = key
@@ -316,7 +291,10 @@ def resolve_threads(requested: int | None) -> int:
     """BFC_THREADS wins over the flag; 0 or None means one per usable CPU."""
     env = os.environ.get("BFC_THREADS")
     if env is not None:
-        requested = int(env)
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ValueError(f"BFC_THREADS must be an integer, got {env!r}") from None
     if not requested or requested < 1:
         return _usable_cpus()
     return requested
@@ -328,8 +306,11 @@ def _chunks(tables: list[int], threads: int) -> list[tuple[int, ...]]:
     return [tuple(tables[lo : lo + step]) for lo in range(0, len(tables), step)]
 
 
-def _universe(max_n: int, sample: int | None, seed: int) -> dict:
-    """The universe block of a sweep; ValueError beyond the arity caps."""
+def _universe(max_n: int, sample: int | None, seed: int, tolerance: float) -> dict:
+    """The universe block of a sweep; ValueError beyond the arity caps
+    or on a negative or non-finite tolerance."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if sample is None:
         if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps support 1 <= max_n <= {EXHAUSTIVE_MAX_N}")
@@ -366,14 +347,14 @@ def run_sweep(
     spectral/approximate-degree ratio block runs only for exhaustive
     universes, where class representatives cover every function.
     """
-    universe = _universe(max_n, sample, seed)
+    universe = _universe(max_n, sample, seed, tolerance)
     started = time.perf_counter()
     acc = _empty_partial()
     if sample is None:
         canon = npn_canonical_array(max_n)
         reps, sizes = np.unique(canon, return_counts=True)
         for rep, size in zip(reps.tolist(), sizes.tolist()):
-            _fold(acc, rep, _measures_for(max_n, rep), tolerance, weight=size)
+            _fold(acc, rep, _values(max_n, rep), tolerance, weight=size)
         diagnostics = {"evaluated_functions": len(reps), "method": "npn-quotient"}
     else:
         specs = _chunks(sample_tables(max_n, sample, seed), max(1, threads))
@@ -420,7 +401,7 @@ def run_sweep(
                 "denominator": den,
             }
         )
-    if sample is None and max_n <= APPROX_RATIO_MAX_N:
+    if sample is None:
         ratios.append(approx_degree_ratio(max_n, canon=canon))
 
     violation_count = sum(c["failures"] for c in checks)
@@ -455,13 +436,13 @@ def iter_csv_rows(
     measures for every table of the class, as ``run_sweep`` does, so
     the ``pass`` column agrees with the JSON counts.
     """
-    _universe(max_n, sample, seed)
+    _universe(max_n, sample, seed, tolerance)
     yield "n,table,check,lhs,rhs,margin,pass"
 
     def cells(table: int) -> list[str]:
         return [
             f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
-            for name, margin, lhs, rhs in _check_margins(_measures_for(max_n, table))
+            for name, margin, lhs, rhs in _check_margins(_values(max_n, table))
         ]
 
     if sample is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -273,3 +274,28 @@ def test_edge_scheme_verifier_rejects_nonfinite_weight():
     for bad in (math.nan, math.inf):
         tampered = EdgeWeightScheme(2, ((x, y, bad),) + scheme.weights[1:])
         assert verify_edge_scheme(f, tampered) == (False, (x, y))
+
+
+def test_sdp_verifiers_reject_wrong_size_certificate():
+    or2, or3 = named_family("OR", 2), named_family("OR", 3)
+    primal = sdp_primal_certificate(or2)
+    dual = sdp_dual_certificate(or2, optimal_vertex_scheme(or2)[0])
+    assert not verify_sdp_primal(or3, primal)
+    assert not verify_sdp_dual(or3, dual)
+    # right domain, wrong matrix shape
+    assert not verify_sdp_primal(or2, dataclasses.replace(primal, z=primal.z[:-1, :-1]))
+    assert not verify_sdp_dual(or2, dataclasses.replace(dual, r_blocks=dual.r_blocks[:-1]))
+
+
+def test_sdp_verifiers_check_the_certificate_domain():
+    # NOT x3 without input 0 and without input 7: seven inputs each, and
+    # the same adjacency in domain order
+    p = PartialTruthTable(3, 0x0E, 0xFE)
+    q = PartialTruthTable(3, 0x0F, 0x7F)
+    for f, other in ((p, q), (q, p)):
+        primal = sdp_primal_certificate(f)
+        dual = sdp_dual_certificate(f, optimal_vertex_scheme(f)[0])
+        assert verify_sdp_primal(f, primal)
+        assert verify_sdp_dual(f, dual)
+        assert not verify_sdp_primal(other, primal)
+        assert not verify_sdp_dual(other, dual)

@@ -159,6 +159,31 @@ def test_verify_cap_is_usage_error(capsys):
     assert "error" in err
 
 
+def _no_measuring(*args, **kwargs):
+    raise AssertionError("a function was measured")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, monkeypatch, fmt, tolerance):
+    from bfc import sweep
+
+    monkeypatch.setattr(sweep, "measure", _no_measuring)
+    rc, out, err = run_cli(
+        capsys, "verify", "--max-n", "2", "--tolerance", tolerance, "--format", fmt
+    )
+    assert (rc, out) == (1, "")
+    assert "tolerance must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_rejects_non_integer_bfc_threads(capsys, monkeypatch, fmt):
+    monkeypatch.setenv("BFC_THREADS", "two")
+    rc, out, err = run_cli(capsys, "verify", "--max-n", "2", "--format", fmt)
+    assert (rc, out) == (1, "")
+    assert "BFC_THREADS must be an integer, got 'two'" in err
+
+
 def test_witness_and3(capsys):
     rc, out, _ = run_cli(capsys, "witness", "--family", "AND", "--n", "3", "--format", "json")
     assert rc == 0

@@ -13,7 +13,6 @@ import pytest
 from bfc.combinatorial import (
     block_sensitivity,
     certificate_complexity,
-    clear_depth_memo,
     deterministic_query_complexity,
     sensitivity,
 )
@@ -134,7 +133,6 @@ def test_certificate_exhaustive_n3():
 
 
 def test_depth_exhaustive_n3():
-    clear_depth_memo()
     for f in all_functions(3):
         assert deterministic_query_complexity(f) == naive_depth(as_tuple_values(f))
 
@@ -145,13 +143,13 @@ def test_family_columns(n):
     assert sensitivity(orf).local.global_value == n
     assert block_sensitivity(orf).global_value == n
     assert certificate_complexity(orf).global_value == n
-    assert deterministic_query_complexity(orf, max_arity=5) == n
+    assert deterministic_query_complexity(orf) == n
 
     par = named_family("PARITY", n)
     assert sensitivity(par).local.global_value == n
     assert block_sensitivity(par).global_value == n
     assert certificate_complexity(par).global_value == n
-    assert deterministic_query_complexity(par, max_arity=5) == n
+    assert deterministic_query_complexity(par) == n
 
 
 def test_or_sides():
@@ -189,10 +187,9 @@ def test_constants():
 
 
 def test_depth_cap_raises():
-    f = named_family("OR", 7)
-    with pytest.raises(ValueError):
-        deterministic_query_complexity(f)
-    assert deterministic_query_complexity(f, max_arity=7) == 7
+    with pytest.raises(ValueError, match="arity <= 10"):
+        deterministic_query_complexity(named_family("OR", 11))
+    assert deterministic_query_complexity(named_family("OR", 10)) == 10
 
 
 def test_block_measures_cap():

@@ -190,13 +190,18 @@ def test_evasiveness_small():
             assert deterministic_query_complexity(p.table) == m, p.property_id
 
 
-def test_chain_report_warns_above_depth_comfort_zone():
-    p = named_property("has-edge", 5)  # arity 10
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_chain_report_at_depth_cap_gives_depth_10_and_no_warning():
+    p = named_property("has-edge", 5)  # arity 10, the decision-depth cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         r = property_chain_report(p)
-    assert any(issubclass(w.category, RuntimeWarning) for w in caught)
     assert r.depth == 10 and r.chain_ok
+
+
+def test_chain_report_above_depth_cap_raises():
+    p = named_property("has-edge", 6)  # arity 15
+    with pytest.raises(ValueError, match="above cap 10"):
+        property_chain_report(p)
 
 
 def test_enumeration_rejects_large_n():

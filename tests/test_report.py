@@ -1,0 +1,71 @@
+"""The one measurement path: ``report.measure`` and its cap table."""
+
+import pytest
+
+from bfc import report
+from bfc.adversary import sdp_primal_certificate
+from bfc.algebraic import approximate_degree
+from bfc.combinatorial import (
+    block_sensitivity,
+    certificate_complexity,
+    deterministic_query_complexity,
+)
+from bfc.lp import LpNumericalError
+from bfc.report import MEASURE_CAPS, measure, measure_report
+from bfc.sweep import run_sweep
+from bfc.tables import named_family, parse_table
+
+ENGINES = {
+    "bs": block_sensitivity,
+    "C": certificate_complexity,
+    "D": deterministic_query_complexity,
+    "adeg": approximate_degree,
+    "certificates": sdp_primal_certificate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURE_CAPS))
+def test_cap_table_skips_in_reports_and_raises_in_engines(name):
+    cap = MEASURE_CAPS[name]
+    f = named_family("OR", cap + 1)
+    expected = {"skipped": f"arity {cap + 1} above cap {cap}"}
+    if name == "certificates":
+        assert measure_report(f, include_certificates=True)["certificates"] == expected
+    else:
+        entries, timing = measure(f, [name])
+        assert entries == {name: expected}
+        assert timing == {}
+    with pytest.raises(ValueError, match=f"<= {cap}"):
+        ENGINES[name](f)
+
+
+def test_measure_computes_only_the_named_measures_in_order():
+    f = parse_table("3:E8")  # majority
+    entries, timing = measure(f, ["lambda", "s1", "D"])
+    assert list(entries) == ["lambda", "s1", "D"]
+    assert entries["D"] == {"value": 3, "exactness": "exact"}
+    assert entries["s1"] == {"value": 2, "exactness": "exact", "defined": True}
+    assert entries["lambda"]["value"] == pytest.approx(2.0)
+    assert set(timing) == {"lambda", "sensitivity", "D"}
+
+
+def _failing_lp(*args, **kwargs):
+    raise LpNumericalError("iteration cap 50000 exceeded in phase 1")
+
+
+def test_engine_error_names_measure_and_table(monkeypatch):
+    monkeypatch.setattr(report, "approximate_degree", _failing_lp)
+    with pytest.raises(LpNumericalError) as caught:
+        measure(parse_table("3:E8"), ["s", "adeg"])
+    assert str(caught.value) == "adeg of 3:E8: iteration cap 50000 exceeded in phase 1"
+
+
+def _failing_depth(f):
+    raise ValueError("depth engine failed")
+
+
+def test_engine_error_in_sweep_worker_names_measure_and_table(monkeypatch):
+    # pool workers fork from this process, so they inherit the patch
+    monkeypatch.setattr(report, "deterministic_query_complexity", _failing_depth)
+    with pytest.raises(ValueError, match=r"^D of 3:[0-9A-F]{2}: depth engine failed$"):
+        run_sweep(max_n=3, sample=8, seed=0, threads=2)

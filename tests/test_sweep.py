@@ -14,7 +14,7 @@ from bfc.sweep import (
     RATIO_NAMES,
     SAMPLED_MAX_N,
     _check_margins,
-    _measures_for,
+    _values,
     _ratio_entries,
     approx_degree_ratio,
     iter_csv_rows,
@@ -202,7 +202,7 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
     counts = {name: [0, 0] for name in CHECK_NAMES}
     worst, best = {}, {}
     for table in range(1 << (1 << n)):
-        m = _measures_for(n, table)
+        m = _values(n, table)
         for name, margin, lhs, rhs in _check_margins(m):
             is_float = name in FLOAT_CHECKS
             ok = margin >= (-tolerance if is_float else 0)
