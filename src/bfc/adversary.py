@@ -47,9 +47,6 @@ class EdgeWeightScheme:
     arity: int
     weights: tuple[tuple[int, int, float], ...]  # (x, y, w) with x < y
 
-    def vertex_weight(self, x: int) -> float:
-        return sum(w for a, b, w in self.weights if a == x or b == x)
-
 
 @dataclass(frozen=True)
 class VertexBitWeightScheme:

@@ -13,10 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 @lru_cache(maxsize=None)
 def table_mask(n: int) -> int:
     """All 2^n table positions set."""
@@ -69,13 +65,6 @@ def restrict_axis(t: int, n: int, axis: int, value: int) -> int:
     Surviving variables keep their relative order and are renumbered to
     close the gap.
     """
-    if n <= 9:
-        out = 0
-        low = (1 << axis) - 1
-        for y in range(1 << (n - 1)):
-            x = ((y >> axis) << (axis + 1)) | (value << axis) | (y & low)
-            out |= ((t >> x) & 1) << y
-        return out
     bits = to_bit_array(t, n)
     kept = bits.reshape(-1, 2, 1 << axis)[:, value, :].reshape(-1)
     return from_bit_array(kept)
@@ -107,12 +96,3 @@ def parity_array(n: int) -> np.ndarray:
         v ^= v >> s
     return (v & 1).astype(np.uint8)
 
-
-def submasks(mask: int):
-    """All submasks of `mask`, including 0 and mask itself."""
-    u = mask
-    while True:
-        yield u
-        if u == 0:
-            return
-        u = (u - 1) & mask

@@ -5,14 +5,17 @@ All measures here are integers obtained by exhaustive search:
 * sensitivity s(f) with the per-side maxima s0, s1 and the average,
 * block sensitivity bs(f) via maximum packings of minimal sensitive
   blocks,
-* certificate complexity C(f) via ascending-cardinality subset search,
-* deterministic decision-tree depth D(f) via a memoized minimax.
+* certificate complexity C(f) and deterministic decision-tree depth
+  D(f), both read from one table over the 3^n subcubes that marks
+  where f is constant (monochromatic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import bits
 from .spectral import SensitivityGraph
@@ -115,73 +118,76 @@ def block_sensitivity(f: TruthTable) -> LocalMeasure:
     return _local(per_input)
 
 
+def _digits(axis: int, lo: int, hi: int) -> tuple:
+    """Index of the subcubes whose digit on `axis` lies in [lo, hi)."""
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+def _monochromatic(f: TruthTable) -> np.ndarray:
+    """The subcube table of f: a ``(3,) * n`` bool array, True where f is
+    constant on the subcube.
+
+    Digit 0 or 1 on an axis fixes that coordinate and digit 2 leaves it
+    free.  Axis 0 is variable n, so the point slice ``[:2, ..., :2]``
+    flattens in input order.  ``has0``/``has1`` (f takes the value 0/1
+    somewhere on the subcube) start as the point values; each axis then
+    gains a free slice, the OR of its 0-slice and 1-slice.
+    """
+    n = f.arity
+    has1 = f.to_bit_array().astype(bool).reshape((2,) * n)
+    has0 = ~has1
+    for axis in range(n):
+        has0 = np.concatenate([has0, has0.any(axis=axis, keepdims=True)], axis=axis)
+        has1 = np.concatenate([has1, has1.any(axis=axis, keepdims=True)], axis=axis)
+    return ~(has0 & has1)
+
+
 def certificate_complexity(f: TruthTable) -> LocalMeasure:
     """C(f): smallest set of variables whose values at x force f.
 
-    For each input the subsets are scanned in ascending cardinality,
-    starting at the local sensitivity (a lower bound), and the first
-    certifying subset wins.
+    A monochromatic subcube certifies every input in it with its
+    codimension; the other subcubes cost n.  A superset-min pass per
+    axis (each fixed slice takes the min with the free slice) leaves on
+    every point the cheapest monochromatic subcube containing it.
     """
-    n, t = f.arity, f.table
+    n = f.arity
     if n > BLOCK_MEASURE_MAX_ARITY:
         raise ValueError(
             f"certificate complexity supports arity <= {BLOCK_MEASURE_MAX_ARITY}"
         )
-    if f.is_constant():
-        return _local([0] * f.size)
-    sens_counts = SensitivityGraph(f).degrees.tolist()
-    by_card: list[list[int]] = [[] for _ in range(n + 1)]
-    for s in range(1 << n):
-        by_card[s.bit_count()].append(s)
-    full = (1 << n) - 1
-    per_input = []
-    for x in range(f.size):
-        fx = (t >> x) & 1
-        found = n
-        start = max(1, sens_counts[x])
-        for k in range(start, n + 1):
-            hit = False
-            for s in by_card[k]:
-                base = x & s
-                ok = True
-                for u in bits.submasks(full ^ s):
-                    if ((t >> (base | u)) & 1) != fx:
-                        ok = False
-                        break
-                if ok:
-                    hit = True
-                    break
-            if hit:
-                found = k
-                break
-        per_input.append(found)
-    return _local(per_input)
+    mono = _monochromatic(f)
+    codim = np.zeros(mono.shape, dtype=np.int8)
+    for axis in range(n):
+        codim[_digits(axis, 0, 2)] += 1
+    cost = np.where(mono, codim, n).astype(np.int8)
+    for axis in range(n):
+        fixed = cost[_digits(axis, 0, 2)]
+        np.minimum(fixed, cost[_digits(axis, 2, 3)], out=fixed)
+    return _local(cost[(slice(0, 2),) * n].reshape(-1).tolist())
 
 
 def deterministic_query_complexity(f: TruthTable) -> int:
-    """D(f): optimal decision-tree depth by minimax over restrictions,
-    memoized per call."""
-    if f.arity > DEPTH_MAX_ARITY:
+    """D(f): optimal decision-tree depth, the value of the all-free subcube.
+
+    Monochromatic subcubes have depth 0 and the rest start at n.  Each
+    round lowers every subcube to ``1 + min over free axes of
+    max(child0, child1)`` where that is smaller; after k rounds every
+    subcube of dimension <= k is exact, and a round that changes nothing
+    has reached the fixed point.
+    """
+    n = f.arity
+    if n > DEPTH_MAX_ARITY:
         raise ValueError(f"decision-tree depth supports arity <= {DEPTH_MAX_ARITY}")
-    memo: dict[tuple[int, int], int] = {}
-
-    def depth(n: int, t: int) -> int:
-        if t == 0 or t == bits.table_mask(n):
-            return 0
-        key = (n, t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = n
-        for i in range(n):
-            lo = depth(n - 1, bits.restrict_axis(t, n, i, 0))
-            hi = depth(n - 1, bits.restrict_axis(t, n, i, 1))
-            cand = 1 + max(lo, hi)
-            if cand < best:
-                best = cand
-            if best == 1:
-                break
-        memo[key] = best
-        return best
-
-    return depth(f.arity, f.table)
+    mono = _monochromatic(f)
+    depth = np.where(mono, 0, n).astype(np.int8)
+    for _ in range(n):
+        best = np.full_like(depth, n)
+        for axis in range(n):
+            free = best[_digits(axis, 2, 3)]
+            children = np.maximum(depth[_digits(axis, 0, 1)], depth[_digits(axis, 1, 2)])
+            np.minimum(free, children, out=free)
+        relaxed = np.minimum(depth, best + 1)
+        if np.array_equal(relaxed, depth):
+            break
+        depth = relaxed
+    return int(depth[(2,) * n])

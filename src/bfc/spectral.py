@@ -43,6 +43,11 @@ class SpectralConvergenceError(RuntimeError):
             f"residual {achieved_residual:.3g}"
         )
 
+    def __reduce__(self):
+        # BaseException pickles only the message; rebuild from both fields
+        # so the error survives the trip out of a sweep worker.
+        return type(self), (self.achieved_value, self.achieved_residual)
+
 
 @dataclass(frozen=True)
 class SpectralResult:

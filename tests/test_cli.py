@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bfc
 from bfc.cli import main
 
 
@@ -298,9 +301,12 @@ def test_usage_error_unknown_command(capsys):
 
 
 def test_console_script_entry_point():
+    # The child imports the same bfc as this test, installed or not.
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bfc", "measures", "2:E", "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("measure,value,exactness")

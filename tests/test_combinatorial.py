@@ -5,6 +5,7 @@ from f.value() alone, with dict-based restrictions and exhaustive
 searches, so they share no code with the packed-integer engines.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -125,16 +126,32 @@ def test_block_sensitivity_argmax_attains_value():
         assert naive_block_sensitivity(f, got.argmax_input) == got.global_value
 
 
-def test_certificate_exhaustive_n3():
-    for f in all_functions(3):
+def functions_to_check(n):
+    """Every table at arity 3; above it, three seeded tables, one of them
+    biased towards 0 so that large monochromatic subcubes occur."""
+    if n == 3:
+        yield from all_functions(3)
+        return
+    rng = random.Random(n)
+    size = 1 << n
+    yield TruthTable(n, rng.getrandbits(size))
+    yield TruthTable(n, rng.getrandbits(size))
+    yield TruthTable(n, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certificate_exhaustive_n3(n):
+    for f in functions_to_check(n):
         got = certificate_complexity(f)
-        per = [naive_certificate(f, x) for x in range(8)]
-        assert list(got.per_input) == per
+        per = [naive_certificate(f, x) for x in range(f.size)]
+        assert list(got.per_input) == per, f"C mismatch on {f}"
 
 
-def test_depth_exhaustive_n3():
-    for f in all_functions(3):
-        assert deterministic_query_complexity(f) == naive_depth(as_tuple_values(f))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_depth_exhaustive_n3(n):
+    for f in functions_to_check(n):
+        want = naive_depth(as_tuple_values(f))
+        assert deterministic_query_complexity(f) == want, f"D mismatch on {f}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -184,12 +201,26 @@ def test_constants():
         assert block_sensitivity(zero).global_value == 0
         assert certificate_complexity(zero).global_value == 0
         assert deterministic_query_complexity(zero) == 0
+    for t in (0, 1):
+        const = TruthTable(0, t)
+        assert certificate_complexity(const).per_input == (0,)
+        assert deterministic_query_complexity(const) == 0
 
 
 def test_depth_cap_raises():
     with pytest.raises(ValueError, match="arity <= 10"):
         deterministic_query_complexity(named_family("OR", 11))
     assert deterministic_query_complexity(named_family("OR", 10)) == 10
+
+
+def test_closed_forms_at_the_caps():
+    # OR_12: x = 0 needs all 12 zeros; any 1 bit certifies the rest
+    c = certificate_complexity(named_family("OR", 12))
+    assert c.per_input == (12,) + (1,) * 4095
+    assert (c.global_value, c.argmax_input) == (12, 0)
+    assert set(certificate_complexity(named_family("PARITY", 12)).per_input) == {12}
+    # D composes multiplicatively: AND of 2 ORs of 5
+    assert deterministic_query_complexity(named_family("AND-OR", (2, 5))) == 10
 
 
 def test_block_measures_cap():

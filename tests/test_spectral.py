@@ -10,6 +10,7 @@ Closed forms used as oracles (all re-derivable by hand):
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ def test_iterative_handles_large_arity():
     f = named_family("OR", 13)
     res = spectral_sensitivity(f)
     assert abs(res.value - math.sqrt(13)) < 1e-8
+
+
+def test_convergence_error_survives_pickle():
+    err = SpectralConvergenceError(1.0, 2.0)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is SpectralConvergenceError
+    assert str(back) == str(err)
+    assert (back.achieved_value, back.achieved_residual) == (1.0, 2.0)
 
 
 def test_lambda_constant_is_zero():

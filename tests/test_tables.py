@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bfc.tables import (
@@ -91,6 +93,21 @@ def test_restriction_multiple_fixes():
     g = restrict(f, Restriction.of({1: 1, 3: 1}))
     assert g == named_family("AND", 2)
     assert restrict(f, Restriction.of({2: 0})).table == 0
+
+
+@pytest.mark.parametrize("n", [3, 9, 10, 11])
+def test_restriction_matches_definition(n):
+    rng = random.Random(n)
+    f = TruthTable(n, rng.getrandbits(1 << n))
+    for var in (1, (n + 1) // 2, n):
+        for val in (0, 1):
+            g = restrict(f, Restriction.of({var: val}))
+            low = (1 << (var - 1)) - 1
+            want = [
+                f.value(((y & ~low) << 1) | (val << (var - 1)) | (y & low))
+                for y in range(1 << (n - 1))
+            ]
+            assert [g.value(y) for y in range(g.size)] == want, (var, val)
 
 
 def test_restriction_validation():
