@@ -59,9 +59,6 @@ class VertexBitWeightScheme:
     def weight_map(self) -> dict[tuple[int, int], float]:
         return {(x, i): w for x, i, w in self.weights}
 
-    def row_sum(self, x: int) -> float:
-        return sum(w for xx, _, w in self.weights if xx == x)
-
 
 @dataclass(frozen=True)
 class SdpPrimal:

@@ -29,12 +29,6 @@ class MultilinearExpansion:
     arity: int
     coefficients: tuple[tuple[int, int], ...]  # (monomial mask, coefficient)
 
-    def coefficient(self, mask: int) -> int:
-        for m, c in self.coefficients:
-            if m == mask:
-                return c
-        return 0
-
     def evaluate(self, x: int) -> int:
         return sum(c for m, c in self.coefficients if m & x == m)
 
@@ -74,13 +68,9 @@ def degree_gf2(f: TruthTable) -> int:
 
 
 def gf2_coefficients(f: TruthTable) -> np.ndarray:
-    """GF(2) monomial indicator vector (uint8 of length 2^n)."""
-    n, t = f.arity, f.table
-    if n > DEGREE_MAX_ARITY:
-        raise ValueError(f"degree supports arity <= {DEGREE_MAX_ARITY}")
-    for i in range(n):
-        t ^= (t & bits.axis_mask(n, i)) << (1 << i)
-    return bits.to_bit_array(t, n)
+    """GF(2) monomial indicator vector (uint8 of length 2^n): the integer
+    Mobius coefficients reduced mod 2."""
+    return (mobius_coefficients(f) & 1).astype(np.uint8)
 
 
 def _monomial_masks(n: int, max_degree: int) -> list[int]:

@@ -32,24 +32,6 @@ def axis_mask(n: int, axis: int) -> int:
     return m & table_mask(n)
 
 
-def flip_axis(t: int, n: int, axis: int) -> int:
-    """Permute table positions by x -> x ^ (1 << axis)."""
-    s = 1 << axis
-    lo = axis_mask(n, axis)
-    return ((t & lo) << s) | ((t >> s) & lo)
-
-
-def xor_permute(t: int, n: int, mask: int) -> int:
-    """Permute table positions by x -> x ^ mask."""
-    axis = 0
-    while mask:
-        if mask & 1:
-            t = flip_axis(t, n, axis)
-        axis += 1
-        mask >>= 1
-    return t
-
-
 def gather_bits(keys: int | np.ndarray, index_map: Sequence[int]) -> int | np.ndarray:
     """Out bit k = key bit ``index_map[k]``, for an int or an integer
     array of packed keys at once."""

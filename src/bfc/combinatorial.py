@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bits
-from .spectral import SensitivityGraph
+from .spectral import SensitivityGraph, _axis_swap
 from .tables import TruthTable
 
 BLOCK_MEASURE_MAX_ARITY = 12
@@ -97,25 +96,32 @@ def _max_disjoint_packing(blocks: list[int]) -> int:
 def block_sensitivity(f: TruthTable) -> LocalMeasure:
     """bs(f): per input, the largest family of disjoint sensitive blocks.
 
-    Only minimal sensitive blocks matter for the packing, so the search
-    keeps a block only when none of its proper sub-blocks is sensitive.
+    Only minimal sensitive blocks matter for the packing.  The block
+    table ``sens[b, x] = f(x ^ b) != f(x)`` is built row range by row
+    range: rows ``[2^i, 2^(i+1))`` are rows ``[0, 2^i)`` with input axis
+    i swapped.  A subset-OR pass per axis gives ``reach[b]``, whether
+    some sub-block of b is sensitive; b is minimal when it is sensitive
+    and no b less one of its bits reaches.
     """
-    n, t = f.arity, f.table
+    n, size = f.arity, f.size
     if n > BLOCK_MEASURE_MAX_ARITY:
         raise ValueError(f"block sensitivity supports arity <= {BLOCK_MEASURE_MAX_ARITY}")
-    if n == 0:
-        return _local([0])
-    masks = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), b))
-    flipped = {b: bits.xor_permute(t, n, b) for b in masks}
-    sens = {b: t ^ flipped[b] for b in masks}
-    per_input = []
-    for x in range(f.size):
-        minimal: list[int] = []
-        for b in masks:
-            if (sens[b] >> x) & 1 and not any(k & b == k for k in minimal):
-                minimal.append(b)
-        per_input.append(_max_disjoint_packing(minimal))
-    return _local(per_input)
+    values = f.to_bit_array().astype(bool)
+    sens = values[None, :]
+    for i in range(n):
+        sens = np.concatenate([sens, _axis_swap(sens, i)])
+    sens = sens != values
+    reach = sens.copy()
+    for i in range(n):
+        r = reach.reshape(-1, 2, 1 << i, size)
+        r[:, 1] |= r[:, 0]
+    below = np.zeros_like(sens)
+    for i in range(n):
+        below.reshape(-1, 2, 1 << i, size)[:, 1] |= reach.reshape(-1, 2, 1 << i, size)[:, 0]
+    minimal = sens & ~below
+    return _local(
+        [_max_disjoint_packing(np.flatnonzero(minimal[:, x]).tolist()) for x in range(size)]
+    )
 
 
 def _digits(axis: int, lo: int, hi: int) -> tuple:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bits
 from .algebraic import degree, mobius_coefficients
-from .tables import PartialTruthTable, Restriction, TruthTable, restrict
+from .tables import PartialTruthTable, Restriction, TruthTable, parity_partition, restrict
 
 DENSE_MAX_VERTICES = 4096
 SIGNED_HYPERCUBE_MAX_N = 12
@@ -227,22 +227,16 @@ def _iterative_spectral(graph: SensitivityGraph) -> SpectralResult:
     raise SpectralConvergenceError(value, residual)
 
 
-def spectral_sensitivity(
-    f: TruthTable | PartialTruthTable, method: str = "auto"
-) -> SpectralResult:
+def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> SpectralResult:
     """lambda(f) = ||A_{G_f}|| with a certifying eigenvector.
 
-    ``method`` is "auto", "dense", or "iterative"; auto switches to the
-    matrix-free path above 4096 defined inputs.
+    The dense solve runs up to 4096 defined inputs and the matrix-free
+    power iteration above that.
     """
     graph = SensitivityGraph(f)
-    if method == "auto":
-        method = "dense" if len(graph.domain_inputs) <= DENSE_MAX_VERTICES else "iterative"
-    if method == "dense":
+    if len(graph.domain_inputs) <= DENSE_MAX_VERTICES:
         return _dense_spectral(graph)
-    if method == "iterative":
-        return _iterative_spectral(graph)
-    raise ValueError(f"unknown method {method!r}")
+    return _iterative_spectral(graph)
 
 
 @dataclass(frozen=True)
@@ -369,11 +363,7 @@ def full_degree_witness(f: TruthTable) -> DegreeWitness:
         raise ValueError(f"witness construction supports 1 <= arity <= {SIGNED_HYPERCUBE_MAX_N}")
     if degree(f) != n:
         raise ValueError("witness construction needs a function of full degree")
-    par = bits.parity_array(n)
-    vals = f.to_bit_array()
-    agree = vals == par
-    v0 = np.nonzero(agree)[0]
-    v1 = np.nonzero(~agree)[0]
+    v0, v1 = parity_partition(f)
     if len(v0) == len(v1):
         raise ValueError("parity split is balanced; degree cannot be full")
     minority = v1 if len(v1) < len(v0) else v0
@@ -387,7 +377,7 @@ def full_degree_witness(f: TruthTable) -> DegreeWitness:
     if len(minority) == 0:
         v = basis[:, 0]
     else:
-        c = _kernel_vector(basis[minority, :])
+        c = _kernel_vector(basis[np.asarray(minority), :])
         v = basis @ c
     vprime = np.abs(v)
     nrm = float(np.linalg.norm(vprime))

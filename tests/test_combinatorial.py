@@ -112,13 +112,6 @@ def test_sensitivity_sides_and_average_exhaustive_n3():
         assert rep.average == Fraction(sum(per), 8)
 
 
-def test_block_sensitivity_exhaustive_n3():
-    for f in all_functions(3):
-        got = block_sensitivity(f)
-        want = max(naive_block_sensitivity(f, x) for x in range(8))
-        assert got.global_value == want, f"bs mismatch on {f}"
-
-
 def test_block_sensitivity_argmax_attains_value():
     for f in all_functions(2):
         got = block_sensitivity(f)
@@ -137,6 +130,15 @@ def functions_to_check(n):
     yield TruthTable(n, rng.getrandbits(size))
     yield TruthTable(n, rng.getrandbits(size))
     yield TruthTable(n, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_block_sensitivity_exhaustive_n3(n):
+    for f in functions_to_check(n):
+        got = block_sensitivity(f)
+        per = [naive_block_sensitivity(f, x) for x in range(f.size)]
+        assert list(got.per_input) == per, f"bs mismatch on {f}"
+        assert got.global_value == max(per)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -219,6 +221,12 @@ def test_closed_forms_at_the_caps():
     assert c.per_input == (12,) + (1,) * 4095
     assert (c.global_value, c.argmax_input) == (12, 0)
     assert set(certificate_complexity(named_family("PARITY", 12)).per_input) == {12}
+    # bs(OR_12): at x = 0 every variable is its own block; any 1 bit is
+    # the one sensitive block elsewhere
+    bs = block_sensitivity(named_family("OR", 12))
+    assert bs.per_input == (12,) + (1,) * 4095
+    assert (bs.global_value, bs.argmax_input) == (12, 0)
+    assert set(block_sensitivity(named_family("PARITY", 12)).per_input) == {12}
     # D composes multiplicatively: AND of 2 ORs of 5
     assert deterministic_query_complexity(named_family("AND-OR", (2, 5))) == 10
 
