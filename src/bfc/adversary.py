@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SensitivityGraph, spectral_sensitivity
+from .spectral import SensitivityGraph, _perron, spectral_sensitivity
 from .tables import PartialTruthTable, TruthTable
 
 SUPPORT_EPS = 1e-12
@@ -177,9 +177,9 @@ def optimal_vertex_scheme(
     entries = []
     lam = 0.0
     for comp in g.components():
-        w, vecs = np.linalg.eigh(g.adjacency(comp))
-        lam = max(lam, float(w[-1]))
-        v = np.abs(vecs[:, -1])
+        res = _perron(g, comp)
+        lam = max(lam, res.value)
+        v = res.vector
         if v.min() <= 0.0:
             raise ArithmeticError(
                 "component eigenvector has a zero entry; cannot form weight ratios"

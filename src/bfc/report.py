@@ -3,7 +3,8 @@
 Reports are plain dictionaries rendered through one canonical JSON
 encoder, so identical inputs produce byte-identical output except for
 the timing and diagnostics blocks; a sha256 over the canonical form
-(those blocks excluded) makes reruns comparable at a glance.
+(those blocks excluded, computed sweep floats on the ``TIE_GRID`` grid)
+makes reruns comparable at a glance.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .tables import TruthTable, format_table
 
 SPECTRAL_TAG = "tolerance(1e-09)"
 VOLATILE_KEYS = ("timing", "diagnostics", "report_hash")
+TIE_GRID = 1e-9  # computed sweep floats are ranked and hashed in units of this
+GRID_KEYS = ("min_margin", "witness_lhs", "witness_rhs", "max_ratio", "numerator", "denominator")
 MEASURE_NAMES = ("s", "s0", "s1", "avg_s", "bs", "C", "D", "deg", "deg2", "adeg", "lambda")
 # Each engine's own arity cap; above it the measure is skipped.
 MEASURE_CAPS = {
@@ -49,18 +52,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _without_keys(obj, keys: tuple[str, ...]):
+def on_grid(value: float) -> int:
+    return round(value / TIE_GRID)
+
+
+def _hashable(obj):
+    """``obj`` without the volatile keys, each float under a ``GRID_KEYS``
+    key replaced by its grid rank."""
     if isinstance(obj, dict):
-        return {k: _without_keys(v, keys) for k, v in obj.items() if k not in keys}
+        return {
+            k: on_grid(v) if k in GRID_KEYS and isinstance(v, float) else _hashable(v)
+            for k, v in obj.items()
+            if k not in VOLATILE_KEYS
+        }
     if isinstance(obj, (list, tuple)):
-        return [_without_keys(v, keys) for v in obj]
+        return [_hashable(v) for v in obj]
     return obj
 
 
 def report_hash(body: dict) -> str:
     """sha256 of the canonical JSON, ignoring timing, diagnostics and
-    embedded hashes."""
-    text = canonical_json(_without_keys(body, VOLATILE_KEYS))
+    embedded hashes, with computed sweep floats taken on the grid so
+    that eigenvalue rounding cannot change it."""
+    text = canonical_json(_hashable(body))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -6,9 +6,11 @@ norm lambda(f) sits between sensitivity-type and degree-type measures;
 this module computes it, builds the signed hypercube whose eigenvectors
 certify deg(f) <= lambda(f)^2, and extracts those certifying vectors.
 
-Eigenvalues come from a dense symmetric solve when the graph has at
-most 4096 vertices and from power iteration on the squared bipartite
-operator (matrix-free) above that.
+lambda is the largest top eigenvalue over the components of G_f.  Each
+component is solved once by ``_perron``: a dense ``eigh`` up to
+DENSE_MAX_VERTICES vertices, a Lanczos iteration on the matrix-free
+``matvec`` above that.  The signed hypercube's +sqrt(n) eigenspace is
+taken in closed form, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -22,18 +24,17 @@ from . import bits
 from .algebraic import degree, mobius_coefficients
 from .tables import PartialTruthTable, Restriction, TruthTable, parity_partition, restrict
 
-DENSE_MAX_VERTICES = 4096
+DENSE_MAX_VERTICES = 256
 SIGNED_HYPERCUBE_MAX_N = 12
-ITER_CAP = 100_000
-ITER_REL_TOL = 1e-10
-RESIDUAL_TARGET = 1e-9
+LANCZOS_MAX_STEPS = 500
+RITZ_TOL = 1e-12
 KERNEL_TOL = 1e-10
-POWER_SEED = 744309
 WITNESS_SLACK = 1e-9
 
 
 class SpectralConvergenceError(RuntimeError):
-    """Power iteration missed its residual target within the cap."""
+    """Lanczos reached LANCZOS_MAX_STEPS with the Ritz residual still
+    above RITZ_TOL * max(1, value)."""
 
     def __init__(self, achieved_value: float, achieved_residual: float):
         self.achieved_value = achieved_value
@@ -161,82 +162,75 @@ def _axis_swap(u: np.ndarray, axis: int) -> np.ndarray:
     return u.reshape(-1, 2, 1 << axis)[:, ::-1, :].reshape(u.shape)
 
 
-def _dense_spectral(graph: SensitivityGraph) -> SpectralResult:
-    a = graph.adjacency()
-    if a.shape[0] == 0:
-        return SpectralResult(0.0, np.zeros(0), 0.0)
-    w, vecs = np.linalg.eigh(a)
-    value = float(w[-1])
-    v = np.abs(vecs[:, -1])
-    nrm = float(np.linalg.norm(v))
-    if nrm > 0:
-        v = v / nrm
-    residual = float(np.linalg.norm(a @ v - value * v))
-    return SpectralResult(value, v, residual)
+def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
+    """The top eigenpair of the component ``comp`` of ``graph``.
+
+    A dense ``eigh`` runs up to DENSE_MAX_VERTICES vertices and a
+    Lanczos iteration on ``graph.matvec`` above that.  The vector is
+    nonnegative, unit and indexed like ``comp``; the residual
+    ||A v - value v|| is recomputed from it.
+    """
+    if comp.size <= DENSE_MAX_VERTICES:
+        a = graph.adjacency(comp)
+        apply = a.dot
+        w, vecs = np.linalg.eigh(a)
+        value, v = float(w[-1]), vecs[:, -1]
+    else:
+        full = np.zeros(graph.values.size)
+
+        def apply(u: np.ndarray) -> np.ndarray:
+            full[comp] = u
+            return graph.matvec(full)[comp]
+
+        value, v = _lanczos(apply, comp.size)
+    v = np.abs(v) / np.linalg.norm(v)
+    return SpectralResult(value, v, float(np.linalg.norm(apply(v) - value * v)))
 
 
-def _iterative_spectral(graph: SensitivityGraph) -> SpectralResult:
-    dom_arr, val_arr, matvec = graph.defined, graph.values, graph.matvec
-    if not graph.edges.any():
-        m = int(dom_arr.sum())
-        vec = np.full(m, 1.0 / math.sqrt(m)) if m else np.zeros(0)
-        return SpectralResult(0.0, vec, 0.0)
-
-    zeros_side = dom_arr & ~val_arr
-    ones_side = dom_arr & val_arr
-    side = zeros_side if 0 < zeros_side.sum() <= ones_side.sum() else ones_side
-    if not side.any():
-        side = zeros_side if zeros_side.any() else ones_side
-
-    rng = np.random.default_rng(POWER_SEED)
-    u = rng.random(dom_arr.size) + 0.5
-    u *= side
-    u /= np.linalg.norm(u)
-
-    value = 0.0
-    residual = math.inf
-    for _ in range(ITER_CAP):
-        w = matvec(u)
-        z = matvec(w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:  # start vector missed every edge: re-seed on the side
-            u = np.where(side, 1.0, 0.0)
-            u /= np.linalg.norm(u)
-            continue
-        new_value = nw  # ||Au|| with ||u|| = 1
-        uhat = u
-        what = w / nw
-        vec = (uhat + what) / math.sqrt(2.0)
-        avec = (w + z / nw) / math.sqrt(2.0)
-        residual = float(np.linalg.norm(avec - new_value * vec))
-        converged = (
-            abs(new_value - value) <= ITER_REL_TOL * max(1.0, new_value)
-            and residual <= RESIDUAL_TARGET * max(1.0, new_value)
-        )
-        value = new_value
-        if converged:
-            out = vec[dom_arr]
-            nrm = float(np.linalg.norm(out))
-            return SpectralResult(value, np.abs(out) / nrm, residual)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            u = np.where(side, 1.0, 0.0)
-            u /= np.linalg.norm(u)
-            continue
-        u = z / nz
-    raise SpectralConvergenceError(value, residual)
+def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
+    """Top Ritz pair of the symmetric operator ``apply`` on R^size:
+    Lanczos from the uniform vector with full reorthogonalization,
+    stopped once the Ritz residual is at most RITZ_TOL * max(1, value)."""
+    steps = min(LANCZOS_MAX_STEPS, size)
+    basis = np.empty((steps + 1, size))
+    basis[0] = 1.0 / math.sqrt(size)
+    alphas, betas = [], []
+    for k in range(1, steps + 1):
+        q = basis[:k]
+        w = apply(q[-1])
+        alphas.append(float(q[-1] @ w))
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            w -= q.T @ (q @ w)
+        beta = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        value, ritz = float(theta[-1]), beta * abs(float(s[-1, -1]))
+        if ritz <= RITZ_TOL * max(1.0, value):
+            return value, s[:, -1] @ q
+        betas.append(beta)
+        basis[k] = w / beta
+    raise SpectralConvergenceError(value, ritz)
 
 
 def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> SpectralResult:
     """lambda(f) = ||A_{G_f}|| with a certifying eigenvector.
 
-    The dense solve runs up to 4096 defined inputs and the matrix-free
-    power iteration above that.
+    lambda is the largest component value (ties go to the first
+    component), and the vector is that component's Perron vector,
+    zero elsewhere.  A graph with no edges gives 0 and the uniform
+    vector.
     """
     graph = SensitivityGraph(f)
-    if len(graph.domain_inputs) <= DENSE_MAX_VERTICES:
-        return _dense_spectral(graph)
-    return _iterative_spectral(graph)
+    domain = np.asarray(graph.domain_inputs, dtype=np.int64)
+    best, where = None, None
+    for comp in graph.components():
+        res = _perron(graph, comp)
+        if best is None or res.value > best.value:
+            best, where = res, comp
+    if best is None:
+        return SpectralResult(0.0, np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1))), 0.0)
+    vec = np.zeros(domain.size)
+    vec[np.searchsorted(domain, where)] = best.vector
+    return SpectralResult(best.value, vec, best.residual)
 
 
 @dataclass(frozen=True)
@@ -273,35 +267,34 @@ class SigningReport:
 
 
 def verify_signing(h: SignedHypercube) -> SigningReport:
-    """Exact integer checks: B^2 = n I, trace 0, support = cube edges.
+    """Exact checks: entries in {-1, 0, 1}, B^2 = n I, trace 0, support =
+    cube edges.
 
-    B^2 = n I together with trace 0 forces eigenvalues +/-sqrt(n) with
+    With entries in {-1, 0, 1} every partial sum of B^2 is an integer of
+    size at most 2^n, so the float64 product is exact.  B^2 = n I
+    together with trace 0 forces eigenvalues +/-sqrt(n) with
     multiplicity 2^(n-1) each, so the eigenspace dimension is reported
     without any floating-point eigendecomposition.
     """
     b = h.entries
     n = h.n
     size = 1 << n
-    square = b.astype(np.int64) @ b.astype(np.int64)
-    target = n * np.eye(size, dtype=np.int64)
-    square_ok = bool(np.array_equal(square, target))
-    trace_ok = bool(b.trace() == 0)
     idx = np.arange(size)
     dist1 = bits.popcount_array(idx[:, None] ^ idx[None, :]) == 1
-    support_ok = bool(np.array_equal(np.abs(b) != 0, dist1))
-    offending = None
-    if not square_ok:
-        bad = np.argwhere(square != target)
-        offending = (int(bad[0][0]), int(bad[0][1]))
-    elif not support_ok:
-        bad = np.argwhere((np.abs(b) != 0) != dist1)
-        offending = (int(bad[0][0]), int(bad[0][1]))
+    support_ok = bool(np.array_equal(b != 0, dist1))
+    bad = np.argwhere(~np.isin(b, (-1, 0, 1)))
+    if bad.size == 0:
+        square = b.astype(np.float64) @ b.astype(np.float64)
+        bad = np.argwhere(square != n * np.eye(size))
+    square_ok = bad.size == 0
+    if square_ok and not support_ok:
+        bad = np.argwhere((b != 0) != dist1)
     return SigningReport(
         n=n,
         square_is_n_identity=square_ok,
-        trace_is_zero=trace_ok,
+        trace_is_zero=bool(b.trace() == 0),
         support_is_hypercube=support_ok,
-        offending_entry=offending,
+        offending_entry=(int(bad[0][0]), int(bad[0][1])) if bad.size else None,
         plus_eigenspace_dim=size // 2 if n >= 1 else 1,
     )
 
@@ -368,20 +361,13 @@ def full_degree_witness(f: TruthTable) -> DegreeWitness:
         raise ValueError("parity split is balanced; degree cannot be full")
     minority = v1 if len(v1) < len(v0) else v0
 
-    b = build_signed_hypercube(n).entries.astype(float)
-    w, vecs = np.linalg.eigh(b)
-    basis = vecs[:, w > 0.0]
-    if basis.shape[1] != (1 << n) // 2:
-        raise RuntimeError("unexpected eigenspace dimension for the signed hypercube")
-
-    if len(minority) == 0:
-        v = basis[:, 0]
-    else:
-        c = _kernel_vector(basis[np.asarray(minority), :])
-        v = basis @ c
-    vprime = np.abs(v)
-    nrm = float(np.linalg.norm(vprime))
-    vprime = vprime / nrm
+    # B_n = [[B', I], [I, -B']] with B'^2 = (n-1) I, so B_n maps each
+    # column of [[B' + sqrt(n) I], [I]] to sqrt(n) times itself
+    half = np.eye(1 << (n - 1))
+    b = build_signed_hypercube(n - 1).entries
+    basis = np.vstack((b + math.sqrt(n) * half, half))
+    v = basis @ _kernel_vector(basis[np.asarray(minority, dtype=np.int64)])
+    vprime = np.abs(v) / np.linalg.norm(v)
 
     ratio = float(np.linalg.norm(SensitivityGraph(f).matvec(vprime)))
     if ratio < math.sqrt(n) - WITNESS_SLACK:

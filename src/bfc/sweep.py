@@ -12,9 +12,11 @@ reported as observed maxima with witnesses, never asserted.
 Every check and ratio is invariant under permuting inputs, complementing
 inputs and complementing the output, so an exhaustive sweep measures one
 table per NPN class (its least member) and counts it once per class
-member.  Float margins and ratios are ranked on a ``TIE_GRID`` grid and
-ties go to the least table, so eigenvalue rounding cannot pick the
-witness and the quotient reports exactly what a per-table fold would.
+member.  Float margins and ratios are ranked on the ``report.TIE_GRID``
+grid and ties go to the least table, so eigenvalue rounding cannot pick
+the witness and the quotient reports exactly what a per-table fold
+would.  Constant tables are counted but named as a check's witness only
+when the universe holds nothing else.
 
 Aggregation is associative and commutative with deterministic
 tie-breaks, so results are independent of chunking and thread count.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
-from .report import measure, report_hash
+from .report import measure, on_grid, report_hash
 from .tables import TruthTable, format_table
 
 EXHAUSTIVE_MAX_N = 4
@@ -60,11 +62,6 @@ FLOAT_CHECKS = frozenset(
 )
 RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4")
 FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4"))
-TIE_GRID = 1e-9  # float margins and ratios are ranked in units of this
-
-
-def _on_grid(value: float) -> int:
-    return round(value / TIE_GRID)
 
 
 def _values(n: int, table: int) -> dict:
@@ -125,19 +122,20 @@ def _fold(partial: dict, table: int, m: dict, tolerance: float, weight: int = 1)
     """Fold the measures ``m`` of ``table`` into ``partial``, counted as
     ``weight`` tables that share them.
 
-    Witness keys rank by margin (float checks on the grid), then by
-    table, and carry the chosen table's own values.
+    Witness keys put constant tables (all margins 0) last, then rank by
+    margin (float checks on the grid), then by table, and carry the
+    chosen table's own values.
     """
     for name, margin, lhs, rhs in _check_margins(m):
         slot = partial["checks"][name]
         slot[0 if _passes(name, margin, tolerance) else 1] += weight
-        rank = _on_grid(margin) if name in FLOAT_CHECKS else margin
-        key = (rank, table, margin, lhs, rhs)
+        rank = on_grid(margin) if name in FLOAT_CHECKS else margin
+        key = (m["deg"] == 0, rank, table, margin, lhs, rhs)
         if slot[2] is None or key < slot[2]:
             slot[2] = key
     for name, ratio, num, den in _ratio_entries(m):
         cur = partial["ratios"][name]
-        rank = _on_grid(ratio) if name in FLOAT_RATIOS else ratio
+        rank = on_grid(ratio) if name in FLOAT_RATIOS else ratio
         key = (-rank, table, ratio, num, den)
         if cur is None or key < cur:
             partial["ratios"][name] = key
@@ -241,7 +239,7 @@ def approx_degree_ratio(n: int, canon: np.ndarray | None = None) -> dict:
             continue
         m, _ = measure(f, ("adeg", "lambda"))
         ad, lam = m["adeg"]["value"], m["lambda"]["value"]
-        key = (-_on_grid(lam / ad), rep, lam / ad, lam, float(ad))
+        key = (-on_grid(lam / ad), rep, lam / ad, lam, float(ad))
         if best is None or key < best:
             best = key
     _, table, ratio, num, den = best
@@ -374,7 +372,7 @@ def run_sweep(
     checks = []
     for name in CHECK_NAMES:
         passes, failures, worst = acc["checks"][name]
-        _, table, margin, lhs, rhs = worst
+        *_, table, margin, lhs, rhs = worst
         checks.append(
             {
                 "name": name,

@@ -23,6 +23,8 @@ from bfc.adversary import (
     EdgeWeightScheme,
     VertexBitWeightScheme,
 )
+from bfc import spectral
+from bfc.bits import from_bit_array
 from bfc.spectral import spectral_sensitivity
 from bfc.tables import PartialTruthTable, TruthTable, named_family
 
@@ -136,6 +138,23 @@ def test_optimal_scheme_on_disconnected_graph():
     scheme, value = optimal_vertex_scheme(f)
     assert abs(value - lam) < 1e-9
     assert verify_vertex_scheme(f, scheme)[0]
+
+
+def test_optimal_scheme_above_the_dense_cap(monkeypatch):
+    rng = np.random.default_rng(2)
+    f = TruthTable(10, from_bit_array(rng.integers(0, 2, size=1 << 10, dtype=np.uint8)))
+    sizes = []
+    lanczos = spectral._lanczos
+
+    def recording(apply, size):
+        sizes.append(size)
+        return lanczos(apply, size)
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    scheme, value = optimal_vertex_scheme(f)
+    assert sizes and min(sizes) > spectral.DENSE_MAX_VERTICES
+    assert verify_vertex_scheme(f, scheme)[0]
+    assert abs(value - spectral_sensitivity(f).value) <= 1e-9
 
 
 def test_vertex_scheme_verifier_catches_infeasibility():

@@ -310,3 +310,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("measure,value,exactness")
+
+
+def test_report_hash_ignores_the_blas_thread_count():
+    # lambda may round differently under one and two BLAS threads; the
+    # report hash must not
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["verify", "--sample", "10", "--max-n", "8", "--seed", "0", "--threads", "1"]
+    hashes = set()
+    for blas in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bfc", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas},
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.add(json.loads(proc.stdout)["report_hash"])
+    assert len(hashes) == 1

@@ -69,3 +69,18 @@ def test_engine_error_in_sweep_worker_names_measure_and_table(monkeypatch):
     monkeypatch.setattr(report, "deterministic_query_complexity", _failing_depth)
     with pytest.raises(ValueError, match=r"^D of 3:[0-9A-F]{2}: depth engine failed$"):
         run_sweep(max_n=3, sample=8, seed=0, threads=2)
+
+
+def test_report_hash_takes_computed_sweep_floats_on_the_grid():
+    body = run_sweep(max_n=2).to_dict()
+    nudged = run_sweep(max_n=2).to_dict()
+    for entry in nudged["checks"] + nudged["ratios"]:
+        for key in report.GRID_KEYS:
+            if isinstance(entry.get(key), float):
+                entry[key] += 1e-13 * max(1.0, abs(entry[key]))
+    assert nudged != body
+    assert report.report_hash(nudged) == report.report_hash(body)
+    # a step of the grid, or any change to the tolerance, moves the hash
+    nudged["checks"][0]["min_margin"] += 2 * report.TIE_GRID
+    assert report.report_hash(nudged) != report.report_hash(body)
+    assert report.report_hash({**body, "tolerance": body["tolerance"] + 1e-13}) != report.report_hash(body)

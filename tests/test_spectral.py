@@ -15,12 +15,13 @@ import pickle
 import numpy as np
 import pytest
 
+from bfc import spectral
 from bfc.bits import from_bit_array
 from bfc.spectral import (
     SensitivityGraph,
     SpectralConvergenceError,
-    _dense_spectral,
-    _iterative_spectral,
+    SignedHypercube,
+    _perron,
     build_signed_hypercube,
     full_degree_witness,
     restrict_to_top_monomial,
@@ -85,17 +86,70 @@ def test_eigenvector_is_certifying():
     assert np.linalg.norm(a @ v - res.value * v) < 1e-9
 
 
-def test_iterative_agrees_with_dense():
-    for name, n in [("OR", 6), ("EXACT1", 5), ("XOR-OR", 6), ("PARITY", 5)]:
-        f = named_family(name, n)
-        dense = _dense_spectral(SensitivityGraph(f))
-        it = _iterative_spectral(SensitivityGraph(f))
-        assert abs(dense.value - it.value) < 1e-8, name
-        assert it.residual <= 1e-9 * max(1.0, it.value)
+def _random_table(n, seed):
+    rng = np.random.default_rng(seed)
+    return TruthTable(n, from_bit_array(rng.integers(0, 2, size=1 << n, dtype=np.uint8)))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [named_family(name, n) for name, n in [("OR", 6), ("EXACT1", 5), ("XOR-OR", 6), ("PARITY", 5)]]
+    + [_random_table(8, 1), _random_table(10, 2)],
+    ids=["OR_6", "EXACT1_5", "XOR-OR_6", "PARITY_5", "random_8", "random_10"],
+)
+def test_dense_and_lanczos_branches_agree(f, monkeypatch):
+    g = SensitivityGraph(f)
+    for comp in g.components():
+        monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size)
+        dense = _perron(g, comp)
+        monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size - 1)
+        lanczos = _perron(g, comp)
+        assert abs(dense.value - lanczos.value) <= 1e-12
+        assert np.abs(dense.vector - lanczos.vector).max() <= 1e-9
+        for res in (dense, lanczos):
+            assert res.vector.min() >= 0 and abs(np.linalg.norm(res.vector) - 1) < 1e-12
+            assert res.residual <= 1e-9 * max(1.0, res.value)
+
+
+def test_lambda_is_the_largest_component_value():
+    # a random arity-10 table splits into two components above the dense cap
+    f = _random_table(10, 2)
+    g = SensitivityGraph(f)
+    comps = g.components()
+    assert len(comps) == 2 and min(c.size for c in comps) > spectral.DENSE_MAX_VERTICES
+    values = [_perron(g, c).value for c in comps]
+    res = spectral_sensitivity(f)
+    assert res.value == max(values)
+    top = comps[int(np.argmax(values))]
+    full = np.zeros(1 << f.arity)
+    full[g.domain_inputs] = res.vector
+    assert np.flatnonzero(full).tolist() == top.tolist()
+    assert res.residual <= 1e-9 * res.value
+
+
+def test_component_ties_go_to_the_first_component():
+    # x1 AND x2 at arity 3: the graph is two copies of the same path,
+    # one per value of x3, so both components give the same eigenvalue
+    f = TruthTable(3, 0b10001000)
+    g = SensitivityGraph(f)
+    first, second = g.components()
+    assert _perron(g, first).value == _perron(g, second).value
+    res = spectral_sensitivity(f)
+    assert np.flatnonzero(res.vector).tolist() == first.tolist()
+
+
+def test_lanczos_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 3)
+    f = _random_table(10, 2)
+    g = SensitivityGraph(f)
+    with pytest.raises(SpectralConvergenceError) as err:
+        _perron(g, g.components()[0])
+    assert err.value.achieved_residual > spectral.RITZ_TOL
 
 
 def test_iterative_handles_large_arity():
-    # 2^13 vertices exceeds the dense cap; the closed form still holds
+    # 8192 inputs, far above the dense cap, but the only component is
+    # the 14-vertex star, so lambda is one small dense solve
     f = named_family("OR", 13)
     res = spectral_sensitivity(f)
     assert abs(res.value - math.sqrt(13)) < 1e-8
@@ -111,7 +165,9 @@ def test_convergence_error_survives_pickle():
 
 def test_lambda_constant_is_zero():
     for n in (0, 1, 4):
-        assert spectral_sensitivity(TruthTable(n, 0)).value == 0.0
+        res = spectral_sensitivity(TruthTable(n, 0))
+        assert res.value == 0.0 and res.residual == 0.0
+        assert res.vector.shape == (1 << n,) and np.allclose(res.vector, 2 ** (-n / 2))
 
 
 def test_partial_function_domain_restriction():
@@ -166,8 +222,6 @@ def test_signing_catches_corruption():
     h = build_signed_hypercube(3)
     bad = h.entries.copy()
     bad[0, 1] = -bad[0, 1]
-    from bfc.spectral import SignedHypercube
-
     rep = verify_signing(SignedHypercube(3, bad))
     assert not rep.square_is_n_identity
     assert rep.offending_entry is not None
@@ -177,6 +231,16 @@ def test_signing_catches_corruption():
     worse[0, 3] = 1  # distance-2 support
     rep = verify_signing(SignedHypercube(3, worse))
     assert not rep.support_is_hypercube
+
+
+def test_signing_rejects_entries_outside_minus_one_to_one():
+    h = build_signed_hypercube(3)
+    big = h.entries.copy()
+    big[5, 4] = 2
+    rep = verify_signing(SignedHypercube(3, big))
+    assert not rep.square_is_n_identity and not rep.ok
+    assert rep.offending_entry == (5, 4)
+    assert rep.support_is_hypercube and rep.trace_is_zero
 
 
 def test_signing_eigenvalues_split_evenly():
@@ -192,6 +256,18 @@ def test_witness_and3():
     assert w.ratio >= math.sqrt(3) - 1e-9
     assert np.all(w.vector >= 0)
     assert abs(np.linalg.norm(w.vector) - 1) < 1e-12
+
+
+def test_witness_closed_form_basis_at_arity_11():
+    from bfc.tables import parity_partition
+
+    f = named_family("AND", 11)
+    w = full_degree_witness(f)
+    assert w.ratio >= math.sqrt(11) - 1e-9
+    assert np.all(w.vector >= 0) and abs(np.linalg.norm(w.vector) - 1) < 1e-12
+    v0, v1 = parity_partition(f)
+    assert (w.majority_size, w.minority_size) == (1025, 1023)
+    assert np.abs(w.vector[np.asarray(min(v0, v1, key=len))]).max() < 1e-9
 
 
 def test_witness_parity_majority_is_everything():

@@ -193,8 +193,9 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
     """Exhaustive report body from measuring every table on its own.
 
     Float margins and the lambda/deg and D/lambda^4 ratios are ranked in
-    units of 1e-9 and ties go to the least table; the lambda/adeg block
-    comes from ``approx_degree_ratio``."""
+    units of 1e-9 and ties go to the least table; constant tables are
+    never a check's witness; the lambda/adeg block comes from
+    ``approx_degree_ratio``."""
 
     def grid(x):
         return round(x / 1e-9)
@@ -207,6 +208,8 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
             is_float = name in FLOAT_CHECKS
             ok = margin >= (-tolerance if is_float else 0)
             counts[name][0 if ok else 1] += 1
+            if m["deg"] == 0:
+                continue
             rank = (grid(margin) if is_float else margin, table)
             if name not in worst or rank < worst[name][0]:
                 worst[name] = (rank, margin, lhs, rhs)
@@ -263,12 +266,32 @@ def test_npn_quotient_equals_per_table_fold(n):
 
 
 def test_float_witness_ties_go_to_least_table():
-    # every float check has zero slack on the constant 0 function, and
-    # eigenvalue round-off elsewhere must not displace it
+    # every float check is tight on some non-constant arity-3 table; the
+    # least one wins the tie, and eigenvalue round-off must not displace it
+    want = {
+        "deg<=lambda^2": "3:01",  # AND_3 on the complemented inputs: lambda^2 = 3
+        "s<=lambda^2": "3:01",
+        "lambda<=s": "3:0F",  # a dictator: lambda = s = 1
+        "lambda<=sqrt(s0*s1)": "3:01",
+        "avg_s<=lambda": "3:0F",
+    }
     for entry in run_sweep(max_n=3).checks:
         if entry["name"] in FLOAT_CHECKS:
-            assert entry["witness"] == "3:00"
-            assert entry["min_margin"] == 0.0
+            assert entry["witness"] == want[entry["name"]]
+            assert abs(entry["min_margin"]) < 1e-9
+
+
+def test_constants_are_never_check_witnesses():
+    for entry in run_sweep(max_n=4).checks:
+        assert entry["witness"] not in ("4:0000", "4:FFFF")
+        assert entry["passes"] == 1 << 16
+    # a universe of constants only still reports, naming the constant
+    assert sweep.sample_tables(1, 1, 3) == [3]
+    r = run_sweep(max_n=1, sample=1, seed=3)
+    assert r.ratios == []
+    for entry in r.checks:
+        assert (entry["passes"], entry["failures"], entry["witness"]) == (1, 0, "1:3")
+        assert entry["min_margin"] == 0
 
 
 def test_sweep_diagnostics_block():
