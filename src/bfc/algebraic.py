@@ -83,21 +83,16 @@ def approximation_problem(f: TruthTable, degree_cap: int, epsilon: float) -> lp.
     """Feasibility LP: is there a degree <= degree_cap polynomial q with
     q(x) in [0, eps] on f^-1(0) and in [1-eps, 1] on f^-1(1)?
 
-    Over 0/1 inputs a monomial is 1 exactly when its support lies inside
-    the input, so the constraint matrix is the subset-lattice indicator.
+    Each input is one ranged row. Over 0/1 inputs a monomial is 1
+    exactly when its support lies inside the input, so the constraint
+    matrix is the subset-lattice indicator.
     """
-    masks = _monomial_masks(f.arity, degree_cap)
-    ncols = len(masks)
-    constraints = []
-    for x in range(f.size):
-        row = tuple(1.0 if m & x == m else 0.0 for m in masks)
-        if f.value(x) == 0:
-            constraints.append((row, ">=", 0.0))
-            constraints.append((row, "<=", epsilon))
-        else:
-            constraints.append((row, ">=", 1.0 - epsilon))
-            constraints.append((row, "<=", 1.0))
-    return lp.LpProblem.of([0.0] * ncols, constraints)
+    masks = np.array(_monomial_masks(f.arity, degree_cap))
+    inputs = np.arange(f.size)[:, None]
+    rows = ((inputs & masks) == masks).astype(float).tolist()
+    ranges = [(0.0, epsilon), (1.0 - epsilon, 1.0)]
+    constraints = [(row, "range", ranges[v]) for row, v in zip(rows, f.to_bit_array().tolist())]
+    return lp.LpProblem.of([0.0] * len(masks), constraints)
 
 
 def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
@@ -113,7 +108,10 @@ def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
     for d in range(f.arity + 1):
         problem = approximation_problem(f, d, epsilon)
-        result = lp.solve_lp(problem)
+        try:
+            result = lp.solve_lp(problem)
+        except lp.LpNumericalError as exc:
+            raise lp.LpNumericalError(f"{exc} at degree {d}") from exc
         if result.status == "optimal":
             if not lp.verify_point(problem, result.point, LP_CHECK_TOL):
                 raise lp.LpNumericalError(

@@ -1,19 +1,31 @@
 """A small dense linear-programming solver with verifiable outcomes.
 
-The solver is a textbook two-phase tableau simplex specialised to the
-sizes this package needs (hundreds of rows).  Pivoting uses Bland's
-rule throughout, which trades speed for a guarantee against cycling.
+Problems are stated as: maximize c.x subject to rows (a, rel, rhs) with
+rel in {"<=", ">=", "=", "range"} and optional per-variable bounds.  A
+"range" row takes rhs = (lo, hi) and means lo <= a.x <= hi; "=" means
+lo == hi.  Variables are otherwise free.
+
+The solver is a bounded-variable simplex on a dense tableau, sized for
+this package's problems (hundreds of rows).  Row i gets a logical
+variable s_i = a_i.x whose bounds are the row's range, so a two-sided
+row is one tableau row, and every variable, structural or logical,
+carries its own [lo, hi]; free columns are never split.  The start is
+the all-logical basis, so there are no artificials.  Phase 1 minimises
+the sum of the basic variables' infeasibilities; phase 2, run only for a
+nonzero objective, maximises c.x.  Both price by Dantzig's largest
+reduced cost with a vectorised Harris ratio test, and after a run of
+pivots that leave the objective unchanged they switch to Bland's rule
+(smallest eligible column, ties broken by smallest basic index), which
+cannot cycle, until the objective moves again.  Each phase ends on a
+basis refactorised from the original data.
 
 Every outcome can be re-checked from the original data:
 
 * ``optimal`` carries the primal point,
 * ``infeasible`` carries a Farkas vector y >= 0 with yA = 0 and yb < 0
-  over the canonical ``Ax <= b`` form,
+  over the canonical ``Ax <= b`` form, built from the phase-1
+  multipliers,
 * ``unbounded`` carries nothing (the statuses are mutually exclusive).
-
-Problems are stated as: maximize c.x subject to rows (a, rel, b) with
-rel in {"<=", ">=", "="} and optional per-variable bounds.  Variables
-are otherwise free.
 """
 
 from __future__ import annotations
@@ -26,8 +38,13 @@ import numpy as np
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
 VERIFY_TOL = 1e-7
+STALL_PIVOTS = 50  # non-improving pivots in a row before Bland's rule
 
-RELATIONS = ("<=", ">=", "=")
+RELATIONS = ("<=", ">=", "=", "range")
+
+# Canonical rows each relation expands to, in order: +1 is the upper
+# side (a.x <= hi), -1 the lower side (-a.x <= -lo).
+_SIDES = {"<=": (1,), ">=": (-1,), "=": (1, -1), "range": (-1, 1)}
 
 
 class LpNumericalError(RuntimeError):
@@ -37,13 +54,13 @@ class LpNumericalError(RuntimeError):
 @dataclass(frozen=True)
 class LpProblem:
     objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], str, float], ...]
+    constraints: tuple[tuple[tuple[float, ...], str, float | tuple[float, float]], ...]
     bounds: tuple[tuple[float | None, float | None], ...] | None = None
 
     @staticmethod
     def of(
         objective: Sequence[float],
-        constraints: Sequence[tuple[Sequence[float], str, float]],
+        constraints: Sequence[tuple[Sequence[float], str, float | tuple[float, float]]],
         bounds: Sequence[tuple[float | None, float | None]] | None = None,
     ) -> "LpProblem":
         obj = tuple(float(v) for v in objective)
@@ -53,7 +70,12 @@ class LpProblem:
                 raise ValueError(f"unknown relation {rel!r}")
             if len(coeffs) != len(obj):
                 raise ValueError("constraint length does not match objective length")
-            rows.append((tuple(float(v) for v in coeffs), rel, float(rhs)))
+            if rel == "range":
+                lo, hi = rhs
+                rhs = (float(lo), float(hi))
+            else:
+                rhs = float(rhs)
+            rows.append((tuple(float(v) for v in coeffs), rel, rhs))
         bnds = None
         if bounds is not None:
             if len(bounds) != len(obj):
@@ -71,173 +93,222 @@ class LpResult:
     iterations: int
 
 
+@dataclass(frozen=True)
+class _Bounded:
+    """The problem as A (m x n) plus [lo, hi] for the n structural and
+    then the m logical variables, and the canonical rows as
+    (variable, side) pairs in ``canonical_rows`` order."""
+
+    a: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    sides: tuple[tuple[int, int], ...]
+
+
+def _bounded(problem: LpProblem) -> _Bounded:
+    nv, m = len(problem.objective), len(problem.constraints)
+    a = np.array([coeffs for coeffs, _, _ in problem.constraints], dtype=float).reshape(m, nv)
+    lo = np.full(nv + m, -np.inf)
+    hi = np.full(nv + m, np.inf)
+    sides = []
+    for i, (_, rel, rhs) in enumerate(problem.constraints):
+        k = nv + i
+        if rel == "range":
+            lo[k], hi[k] = rhs
+        else:
+            if rel in ("<=", "="):
+                hi[k] = rhs
+            if rel in (">=", "="):
+                lo[k] = rhs
+        sides.extend((k, side) for side in _SIDES[rel])
+    for j, (b_lo, b_hi) in enumerate(problem.bounds or ()):
+        if b_lo is not None:
+            lo[j] = float(b_lo)
+            sides.append((j, -1))
+        if b_hi is not None:
+            hi[j] = float(b_hi)
+            sides.append((j, 1))
+    return _Bounded(a, lo, hi, tuple(sides))
+
+
 def canonical_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Expand constraints and bounds into the canonical form A x <= b."""
-    nv = len(problem.objective)
-    rows = []
-    rhs = []
-    for coeffs, rel, b in problem.constraints:
-        a = np.asarray(coeffs, dtype=float)
-        if rel in ("<=", "="):
-            rows.append(a)
-            rhs.append(b)
-        if rel in (">=", "="):
-            rows.append(-a)
-            rhs.append(-b)
-    if problem.bounds is not None:
-        for j, (lo, hi) in enumerate(problem.bounds):
-            e = np.zeros(nv)
-            if lo is not None:
-                e_lo = e.copy()
-                e_lo[j] = -1.0
-                rows.append(e_lo)
-                rhs.append(-float(lo))
-            if hi is not None:
-                e_hi = e.copy()
-                e_hi[j] = 1.0
-                rows.append(e_hi)
-                rhs.append(float(hi))
-    if not rows:
+    bp = _bounded(problem)
+    m, nv = bp.a.shape
+    if not bp.sides:
         return np.zeros((0, nv)), np.zeros(0)
-    return np.vstack(rows), np.asarray(rhs, dtype=float)
+    k = np.array([k for k, _ in bp.sides])
+    side = np.array([s for _, s in bp.sides], dtype=float)
+    grad = np.vstack([np.eye(nv), bp.a])  # row k: gradient of variable k in x
+    rhs = np.where(side > 0, bp.hi[k], bp.lo[k])
+    return side[:, None] * grad[k], side * rhs
 
 
-def _pivot(tab: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    piv = tab[row, col]
-    if abs(piv) <= PIVOT_TOL:
-        raise LpNumericalError("degenerate pivot element")
-    tab[row] /= piv
-    factor = tab[:, col].copy()
-    factor[row] = 0.0
-    tab -= np.outer(factor, tab[row])
-    obj -= obj[col] * tab[row]
-    basis[row] = col
+def _farkas(bp: _Bounded, v: np.ndarray) -> np.ndarray:
+    """Canonical-row weights for a combination v of the variables that
+    vanishes on {A x = s}: each variable's weight goes on its upper side
+    where positive and on its lower side where negative."""
+    y = np.array([max(side * v[k], 0.0) for k, side in bp.sides])
+    y = np.where(np.abs(y) < 1e-14, 0.0, y)
+    scale = np.abs(y).max() if y.size else 0.0
+    return y / scale if scale > 0 else y
 
 
-def _bland_enter(obj: np.ndarray, allowed: int) -> int | None:
-    for j in range(allowed):
-        if obj[j] > PIVOT_TOL:
-            return j
-    return None
+class _Simplex:
+    """Compact tableau x_B = T x_N over the variables z = (x, s) with
+    [A, -I] z = 0; ``basis`` labels rows, ``nonbasic`` labels columns."""
 
+    def __init__(self, bp: _Bounded, c: np.ndarray, max_iter: int):
+        m, nv = bp.a.shape
+        self.bp = bp
+        self.full = np.hstack([bp.a, -np.eye(m)])
+        self.cost = np.concatenate([c, np.zeros(m)])
+        self.lo, self.hi = bp.lo, bp.hi
+        self.basis = np.arange(nv, nv + m)
+        self.nonbasic = np.arange(nv)
+        self.tab = bp.a.copy()
+        lo, hi = self.lo[:nv], self.hi[:nv]
+        self.x_n = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+        self.max_iter = max_iter
+        self.iterations = 0
+        self.fresh = True  # tableau refactorised since the last pivot
 
-def _bland_leave(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
-    best_row = None
-    best_ratio = None
-    for i in range(tab.shape[0]):
-        a = tab[i, col]
-        if a > PIVOT_TOL:
-            ratio = tab[i, -1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio - 1e-12
-                or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[best_row])
-            ):
-                best_row, best_ratio = i, ratio
-    return best_row
+    def refactor(self) -> None:
+        b = self.full[:, self.basis]
+        self.tab = -np.linalg.solve(b, self.full[:, self.nonbasic])
+        self.fresh = True
+
+    def _pivot(self, r: int, q: int) -> None:
+        tab = self.tab
+        p = tab[r, q]
+        if abs(p) <= PIVOT_TOL:
+            raise LpNumericalError("degenerate pivot element")
+        col = tab[:, q] / p
+        row = tab[r].copy()
+        tab -= np.outer(col, row)
+        tab[:, q] = col
+        tab[r] = -row / p
+        tab[r, q] = 1.0 / p
+        self.basis[r], self.nonbasic[q] = self.nonbasic[q], self.basis[r]
+        self.fresh = False
+
+    def run(self, phase: int) -> str:
+        """Iterate one phase to "done", "unbounded" or (phase 1) "infeasible"."""
+        stall = 0
+        while True:
+            tab, x_n = self.tab, self.x_n
+            x_b = tab @ x_n
+            lb, ub = self.lo[self.basis], self.hi[self.basis]
+            if phase == 1:
+                sign = self._infeasibility(x_b, lb, ub)
+                if not sign.any():
+                    if self.fresh:
+                        return "done"
+                    self.refactor()
+                    continue
+                d = -(sign @ tab)  # rate of -infeasibility per unit of x_N
+                # an infeasible basic variable blocks where it turns
+                # feasible, and never when it moves away
+                rise_to = np.where(sign < 0, lb, np.where(sign > 0, np.inf, ub))
+                fall_to = np.where(sign > 0, ub, np.where(sign < 0, -np.inf, lb))
+            else:
+                d = self.cost[self.nonbasic] + self.cost[self.basis] @ tab
+                rise_to, fall_to = ub, lb
+            var_lo, var_hi = self.lo[self.nonbasic], self.hi[self.nonbasic]
+            up = (d > FEAS_TOL) & (x_n < var_hi)
+            eligible = up | ((d < -FEAS_TOL) & (x_n > var_lo))
+            if not eligible.any():
+                if self.fresh:
+                    return "infeasible" if phase == 1 else "done"
+                self.refactor()
+                continue
+            bland = stall >= STALL_PIVOTS
+            if bland:
+                q = int(np.flatnonzero(eligible)[np.argmin(self.nonbasic[eligible])])
+            else:
+                q = int(np.argmax(np.where(eligible, np.abs(d), 0.0)))
+            alpha = tab[:, q] if up[q] else -tab[:, q]
+            r, step, target = self._ratio(x_b, alpha, np.where(alpha > 0, rise_to, fall_to), bland)
+            span = var_hi[q] - var_lo[q]
+            if span <= step:
+                r, step = None, span
+            if step == np.inf:
+                if phase == 1:
+                    raise LpNumericalError("phase-1 objective unbounded (cannot happen)")
+                return "unbounded"
+            self.iterations += 1
+            if self.iterations > self.max_iter:
+                raise LpNumericalError(f"iteration cap {self.max_iter} exceeded in phase {phase}")
+            stall = 0 if step * abs(d[q]) > FEAS_TOL else stall + 1
+            if r is None:
+                x_n[q] = var_hi[q] if up[q] else var_lo[q]
+            else:
+                self._pivot(r, q)
+                x_n[q] = target
+
+    @staticmethod
+    def _infeasibility(x_b: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        """+1 above the upper bound, -1 below the lower one, else 0."""
+        return (x_b > ub + FEAS_TOL).astype(float) - (x_b < lb - FEAS_TOL)
+
+    def _ratio(self, x_b, alpha, target, bland):
+        """Ratio test for x_B + t * alpha, t >= 0, each basic variable
+        blocking at its ``target``: Harris's two passes (the largest
+        pivot within the step allowed by bounds relaxed by FEAS_TOL), or
+        under Bland the least basic index among the exact minima.
+        Returns (row, step, bound), or (None, inf, None) if none blocks.
+        """
+        pivotable = np.abs(alpha) > PIVOT_TOL
+        gap = target - x_b
+        exact = np.where(pivotable, np.maximum(gap / alpha, 0.0), np.inf)
+        relaxed = np.where(
+            pivotable, np.maximum((gap + np.copysign(FEAS_TOL, alpha)) / alpha, 0.0), np.inf
+        )
+        theta = relaxed.min() if relaxed.size else np.inf
+        if theta == np.inf:
+            return None, np.inf, None
+        if bland:
+            ties = np.flatnonzero(exact <= exact.min() + 1e-12)
+            r = int(ties[np.argmin(self.basis[ties])])
+        else:
+            r = int(np.argmax(np.where(exact <= theta, np.abs(alpha), 0.0)))
+        return r, float(exact[r]), float(target[r])
+
+    def values(self) -> np.ndarray:
+        z = np.empty(self.full.shape[1])
+        z[self.nonbasic] = self.x_n
+        z[self.basis] = self.tab @ self.x_n
+        return z
+
+    def certificate(self) -> np.ndarray:
+        """Farkas vector from the phase-1 multipliers y = c_B B^-1, where
+        c_B is the infeasibility sign of each basic variable."""
+        lb, ub = self.lo[self.basis], self.hi[self.basis]
+        sign = self._infeasibility(self.tab @ self.x_n, lb, ub)
+        y = np.linalg.solve(self.full[:, self.basis].T, sign)
+        return _farkas(self.bp, y @ self.full)
 
 
 def solve_lp(problem: LpProblem, max_iter: int = 50000) -> LpResult:
-    """Two-phase simplex; see the module docstring for the contract."""
-    a_rows, b_vec = canonical_rows(problem)
-    m, nv = a_rows.shape
+    """Bounded-variable two-phase simplex; see the module docstring."""
+    bp = _bounded(problem)
+    nv = bp.a.shape[1]
     c = np.asarray(problem.objective, dtype=float)
-    iterations = 0
+    inverted = np.flatnonzero(bp.lo > bp.hi)
+    if inverted.size:
+        # lo > hi on one variable: its two canonical rows sum to 0 <= hi - lo < 0
+        y = np.array([float(k == inverted[0]) for k, _ in bp.sides])
+        return LpResult("infeasible", None, None, y, 0)
 
-    if m == 0:
-        if np.any(c != 0.0):
-            return LpResult("unbounded", None, None, None, 0)
-        return LpResult("optimal", 0.0, np.zeros(nv), None, 0)
-
-    flip = np.where(b_vec < 0, -1.0, 1.0)
-    a_n = a_rows * flip[:, None]
-    b_n = b_vec * flip
-
-    # columns: x+ (nv) | x- (nv) | slack (m) | artificial (m) | rhs
-    n_struct = 2 * nv + m
-    n_cols = n_struct + m
-    tab = np.zeros((m, n_cols + 1))
-    tab[:, :nv] = a_n
-    tab[:, nv : 2 * nv] = -a_n
-    tab[:, 2 * nv : n_struct] = np.diag(flip)
-    tab[:, n_struct : n_struct + m] = np.eye(m)
-    tab[:, -1] = b_n
-    basis = np.arange(n_struct, n_struct + m)
-
-    # phase 1: maximize -(sum of artificials); initial basis = artificials
-    obj = np.zeros(n_cols + 1)
-    obj[:n_cols] = tab[:, :n_cols].sum(axis=0)
-    obj[n_struct : n_struct + m] = 0.0  # reduced cost of basic columns
-    obj[-1] = b_n.sum()  # equals -W for W = -(sum b) at the start
-
-    while True:
-        col = _bland_enter(obj, n_cols)
-        if col is None:
-            break
-        row = _bland_leave(tab, basis, col)
-        if row is None:
-            raise LpNumericalError("phase-1 objective unbounded (cannot happen)")
-        _pivot(tab, obj, basis, row, col)
-        iterations += 1
-        if iterations > max_iter:
-            raise LpNumericalError(f"iteration cap {max_iter} exceeded in phase 1")
-
-    w_star = -obj[-1]
-    if w_star < -FEAS_TOL:
-        # Farkas vector from the phase-1 multipliers: pi_i = -1 - r(artificial_i)
-        pi = -1.0 - obj[n_struct : n_struct + m]
-        y = flip * pi
-        y = np.where(np.abs(y) < 1e-14, 0.0, y)
-        scale = np.abs(y).max()
-        if scale > 0:
-            y = y / scale
-        return LpResult("infeasible", None, None, y, iterations)
-
-    # drive basic artificials out (or drop redundant rows)
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n_struct:
-            piv_col = None
-            for j in range(n_struct):
-                if abs(tab[i, j]) > 1e-8:
-                    piv_col = j
-                    break
-            if piv_col is None:
-                keep[i] = False
-            else:
-                _pivot(tab, obj, basis, i, piv_col)
-                iterations += 1
-    if not keep.all():
-        tab = tab[keep]
-        basis = basis[keep]
-
-    # phase 2: maximize the real objective over the structural columns
-    c_full = np.zeros(n_cols)
-    c_full[:nv] = c
-    c_full[nv : 2 * nv] = -c
-    cb = c_full[basis]
-    obj = np.empty(n_cols + 1)
-    obj[:n_cols] = c_full - cb @ tab[:, :n_cols]
-    obj[-1] = -(cb @ tab[:, -1])
-    obj[n_struct:n_cols] = -np.inf  # artificials may never re-enter
-
-    while True:
-        col = _bland_enter(obj, n_struct)
-        if col is None:
-            break
-        row = _bland_leave(tab, basis, col)
-        if row is None:
-            return LpResult("unbounded", None, None, None, iterations)
-        _pivot(tab, obj, basis, row, col)
-        iterations += 1
-        if iterations > max_iter:
-            raise LpNumericalError(f"iteration cap {max_iter} exceeded in phase 2")
-
-    z = np.zeros(n_cols)
-    z[basis] = tab[:, -1]
-    point = z[:nv] - z[nv : 2 * nv]
-    value = float(c @ point)
-    return LpResult("optimal", value, point, None, iterations)
+    sx = _Simplex(bp, c, max_iter)
+    # the ratio test divides by every entry of the pivot column, zeros too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if sx.run(1) == "infeasible":
+            return LpResult("infeasible", None, None, sx.certificate(), sx.iterations)
+        if np.any(c != 0.0) and sx.run(2) == "unbounded":
+            return LpResult("unbounded", None, None, None, sx.iterations)
+    point = sx.values()[:nv]
+    return LpResult("optimal", float(c @ point), point, None, sx.iterations)
 
 
 def verify_point(problem: LpProblem, point: np.ndarray, tol: float = VERIFY_TOL) -> bool:

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from bfc import lp
 from bfc.algebraic import (
+    LP_CHECK_TOL,
     approximate_degree,
     degree,
     degree_gf2,
@@ -13,7 +15,7 @@ from bfc.algebraic import (
     mobius_coefficients,
     multilinear_expansion,
 )
-from bfc.tables import TruthTable, named_family
+from bfc.tables import TruthTable, named_family, parse_table
 
 
 def naive_mobius(f):
@@ -166,3 +168,64 @@ def test_mobius_degree_matches_brute_force_fit():
         coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
         got = mobius_coefficients(f)
         assert np.allclose(coeffs, got, atol=1e-8)
+
+
+def _adeg_with_rechecks(monkeypatch, f):
+    """adeg(f), asserting that every verdict went through its re-check at
+    1e-7: a Farkas certificate below adeg, and a point at adeg."""
+    checks = []
+
+    def spy(name):
+        real = getattr(lp, name)
+
+        def wrapped(problem, vector, tol):
+            ok = real(problem, vector, tol)
+            checks.append((name, tol, ok))
+            return ok
+
+        monkeypatch.setattr(lp, name, wrapped)
+
+    spy("verify_point")
+    spy("verify_infeasibility_certificate")
+    d = approximate_degree(f)
+    assert checks == [("verify_infeasibility_certificate", LP_CHECK_TOL, True)] * d + [
+        ("verify_point", LP_CHECK_TOL, True)
+    ]
+    return d
+
+
+RANDOM_ARITY_8 = "8:D23F0824128B2F330C5C7FD0A6A3A4506513270E269E0D37F2A74DE452E6B438"
+
+
+@pytest.mark.parametrize(
+    "f, expected",
+    [
+        (named_family("OR", 8), 3),
+        (named_family("PARITY", 8), 8),
+        (named_family("EXACT1", 7), 5),
+        (named_family("AND-OR", (4, 2)), 3),
+        # random.Random(7).getrandbits(256); its degree-2 Farkas vector used
+        # to fail the re-check. HiGHS: degree 4 infeasible, degree 5 feasible.
+        (parse_table(RANDOM_ARITY_8), 5),
+    ],
+    ids=["OR_8", "PARITY_8", "EXACT1_7", "AND-OR_4_2", "random-8"],
+)
+def test_adeg_frozen_at_arity_7_and_8(monkeypatch, f, expected):
+    assert _adeg_with_rechecks(monkeypatch, f) == expected
+
+
+def test_adeg_names_the_degree_of_a_solver_failure(monkeypatch):
+    real = lp.solve_lp
+    calls = []
+
+    def failing(problem):
+        calls.append(problem)
+        if len(calls) == 3:
+            raise lp.LpNumericalError("iteration cap 50000 exceeded in phase 1")
+        return real(problem)
+
+    monkeypatch.setattr(lp, "solve_lp", failing)
+    with pytest.raises(
+        lp.LpNumericalError, match=r"^iteration cap 50000 exceeded in phase 1 at degree 2$"
+    ):
+        approximate_degree(named_family("OR", 4))

@@ -100,6 +100,21 @@ def test_measures_and_or_needs_l(capsys):
     assert body["measures"]["s"]["value"] == 4
     assert body["measures"]["s0"]["value"] == 2
     assert body["measures"]["s1"]["value"] == 4
+    assert body["measures"]["adeg"]["value"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, adeg",
+    [
+        (["--family", "OR", "--n", "8"], 3),
+        (["8:D23F0824128B2F330C5C7FD0A6A3A4506513270E269E0D37F2A74DE452E6B438"], 5),
+    ],
+)
+def test_measures_adeg_at_arity_8(capsys, argv, adeg):
+    # README promises adeg up to arity 8, so these must exit 0
+    rc, out, err = run_cli(capsys, "measures", *argv, "--format", "json")
+    assert rc == 0, err
+    assert json.loads(out)["measures"]["adeg"]["value"] == adeg
 
 
 def test_bad_table_is_usage_error(capsys):

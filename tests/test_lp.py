@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bfc.lp as lp_module
 from bfc.lp import (
     LpProblem,
     canonical_rows,
@@ -132,3 +133,99 @@ def test_larger_random_lps_agree_with_scipy():
         assert r.status == "optimal"
         assert ref.status == 0
         assert abs(r.value - (-ref.fun)) < 1e-6, f"trial {trial}"
+
+
+@pytest.mark.parametrize("stall_pivots", [lp_module.STALL_PIVOTS, 0])
+def test_beale_cycling_lp_terminates(monkeypatch, stall_pivots):
+    # Beale (1955): Dantzig's rule with the textbook lowest-index tie-break
+    # cycles on this LP from the slack basis. Both the default pricing and
+    # Bland's rule throughout (stall_pivots = 0) must reach 5/4 at (1, 0, 1, 0).
+    monkeypatch.setattr(lp_module, "STALL_PIVOTS", stall_pivots)
+    p = lp(
+        [0.75, -20, 0.5, -6],
+        [
+            ([0.25, -8, -1, 9], "<=", 0),
+            ([0.5, -12, -0.5, 3], "<=", 0),
+            ([0, 0, 1, 0], "<=", 1),
+        ],
+        [(0, None)] * 4,
+    )
+    r = solve_lp(p)
+    assert r.status == "optimal"
+    assert abs(r.value - 1.25) < 1e-9
+    assert np.allclose(r.point, [1, 0, 1, 0], atol=1e-9)
+    assert verify_point(p, r.point)
+
+
+def test_ranged_row_expands_like_its_pair():
+    rows = [([1, 2, 0], (0.5, 3.0)), ([0, -1, 4], (-2.0, -1.0))]
+    ranged = lp([0, 0, 0], [(a, "range", lh) for a, lh in rows], [(None, 1), (-1, None), (None, None)])
+    pair = lp(
+        [0, 0, 0],
+        [c for a, (lo, hi) in rows for c in ((a, ">=", lo), (a, "<=", hi))],
+        [(None, 1), (-1, None), (None, None)],
+    )
+    a_r, b_r = canonical_rows(ranged)
+    a_p, b_p = canonical_rows(pair)
+    assert a_r.shape == (6, 3)
+    assert np.array_equal(a_r, a_p)
+    assert np.array_equal(b_r, b_p)
+
+
+def test_infeasible_ranged_system_has_certificate():
+    # x + y in [0, 1], x - y in [3, 4], y in [0, 2] and x <= 2: x - y <= 2
+    p = lp(
+        [0, 0],
+        [([1, 1], "range", (0, 1)), ([1, -1], "range", (3, 4))],
+        [(None, 2), (0, 2)],
+    )
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    assert verify_infeasibility_certificate(p, r.certificate)
+
+
+@pytest.mark.parametrize(
+    "constraints, bounds",
+    [
+        ([([1, 1], "<=", 5)], [(None, None), (3, 2)]),  # inverted variable bound
+        ([([1, 1], "range", (2, 1))], None),  # inverted row range
+    ],
+)
+def test_inverted_bounds_have_certificates(constraints, bounds):
+    p = lp([1, 0], constraints, bounds)
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    assert verify_infeasibility_certificate(p, r.certificate)
+
+
+def test_ranged_free_lps_agree_with_scipy():
+    scipy = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for trial in range(60):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(3, 9))
+        a = rng.normal(size=(m, n)).round(2)
+        lo = rng.normal(size=m).round(2)
+        hi = (lo + rng.uniform(-0.2, 1.5, size=m)).round(2)
+        c = rng.normal(size=n).round(2) if trial % 3 else np.zeros(n)
+        bounds = [(-5.0, 5.0) if j == 0 else (None, None) for j in range(n)]
+        p = LpProblem.of(
+            list(c), [(list(a[i]), "range", (lo[i], hi[i])) for i in range(m)], bounds
+        )
+        r = solve_lp(p)
+        ref = scipy.linprog(
+            -c,
+            A_ub=np.vstack([a, -a]),
+            b_ub=np.concatenate([hi, -lo]),
+            bounds=[(-5, 5)] + [(None, None)] * (n - 1),
+            method="highs",
+        )
+        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        assert r.status == expected, f"trial {trial}"
+        statuses.add(r.status)
+        if r.status == "optimal":
+            assert verify_point(p, r.point), f"trial {trial}"
+            assert abs(r.value - (-ref.fun)) < 1e-6, f"trial {trial}"
+        elif r.status == "infeasible":
+            assert verify_infeasibility_certificate(p, r.certificate), f"trial {trial}"
+    assert statuses == {"optimal", "infeasible", "unbounded"}
