@@ -3,8 +3,9 @@
 The exact degree comes from the integer Mobius transform over the
 subset lattice (the unique multilinear expansion on {0,1}^n), the GF(2)
 degree from the same transform with XOR in place of subtraction, and
-the approximate degree from a sequence of feasibility linear programs
-whose verdicts are re-checked against their certificates.
+the approximate degree from a downward sequence of feasibility linear
+programs, topped by the exact expansion, whose verdicts are re-checked
+against their certificates.
 """
 
 from __future__ import annotations
@@ -73,10 +74,28 @@ def gf2_coefficients(f: TruthTable) -> np.ndarray:
     return (mobius_coefficients(f) & 1).astype(np.uint8)
 
 
-def _monomial_masks(n: int, max_degree: int) -> list[int]:
-    masks = [m for m in range(1 << n) if m.bit_count() <= max_degree]
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks
+def _monomial_masks(n: int, max_degree: int) -> np.ndarray:
+    """Monomials of degree <= max_degree, by degree and then by mask, so
+    the monomials of any lower degree are a prefix."""
+    masks = np.arange(1 << n)
+    weights = bits.popcount_array(masks)
+    order = np.lexsort((masks, weights))
+    return masks[order][weights[order] <= max_degree]
+
+
+def _lattice(n: int, masks: np.ndarray) -> np.ndarray:
+    """The subset-lattice matrix: entry (x, j) is 1.0 when monomial
+    ``masks[j]`` lies inside input x, i.e. is 1 at x."""
+    inputs = np.arange(1 << n)[:, None]
+    return ((inputs & masks) == masks).astype(float)
+
+
+def _ranged_problem(columns: np.ndarray, values: np.ndarray, epsilon: float) -> lp.LpProblem:
+    """One ranged row per input: [0, eps] where f is 0, [1-eps, 1] where
+    f is 1, over the given lattice columns."""
+    lo = np.where(values, 1.0 - epsilon, 0.0)
+    hi = np.where(values, 1.0, epsilon)
+    return lp.LpProblem.ranged(columns, lo, hi)
 
 
 def approximation_problem(f: TruthTable, degree_cap: int, epsilon: float) -> lp.LpProblem:
@@ -87,27 +106,38 @@ def approximation_problem(f: TruthTable, degree_cap: int, epsilon: float) -> lp.
     exactly when its support lies inside the input, so the constraint
     matrix is the subset-lattice indicator.
     """
-    masks = np.array(_monomial_masks(f.arity, degree_cap))
-    inputs = np.arange(f.size)[:, None]
-    rows = ((inputs & masks) == masks).astype(float).tolist()
-    ranges = [(0.0, epsilon), (1.0 - epsilon, 1.0)]
-    constraints = [(row, "range", ranges[v]) for row, v in zip(rows, f.to_bit_array().tolist())]
-    return lp.LpProblem.of([0.0] * len(masks), constraints)
+    lattice = _lattice(f.arity, _monomial_masks(f.arity, degree_cap))
+    return _ranged_problem(lattice, f.to_bit_array().astype(bool), epsilon)
 
 
 def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
     """adeg(f): least degree admitting an epsilon-approximation.
 
-    Every LP verdict is validated before it is trusted: a feasible
-    degree must come with a point satisfying all constraints within
-    1e-7, an infeasible one with a Farkas certificate that re-checks.
+    The exact multilinear expansion is an error-free approximation at
+    deg(f), so the search starts there with that integer point and
+    walks down, solving one LP per degree, to the first infeasible
+    degree d; the answer is d + 1 (0 if every degree is feasible).
+    Every verdict is validated before it is trusted: each feasible
+    degree by its point re-checked within 1e-7, the infeasible one by
+    its Farkas certificate.  Infeasibility at d implies it at every
+    lower degree, so the answer carries both proofs.  Each degree's LP
+    is a column prefix of one subset-lattice matrix.
     """
     if f.arity > APPROX_DEGREE_MAX_ARITY:
         raise ValueError(f"approximate degree supports arity <= {APPROX_DEGREE_MAX_ARITY}")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
-    for d in range(f.arity + 1):
-        problem = approximation_problem(f, d, epsilon)
+    coeffs = mobius_coefficients(f)
+    top = _top_popcount(coeffs)
+    masks = _monomial_masks(f.arity, top)
+    lattice = _lattice(f.arity, masks)
+    values = f.to_bit_array().astype(bool)
+    widths = np.searchsorted(bits.popcount_array(masks), np.arange(top + 1), side="right")
+    problem = _ranged_problem(lattice, values, epsilon)
+    if not lp.verify_point(problem, coeffs[masks].astype(float), LP_CHECK_TOL):
+        raise lp.LpNumericalError(f"exact expansion at degree {top} failed the point re-check")
+    for d in range(top - 1, -1, -1):
+        problem = _ranged_problem(lattice[:, : widths[d]], values, epsilon)
         try:
             result = lp.solve_lp(problem)
         except lp.LpNumericalError as exc:
@@ -117,7 +147,7 @@ def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
                 raise lp.LpNumericalError(
                     f"feasible verdict at degree {d} failed the point re-check"
                 )
-            return d
+            continue
         if result.status == "infeasible":
             if not lp.verify_infeasibility_certificate(
                 problem, result.certificate, LP_CHECK_TOL
@@ -125,6 +155,6 @@ def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
                 raise lp.LpNumericalError(
                     f"infeasible verdict at degree {d} failed the certificate re-check"
                 )
-            continue
+            return d + 1
         raise lp.LpNumericalError(f"unexpected LP status {result.status!r}")
-    raise lp.LpNumericalError("no feasible degree up to the arity (cannot happen)")
+    return 0

@@ -31,6 +31,7 @@ Every outcome can be re-checked from the original data:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,11 +52,24 @@ class LpNumericalError(RuntimeError):
     """Raised when the simplex hits its iteration cap or a pivot degenerates."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], str, float | tuple[float, float]], ...]
-    bounds: tuple[tuple[float | None, float | None], ...] | None = None
+    """maximize ``objective @ x`` over the variables z = (x, s = a x),
+    each within its own [lo, hi].
+
+    ``a`` is m x n, and ``lo`` / ``hi`` hold the n structural and then
+    the m logical variables' bounds (infinite where absent).  ``sides``
+    lists the canonical rows as (variable, side) pairs, side +1 the
+    upper bound and -1 the lower one, in ``canonical_rows`` order.  The
+    solver and both verifiers read these arrays, and the canonical rows
+    are expanded at most once per problem.
+    """
+
+    objective: np.ndarray
+    a: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    sides: np.ndarray  # (k, 2) int
 
     @staticmethod
     def of(
@@ -63,25 +77,67 @@ class LpProblem:
         constraints: Sequence[tuple[Sequence[float], str, float | tuple[float, float]]],
         bounds: Sequence[tuple[float | None, float | None]] | None = None,
     ) -> "LpProblem":
-        obj = tuple(float(v) for v in objective)
-        rows = []
-        for coeffs, rel, rhs in constraints:
+        """The problem maximize c.x over rows (a, rel, rhs) and optional
+        per-variable (lo, hi) bounds, None meaning unbounded."""
+        obj = np.array(objective, dtype=float).reshape(-1)
+        nv, m = obj.size, len(constraints)
+        a = np.zeros((m, nv))
+        lo = np.full(nv + m, -np.inf)
+        hi = np.full(nv + m, np.inf)
+        sides = []
+        for i, (coeffs, rel, rhs) in enumerate(constraints):
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            if len(coeffs) != len(obj):
+            if len(coeffs) != nv:
                 raise ValueError("constraint length does not match objective length")
+            a[i] = coeffs
+            k = nv + i
             if rel == "range":
-                lo, hi = rhs
-                rhs = (float(lo), float(hi))
+                lo[k], hi[k] = rhs
             else:
-                rhs = float(rhs)
-            rows.append((tuple(float(v) for v in coeffs), rel, rhs))
-        bnds = None
+                if rel in ("<=", "="):
+                    hi[k] = rhs
+                if rel in (">=", "="):
+                    lo[k] = rhs
+            sides.extend((k, side) for side in _SIDES[rel])
         if bounds is not None:
-            if len(bounds) != len(obj):
+            if len(bounds) != nv:
                 raise ValueError("bounds length does not match objective length")
-            bnds = tuple((lo, hi) for lo, hi in bounds)
-        return LpProblem(obj, tuple(rows), bnds)
+            for j, (b_lo, b_hi) in enumerate(bounds):
+                if b_lo is not None:
+                    lo[j] = b_lo
+                    sides.append((j, -1))
+                if b_hi is not None:
+                    hi[j] = b_hi
+                    sides.append((j, 1))
+        return LpProblem(obj, a, lo, hi, np.array(sides, dtype=np.int64).reshape(-1, 2))
+
+    @staticmethod
+    def ranged(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> "LpProblem":
+        """The feasibility problem lo <= a x <= hi, one ranged row per
+        row of ``a``, over free variables."""
+        m, nv = a.shape
+        free = np.full(nv, np.inf)
+        rows = np.repeat(np.arange(nv, nv + m), 2)
+        sides = np.stack([rows, np.tile(_SIDES["range"], m)], axis=1)
+        return LpProblem(
+            np.zeros(nv),
+            a,
+            np.concatenate([-free, lo]),
+            np.concatenate([free, hi]),
+            sides,
+        )
+
+    @cached_property
+    def canonical(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraints and bounds expanded into A x <= b."""
+        nv = self.a.shape[1]
+        if not len(self.sides):
+            return np.zeros((0, nv)), np.zeros(0)
+        k, side = self.sides[:, 0], self.sides[:, 1].astype(float)
+        grad = np.vstack([np.eye(nv), self.a])  # row k: gradient of variable k in x
+        rhs = np.where(side > 0, self.hi[k], self.lo[k])
+        return side[:, None] * grad[k], side * rhs
 
 
 @dataclass(frozen=True)
@@ -93,64 +149,19 @@ class LpResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class _Bounded:
-    """The problem as A (m x n) plus [lo, hi] for the n structural and
-    then the m logical variables, and the canonical rows as
-    (variable, side) pairs in ``canonical_rows`` order."""
-
-    a: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    sides: tuple[tuple[int, int], ...]
-
-
-def _bounded(problem: LpProblem) -> _Bounded:
-    nv, m = len(problem.objective), len(problem.constraints)
-    a = np.array([coeffs for coeffs, _, _ in problem.constraints], dtype=float).reshape(m, nv)
-    lo = np.full(nv + m, -np.inf)
-    hi = np.full(nv + m, np.inf)
-    sides = []
-    for i, (_, rel, rhs) in enumerate(problem.constraints):
-        k = nv + i
-        if rel == "range":
-            lo[k], hi[k] = rhs
-        else:
-            if rel in ("<=", "="):
-                hi[k] = rhs
-            if rel in (">=", "="):
-                lo[k] = rhs
-        sides.extend((k, side) for side in _SIDES[rel])
-    for j, (b_lo, b_hi) in enumerate(problem.bounds or ()):
-        if b_lo is not None:
-            lo[j] = float(b_lo)
-            sides.append((j, -1))
-        if b_hi is not None:
-            hi[j] = float(b_hi)
-            sides.append((j, 1))
-    return _Bounded(a, lo, hi, tuple(sides))
-
-
 def canonical_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Expand constraints and bounds into the canonical form A x <= b."""
-    bp = _bounded(problem)
-    m, nv = bp.a.shape
-    if not bp.sides:
-        return np.zeros((0, nv)), np.zeros(0)
-    k = np.array([k for k, _ in bp.sides])
-    side = np.array([s for _, s in bp.sides], dtype=float)
-    grad = np.vstack([np.eye(nv), bp.a])  # row k: gradient of variable k in x
-    rhs = np.where(side > 0, bp.hi[k], bp.lo[k])
-    return side[:, None] * grad[k], side * rhs
+    return problem.canonical
 
 
-def _farkas(bp: _Bounded, v: np.ndarray) -> np.ndarray:
+def _farkas(problem: LpProblem, v: np.ndarray) -> np.ndarray:
     """Canonical-row weights for a combination v of the variables that
     vanishes on {A x = s}: each variable's weight goes on its upper side
     where positive and on its lower side where negative."""
-    y = np.array([max(side * v[k], 0.0) for k, side in bp.sides])
+    k, side = problem.sides[:, 0], problem.sides[:, 1]
+    y = np.maximum(side * v[k], 0.0)
     y = np.where(np.abs(y) < 1e-14, 0.0, y)
-    scale = np.abs(y).max() if y.size else 0.0
+    scale = np.abs(y).max(initial=0.0)
     return y / scale if scale > 0 else y
 
 
@@ -158,15 +169,15 @@ class _Simplex:
     """Compact tableau x_B = T x_N over the variables z = (x, s) with
     [A, -I] z = 0; ``basis`` labels rows, ``nonbasic`` labels columns."""
 
-    def __init__(self, bp: _Bounded, c: np.ndarray, max_iter: int):
-        m, nv = bp.a.shape
-        self.bp = bp
-        self.full = np.hstack([bp.a, -np.eye(m)])
-        self.cost = np.concatenate([c, np.zeros(m)])
-        self.lo, self.hi = bp.lo, bp.hi
+    def __init__(self, problem: LpProblem, max_iter: int):
+        m, nv = problem.a.shape
+        self.problem = problem
+        self.full = np.hstack([problem.a, -np.eye(m)])
+        self.cost = np.concatenate([problem.objective, np.zeros(m)])
+        self.lo, self.hi = problem.lo, problem.hi
         self.basis = np.arange(nv, nv + m)
         self.nonbasic = np.arange(nv)
-        self.tab = bp.a.copy()
+        self.tab = problem.a.copy()
         lo, hi = self.lo[:nv], self.hi[:nv]
         self.x_n = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         self.max_iter = max_iter
@@ -286,21 +297,20 @@ class _Simplex:
         lb, ub = self.lo[self.basis], self.hi[self.basis]
         sign = self._infeasibility(self.tab @ self.x_n, lb, ub)
         y = np.linalg.solve(self.full[:, self.basis].T, sign)
-        return _farkas(self.bp, y @ self.full)
+        return _farkas(self.problem, y @ self.full)
 
 
 def solve_lp(problem: LpProblem, max_iter: int = 50000) -> LpResult:
     """Bounded-variable two-phase simplex; see the module docstring."""
-    bp = _bounded(problem)
-    nv = bp.a.shape[1]
-    c = np.asarray(problem.objective, dtype=float)
-    inverted = np.flatnonzero(bp.lo > bp.hi)
+    nv = problem.a.shape[1]
+    c = problem.objective
+    inverted = np.flatnonzero(problem.lo > problem.hi)
     if inverted.size:
         # lo > hi on one variable: its two canonical rows sum to 0 <= hi - lo < 0
-        y = np.array([float(k == inverted[0]) for k, _ in bp.sides])
+        y = (problem.sides[:, 0] == inverted[0]).astype(float)
         return LpResult("infeasible", None, None, y, 0)
 
-    sx = _Simplex(bp, c, max_iter)
+    sx = _Simplex(problem, max_iter)
     # the ratio test divides by every entry of the pivot column, zeros too
     with np.errstate(divide="ignore", invalid="ignore"):
         if sx.run(1) == "infeasible":
@@ -313,7 +323,7 @@ def solve_lp(problem: LpProblem, max_iter: int = 50000) -> LpResult:
 
 def verify_point(problem: LpProblem, point: np.ndarray, tol: float = VERIFY_TOL) -> bool:
     """Check a claimed-feasible point against every canonical row."""
-    a_rows, b_vec = canonical_rows(problem)
+    a_rows, b_vec = problem.canonical
     if a_rows.shape[0] == 0:
         return True
     lhs = a_rows @ point
@@ -325,7 +335,7 @@ def verify_infeasibility_certificate(
     problem: LpProblem, y: np.ndarray, tol: float = VERIFY_TOL
 ) -> bool:
     """Check a Farkas vector: y >= 0, yA ~ 0, and yb strictly negative."""
-    a_rows, b_vec = canonical_rows(problem)
+    a_rows, b_vec = problem.canonical
     if a_rows.shape[0] == 0 or y is None or len(y) != a_rows.shape[0]:
         return False
     y = np.asarray(y, dtype=float)
@@ -336,7 +346,8 @@ def verify_infeasibility_certificate(
     if y.min() < -tol:
         return False
     combo = y @ a_rows
-    data_scale = max(1.0, float(np.abs(a_rows).max()))
-    if np.abs(combo).max() > tol * data_scale:
+    # with no variables the rows are empty and only yb < 0 is left to check
+    data_scale = max(1.0, float(np.abs(a_rows).max(initial=0.0)))
+    if np.abs(combo).max(initial=0.0) > tol * data_scale:
         return False
     return bool(y @ b_vec < -tol * max(1.0, float(np.abs(b_vec).max())))

@@ -216,13 +216,17 @@ def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> SpectralResult:
 
     lambda is the largest component value (ties go to the first
     component), and the vector is that component's Perron vector,
-    zero elsewhere.  A graph with no edges gives 0 and the uniform
-    vector.
+    zero elsewhere.  A component's norm is at most its largest degree,
+    so a component whose largest degree is at most the best value so
+    far cannot win and is not solved.  A graph with no edges gives 0
+    and the uniform vector.
     """
     graph = SensitivityGraph(f)
     domain = np.asarray(graph.domain_inputs, dtype=np.int64)
     best, where = None, None
     for comp in graph.components():
+        if best is not None and graph.degrees[comp].max() <= best.value:
+            continue
         res = _perron(graph, comp)
         if best is None or res.value > best.value:
             best, where = res, comp

@@ -24,6 +24,8 @@ tie-breaks, so results are independent of chunking and thread count.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import itertools
 import math
 import os
@@ -64,9 +66,9 @@ RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4")
 FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4"))
 
 
-def _values(n: int, table: int) -> dict:
-    """The sweep's measures of one table, keyed by their report names."""
-    entries, _ = measure(TruthTable(n, table), SWEEP_MEASURES)
+def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> dict:
+    """The measures ``names`` of one table, keyed by their report names."""
+    entries, _ = measure(TruthTable(n, table), names)
     return {name: entry["value"] for name, entry in entries.items()}
 
 
@@ -220,25 +222,23 @@ def npn_canonical_array(n: int) -> np.ndarray:
     return canon
 
 
-def approx_degree_ratio(n: int, canon: np.ndarray | None = None) -> dict:
-    """Max observed spectral-sensitivity / approximate-degree ratio at arity n.
+def _class_values(n: int, canon: np.ndarray) -> list[tuple[int, int, dict]]:
+    """(representative, class size, measures) per NPN class, each class
+    measured once for the checks and the ``lambda/adeg`` ratio alike."""
+    reps, sizes = np.unique(canon, return_counts=True)
+    names = SWEEP_MEASURES + ("adeg",)
+    return [(rep, size, _values(n, rep, names)) for rep, size in zip(reps.tolist(), sizes.tolist())]
 
-    Both quantities are invariant under variable permutation and
-    input/output complementation, so only one representative per
-    equivalence class is evaluated; the witness is the least table
-    whose ratio is largest on the ``TIE_GRID`` grid.  ``canon`` is
-    ``npn_canonical_array(n)`` when the caller already has it.
-    """
-    if canon is None:
-        canon = npn_canonical_array(n)
-    reps = np.unique(canon)
+
+def _adeg_ratio_block(n: int, classes: list[tuple[int, int, dict]]) -> dict:
+    """The ``lambda/adeg`` ratio block over the measured classes; the
+    witness is the least table whose ratio is largest on the
+    ``TIE_GRID`` grid, and constants contribute nothing."""
     best = None
-    for rep in reps.tolist():
-        f = TruthTable(n, rep)
-        if f.is_constant():
+    for rep, _, m in classes:
+        if m["deg"] == 0:
             continue
-        m, _ = measure(f, ("adeg", "lambda"))
-        ad, lam = m["adeg"]["value"], m["lambda"]["value"]
+        ad, lam = m["adeg"], m["lambda"]
         key = (-on_grid(lam / ad), rep, lam / ad, lam, float(ad))
         if best is None or key < best:
             best = key
@@ -249,9 +249,20 @@ def approx_degree_ratio(n: int, canon: np.ndarray | None = None) -> dict:
         "witness": format_table(TruthTable(n, table)),
         "numerator": num,
         "denominator": den,
-        "class_count": int(len(reps)),
+        "class_count": len(classes),
         "note": "evaluated on equivalence-class representatives",
     }
+
+
+def approx_degree_ratio(n: int) -> dict:
+    """Max observed spectral-sensitivity / approximate-degree ratio at arity n.
+
+    Both quantities are invariant under variable permutation and
+    input/output complementation, so only one representative per
+    equivalence class is evaluated, by the same per-class pass as the
+    exhaustive sweep.
+    """
+    return _adeg_ratio_block(n, _class_values(n, npn_canonical_array(n)))
 
 
 @dataclass(frozen=True)
@@ -296,6 +307,32 @@ def resolve_threads(requested: int | None) -> int:
     if not requested or requested < 1:
         return _usable_cpus()
     return requested
+
+
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (the wheel's ``numpy.libs`` copy, the
+    one numpy itself has loaded), or None where there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so workers do
+    not compete for the CPUs with each other's BLAS threads.  numpy has
+    no call for this, so it goes through ctypes; a silent no-op where
+    the library or its symbol is missing."""
+    lib = _bundled_openblas()
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if setter is None:
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
 
 
 def _chunks(tables: list[int], threads: int) -> list[tuple[int, ...]]:
@@ -349,11 +386,10 @@ def run_sweep(
     started = time.perf_counter()
     acc = _empty_partial()
     if sample is None:
-        canon = npn_canonical_array(max_n)
-        reps, sizes = np.unique(canon, return_counts=True)
-        for rep, size in zip(reps.tolist(), sizes.tolist()):
-            _fold(acc, rep, _values(max_n, rep), tolerance, weight=size)
-        diagnostics = {"evaluated_functions": len(reps), "method": "npn-quotient"}
+        classes = _class_values(max_n, npn_canonical_array(max_n))
+        for rep, size, m in classes:
+            _fold(acc, rep, m, tolerance, weight=size)
+        diagnostics = {"evaluated_functions": len(classes), "method": "npn-quotient"}
     else:
         specs = _chunks(sample_tables(max_n, sample, seed), max(1, threads))
         # a fork pool starts every worker up front, so never ask for more
@@ -363,7 +399,7 @@ def run_sweep(
         if workers <= 1:
             partials = map(_sweep_chunk, jobs)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
                 partials = list(pool.map(_sweep_chunk, jobs))
         for partial in partials:
             _merge(acc, partial)
@@ -400,7 +436,7 @@ def run_sweep(
             }
         )
     if sample is None:
-        ratios.append(approx_degree_ratio(max_n, canon=canon))
+        ratios.append(_adeg_ratio_block(max_n, classes))
 
     violation_count = sum(c["failures"] for c in checks)
     body = {

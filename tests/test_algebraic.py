@@ -1,21 +1,25 @@
 """Degree engines against inclusion-exclusion and hand-built oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from bfc import lp
 from bfc.algebraic import (
+    DEFAULT_EPSILON,
     LP_CHECK_TOL,
     approximate_degree,
+    approximation_problem,
     degree,
     degree_gf2,
     gf2_coefficients,
     mobius_coefficients,
     multilinear_expansion,
 )
-from bfc.tables import TruthTable, named_family, parse_table
+from bfc.sweep import npn_canonical_array
+from bfc.tables import TruthTable, format_table, named_family, parse_table
 
 
 def naive_mobius(f):
@@ -170,9 +174,26 @@ def test_mobius_degree_matches_brute_force_fit():
         assert np.allclose(coeffs, got, atol=1e-8)
 
 
+def _degree_of(problem, n):
+    """The degree cap of an arity-n approximation LP, read off its
+    column count (one column per monomial of degree <= cap)."""
+    widths = list(itertools.accumulate(math.comb(n, j) for j in range(n + 1)))
+    return widths.index(len(problem.objective))
+
+
+def _adeg_up_walk(f):
+    """adeg(f) as the least degree whose LP is feasible, searched upward
+    from 0 with the bare solver verdicts."""
+    for d in range(f.arity + 1):
+        if lp.solve_lp(approximation_problem(f, d, DEFAULT_EPSILON)).status == "optimal":
+            return d
+    raise AssertionError("no feasible degree")
+
+
 def _adeg_with_rechecks(monkeypatch, f):
     """adeg(f), asserting that every verdict went through its re-check at
-    1e-7: a Farkas certificate below adeg, and a point at adeg."""
+    1e-7 and passed, that the last point re-check is at adeg, and that a
+    Farkas certificate was re-checked at adeg - 1 when adeg > 0."""
     checks = []
 
     def spy(name):
@@ -180,17 +201,22 @@ def _adeg_with_rechecks(monkeypatch, f):
 
         def wrapped(problem, vector, tol):
             ok = real(problem, vector, tol)
-            checks.append((name, tol, ok))
+            checks.append((name, _degree_of(problem, f.arity), tol, ok))
             return ok
 
-        monkeypatch.setattr(lp, name, wrapped)
+        return wrapped
 
-    spy("verify_point")
-    spy("verify_infeasibility_certificate")
-    d = approximate_degree(f)
-    assert checks == [("verify_infeasibility_certificate", LP_CHECK_TOL, True)] * d + [
-        ("verify_point", LP_CHECK_TOL, True)
-    ]
+    with monkeypatch.context() as patch:
+        for name in ("verify_point", "verify_infeasibility_certificate"):
+            patch.setattr(lp, name, spy(name))
+        d = approximate_degree(f)
+    assert checks
+    assert all(tol == LP_CHECK_TOL and ok for _, _, tol, ok in checks)
+    points = [deg for name, deg, _, _ in checks if name == "verify_point"]
+    farkas = [deg for name, deg, _, _ in checks if name == "verify_infeasibility_certificate"]
+    assert points[-1] == d
+    if d > 0:
+        assert d - 1 in farkas
     return d
 
 
@@ -211,16 +237,23 @@ RANDOM_ARITY_8 = "8:D23F0824128B2F330C5C7FD0A6A3A4506513270E269E0D37F2A74DE452E6
     ids=["OR_8", "PARITY_8", "EXACT1_7", "AND-OR_4_2", "random-8"],
 )
 def test_adeg_frozen_at_arity_7_and_8(monkeypatch, f, expected):
+    assert _adeg_up_walk(f) == expected
     assert _adeg_with_rechecks(monkeypatch, f) == expected
+
+
+def test_adeg_matches_the_up_walk_on_every_arity_4_class(monkeypatch):
+    reps = np.unique(npn_canonical_array(4)).tolist()
+    assert len(reps) == 222
+    for rep in reps:
+        f = TruthTable(4, rep)
+        assert _adeg_with_rechecks(monkeypatch, f) == _adeg_up_walk(f), format_table(f)
 
 
 def test_adeg_names_the_degree_of_a_solver_failure(monkeypatch):
     real = lp.solve_lp
-    calls = []
 
     def failing(problem):
-        calls.append(problem)
-        if len(calls) == 3:
+        if _degree_of(problem, 4) == 2:
             raise lp.LpNumericalError("iteration cap 50000 exceeded in phase 1")
         return real(problem)
 

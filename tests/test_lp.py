@@ -229,3 +229,29 @@ def test_ranged_free_lps_agree_with_scipy():
         elif r.status == "infeasible":
             assert verify_infeasibility_certificate(p, r.certificate), f"trial {trial}"
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_problem_with_no_variables_gets_a_verified_verdict():
+    # 0 >= 1 over no variables: the lone canonical row is 0 <= -1
+    p = lp([], [((), ">=", 1)])
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    assert verify_infeasibility_certificate(p, r.certificate) is True
+    assert verify_point(lp([], [((), "<=", 1)]), np.zeros(0))
+
+
+def test_ranged_problem_matches_its_row_list():
+    a = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    lo, hi = np.array([0.0, 0.5, -1.0]), np.array([1.0, 2.0, 0.0])
+    built = LpProblem.ranged(a, lo, hi)
+    listed = lp([0, 0], [(row, "range", (l, h)) for row, l, h in zip(a.tolist(), lo, hi)])
+    for x, y in zip(canonical_rows(built), canonical_rows(listed)):
+        assert np.array_equal(x, y)
+    r = solve_lp(built)
+    assert r.status == "optimal"
+    assert verify_point(listed, r.point)
+
+
+def test_canonical_rows_are_expanded_once_per_problem():
+    p = lp([1, 1], [([1, 2], "range", (0, 3))], [(0, None), (None, 1)])
+    assert canonical_rows(p) is canonical_rows(p)

@@ -29,7 +29,7 @@ from bfc.spectral import (
     vector_to_csv,
     verify_signing,
 )
-from bfc.tables import PartialTruthTable, TruthTable, named_family
+from bfc.tables import PartialTruthTable, TruthTable, named_family, parse_table
 
 
 def naive_lambda(f):
@@ -399,3 +399,28 @@ def test_graph_core_matches_definition():
         out = g.matvec(u)
         assert np.array_equal(out[defined], a @ u[defined])
         assert not out[[x for x in range(size) if x not in defined]].any()
+
+
+def test_components_that_cannot_win_are_not_solved(monkeypatch):
+    # G_f has components of 8, 2 and 3 vertices; the first has norm 2,
+    # and the later ones have largest degrees 1 and 2, so neither can win
+    f = parse_table("4:002F")
+    graph = SensitivityGraph(f)
+    comps = graph.components()
+    assert [c.size for c in comps] == [8, 2, 3]
+    solved = [_perron(graph, c) for c in comps]
+    first = max(range(len(comps)), key=lambda k: (solved[k].value, -k))
+    calls = []
+
+    def counting(g, comp):
+        calls.append(comp.size)
+        return _perron(g, comp)
+
+    monkeypatch.setattr(spectral, "_perron", counting)
+    res = spectral_sensitivity(f)
+    assert calls == [8]
+    assert res.value == solved[first].value
+    assert res.residual == solved[first].residual
+    expected = np.zeros(16)
+    expected[comps[first]] = solved[first].vector
+    assert np.array_equal(res.vector, expected)

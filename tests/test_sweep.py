@@ -1,10 +1,12 @@
+import ctypes
 import itertools
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from bfc import sweep
+from bfc import report, sweep
 from bfc.report import report_hash
 from bfc.sweep import (
     CHECK_NAMES,
@@ -323,13 +325,14 @@ def test_report_hash_thread_invariant_sampled():
 
 
 def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
-    sizes = []
+    sizes, initializers = [], []
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records its size, forks nothing."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
+            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -349,6 +352,7 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
     run_sweep(max_n=2, sample=8, seed=1, threads=2)
     run_sweep(max_n=2, threads=huge)  # exhaustive sweeps never use the pool
     assert sizes == [3, 8, 2]
+    assert initializers == [sweep._pin_blas] * 3
     assert clamped.report_hash == run_sweep(max_n=2, sample=8, seed=1).report_hash
 
 
@@ -377,3 +381,41 @@ def test_csv_rejects_arity_beyond_caps():
         next(iter_csv_rows(EXHAUSTIVE_MAX_N + 1))
     with pytest.raises(ValueError):
         next(iter_csv_rows(SAMPLED_MAX_N + 1, sample=3))
+
+
+def test_exhaustive_sweep_measures_each_class_once(monkeypatch):
+    real = report.spectral_sensitivity
+    calls = []
+
+    def counting(f):
+        calls.append(f.table)
+        return real(f)
+
+    monkeypatch.setattr(report, "spectral_sensitivity", counting)
+    result = run_sweep(max_n=3)
+    reps = np.unique(npn_canonical_array(3)).tolist()
+    assert sorted(calls) == reps
+    assert _by_name(result.ratios)["lambda/adeg"]["class_count"] == len(reps)
+
+
+def _blas_threads() -> int:
+    getter = sweep._bundled_openblas().scipy_openblas_get_num_threads64_
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return getter()
+
+
+def test_pool_workers_pin_blas_to_one_thread():
+    lib = sweep._bundled_openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    setter = lib.scipy_openblas_set_num_threads64_
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    before = _blas_threads()
+    setter(2)  # a worker must not inherit the parent's count
+    try:
+        with ProcessPoolExecutor(max_workers=1, initializer=sweep._pin_blas) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
+    finally:
+        setter(before)
