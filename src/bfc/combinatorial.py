@@ -3,8 +3,8 @@
 All measures here are integers obtained by exhaustive search:
 
 * sensitivity s(f) with the per-side maxima s0, s1 and the average,
-* block sensitivity bs(f) via maximum packings of minimal sensitive
-  blocks,
+* block sensitivity bs(f) from one dynamic program over block masks,
+  all inputs at once,
 * certificate complexity C(f) and deterministic decision-tree depth
   D(f), both read from one table over the 3^n subcubes that marks
   where f is constant (monochromatic).
@@ -12,6 +12,7 @@ All measures here are integers obtained by exhaustive search:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .spectral import SensitivityGraph, _axis_swap
 from .tables import TruthTable
 
 BLOCK_MEASURE_MAX_ARITY = 12
+PACK_CHUNK = 1 << 19
 DEPTH_MAX_ARITY = 10
 
 
@@ -72,36 +74,34 @@ def sensitivity(f: TruthTable) -> SensitivityReport:
     )
 
 
-def _max_disjoint_packing(blocks: list[int]) -> int:
-    """Maximum number of pairwise-disjoint masks, exact branch and bound."""
-    blocks = sorted(blocks, key=lambda b: (b.bit_count(), b))
-    best = 0
-    m = len(blocks)
-
-    def go(idx: int, used: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if count + (m - idx) <= best:
-            return
-        for j in range(idx, m):
-            b = blocks[j]
-            if used & b == 0:
-                go(j + 1, used | b, count + 1)
-
-    go(0, 0, 0)
-    return best
+@functools.lru_cache(maxsize=BLOCK_MEASURE_MAX_ARITY + 1)
+def _pack_levels(n: int) -> tuple:
+    """Per popcount p: the masks m, m less its lowest bit (``drop``), the
+    ``2^(p-1)`` sub-blocks b of m that hold that bit, and ``m ^ b``."""
+    masks = np.arange(1 << n)
+    weight = np.bitwise_count(masks)
+    levels = []
+    for p in range(1, n + 1):
+        m = masks[weight == p]
+        low = m & -m
+        # the bit positions of m ^ low, ascending, one row per mask
+        pos = np.nonzero((m ^ low)[:, None] >> np.arange(n) & 1)[1].reshape(len(m), p - 1)
+        picks = np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1) & 1
+        blocks = low[:, None] | (picks << pos[:, None, :]).sum(axis=-1)
+        levels.append((m, m ^ low, blocks, m[:, None] ^ blocks))
+    return tuple(levels)
 
 
 def block_sensitivity(f: TruthTable) -> LocalMeasure:
     """bs(f): per input, the largest family of disjoint sensitive blocks.
 
-    Only minimal sensitive blocks matter for the packing.  The block
-    table ``sens[b, x] = f(x ^ b) != f(x)`` is built row range by row
-    range: rows ``[2^i, 2^(i+1))`` are rows ``[0, 2^i)`` with input axis
-    i swapped.  A subset-OR pass per axis gives ``reach[b]``, whether
-    some sub-block of b is sensitive; b is minimal when it is sensitive
-    and no b less one of its bits reaches.
+    Rows ``[2^i, 2^(i+1))`` of the block table ``f(x ^ b) != f(x)`` are
+    rows ``[0, 2^i)`` with input axis i swapped.  ``pack[m, x]``, the
+    most disjoint sensitive blocks of x inside the mask m, fills one
+    popcount level at a time: the lowest bit of m is either left out
+    (``pack[drop]``) or covered by a sensitive block b (``1 +
+    pack[m ^ b]``).  Each level is one gather, cut into chunks of whole
+    masks and about PACK_CHUNK entries.  bs(x) is ``pack[-1, x]``.
     """
     n, size = f.arity, f.size
     if n > BLOCK_MEASURE_MAX_ARITY:
@@ -111,17 +111,16 @@ def block_sensitivity(f: TruthTable) -> LocalMeasure:
     for i in range(n):
         sens = np.concatenate([sens, _axis_swap(sens, i)])
     sens = sens != values
-    reach = sens.copy()
-    for i in range(n):
-        r = reach.reshape(-1, 2, 1 << i, size)
-        r[:, 1] |= r[:, 0]
-    below = np.zeros_like(sens)
-    for i in range(n):
-        below.reshape(-1, 2, 1 << i, size)[:, 1] |= reach.reshape(-1, 2, 1 << i, size)[:, 0]
-    minimal = sens & ~below
-    return _local(
-        [_max_disjoint_packing(np.flatnonzero(minimal[:, x]).tolist()) for x in range(size)]
-    )
+    pack = np.zeros((size, size), dtype=np.int8)
+    for masks, drop, blocks, rest in _pack_levels(n):
+        step = max(1, PACK_CHUNK // (blocks.shape[1] * size))
+        for lo in range(0, len(masks), step):
+            rows = slice(lo, lo + step)
+            gain = pack[rest[rows]]
+            # an insensitive b adds 0: pack[m ^ b] <= pack[drop], as m ^ b is in drop
+            gain += sens[blocks[rows]]
+            pack[masks[rows]] = np.maximum(gain.max(axis=1), pack[drop[rows]])
+    return _local(pack[-1].tolist())
 
 
 def _digits(axis: int, lo: int, hi: int) -> tuple:

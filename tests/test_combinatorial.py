@@ -3,20 +3,26 @@
 The oracles here are deliberately slow and structure-free: they work
 from f.value() alone, with dict-based restrictions and exhaustive
 searches, so they share no code with the packed-integer engines.
+``packing_block_sensitivity`` is the earlier bs engine, a branch and
+bound over each input's minimal sensitive blocks, kept as a faster
+reference for the arities the naive search cannot reach.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bfc.combinatorial import (
+    BLOCK_MEASURE_MAX_ARITY,
     block_sensitivity,
     certificate_complexity,
     deterministic_query_complexity,
     sensitivity,
 )
+from bfc.sweep import npn_canonical_array
 from bfc.tables import TruthTable, named_family
 
 
@@ -40,6 +46,50 @@ def naive_block_sensitivity(f, x):
         return best
 
     return best_packing(0, 0)
+
+
+def max_disjoint_packing(blocks):
+    """Maximum number of pairwise-disjoint masks, exact branch and bound."""
+    blocks = sorted(blocks, key=lambda b: (b.bit_count(), b))
+    best = 0
+    m = len(blocks)
+
+    def go(idx, used, count):
+        nonlocal best
+        if count > best:
+            best = count
+        if count + (m - idx) <= best:
+            return
+        for j in range(idx, m):
+            b = blocks[j]
+            if used & b == 0:
+                go(j + 1, used | b, count + 1)
+
+    go(0, 0, 0)
+    return best
+
+
+def packing_block_sensitivity(f):
+    """Per-input bs by packing each input's minimal sensitive blocks.
+
+    Every sensitive block contains a minimal one, so the packing number
+    is the same as over all sensitive blocks.  ``reach[b]`` (some
+    sub-block of b is sensitive) is a subset-OR pass per axis; b is
+    minimal when it is sensitive and no b less one of its bits reaches.
+    """
+    n, size = f.arity, f.size
+    values = np.array([f.value(x) for x in range(size)], dtype=bool)
+    index = np.arange(size)
+    sens = values[index[:, None] ^ index] != values
+    reach = sens.copy()
+    for i in range(n):
+        r = reach.reshape(-1, 2, 1 << i, size)
+        r[:, 1] |= r[:, 0]
+    below = np.zeros_like(sens)
+    for i in range(n):
+        below.reshape(-1, 2, 1 << i, size)[:, 1] |= reach.reshape(-1, 2, 1 << i, size)[:, 0]
+    minimal = sens & ~below
+    return [max_disjoint_packing(np.flatnonzero(minimal[:, x]).tolist()) for x in range(size)]
 
 
 def naive_certificate(f, x):
@@ -141,6 +191,41 @@ def test_block_sensitivity_exhaustive_n3(n):
         assert got.global_value == max(per)
 
 
+def seeded_tables(n, count):
+    """``count`` seeded tables of arity n, every third one biased towards 0."""
+    rng = random.Random(1000 + n)
+    size = 1 << n
+    for k in range(count):
+        t = rng.getrandbits(size)
+        if k % 3 == 2:
+            t &= rng.getrandbits(size) & rng.getrandbits(size)
+        yield TruthTable(n, t)
+
+
+def test_block_sensitivity_matches_packing_on_arity_4_classes():
+    for t in np.unique(npn_canonical_array(4)).tolist():
+        f = TruthTable(4, t)
+        assert list(block_sensitivity(f).per_input) == packing_block_sensitivity(f), f
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_block_sensitivity_matches_packing_sampled(n):
+    for f in seeded_tables(n, 10):
+        assert list(block_sensitivity(f).per_input) == packing_block_sensitivity(f), f
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sensitivity_block_certificate_sandwich_per_input(n):
+    for f in seeded_tables(n, 3):
+        s = sensitivity(f).local.per_input
+        bs = block_sensitivity(f)
+        c = certificate_complexity(f).per_input
+        for x in range(f.size):
+            assert s[x] <= bs.per_input[x] <= c[x], (f, x)
+        assert bs.global_value == max(bs.per_input)
+        assert bs.argmax_input == bs.per_input.index(bs.global_value)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_certificate_exhaustive_n3(n):
     for f in functions_to_check(n):
@@ -201,10 +286,12 @@ def test_constants():
         zero = TruthTable(n, 0)
         assert sensitivity(zero).local.global_value == 0
         assert block_sensitivity(zero).global_value == 0
+        assert block_sensitivity(TruthTable(n, (1 << (1 << n)) - 1)).per_input == (0,) * (1 << n)
         assert certificate_complexity(zero).global_value == 0
         assert deterministic_query_complexity(zero) == 0
     for t in (0, 1):
         const = TruthTable(0, t)
+        assert block_sensitivity(const).per_input == (0,)
         assert certificate_complexity(const).per_input == (0,)
         assert deterministic_query_complexity(const) == 0
 
@@ -232,8 +319,8 @@ def test_closed_forms_at_the_caps():
 
 
 def test_block_measures_cap():
-    f = named_family("OR", 13)
-    with pytest.raises(ValueError):
+    f = named_family("OR", BLOCK_MEASURE_MAX_ARITY + 1)
+    with pytest.raises(ValueError, match=f"arity <= {BLOCK_MEASURE_MAX_ARITY}$"):
         block_sensitivity(f)
     with pytest.raises(ValueError):
         certificate_complexity(f)
