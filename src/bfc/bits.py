@@ -7,7 +7,8 @@ input index, so flipping variable i maps index x to x ^ (1 << (i - 1)).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +40,37 @@ def gather_bits(keys: int | np.ndarray, index_map: Sequence[int]) -> int | np.nd
     for k, p in enumerate(index_map):
         out |= ((keys >> p) & 1) << k
     return out
+
+
+def relabel_maps(
+    perms: int | Iterable[Sequence[int]], subsets: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """One ``gather_bits`` map per permutation pi of the points (an int n
+    stands for all n! permutations of ``range(n)``), for keys whose bit
+    k stands for the point set ``subsets[k]``, a bitmask: out bit k is
+    the key bit of pi's image of that set.  Truth tables take
+    ``subsets = range(2^n)``; graphs take one two-point mask per pair.
+    """
+    if isinstance(perms, int):
+        perms = itertools.permutations(range(perms))
+    subsets = list(subsets)
+    index = {s: k for k, s in enumerate(subsets)}
+    return tuple(
+        tuple(index[sum(1 << p for i, p in enumerate(pi) if (s >> i) & 1)] for s in subsets)
+        for pi in perms
+    )
+
+
+def orbit_min(keys: int | np.ndarray, maps: Iterable[Sequence[int]]) -> int | np.ndarray:
+    """The least ``gather_bits(keys, m)`` over the maps, for an int or an
+    integer array of keys (elementwise, in the array's dtype)."""
+    images = (gather_bits(keys, m) for m in maps)
+    if not isinstance(keys, np.ndarray):
+        return min(images)
+    best = next(images)
+    for image in images:
+        np.minimum(best, image, out=best)
+    return best
 
 
 def restrict_axis(t: int, n: int, axis: int, value: int) -> int:

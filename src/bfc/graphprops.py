@@ -6,12 +6,14 @@ k-1.  A graph property is a truth table over those bits invariant
 under all vertex relabelings; a monotone one never flips from 1 to 0
 when an edge is added.
 
-The module checks both conditions, canonicalizes graphs by explicit
-minimization over all n! permutations, enumerates every nontrivial
-monotone property as an upward-closed set of isomorphism classes, and
-computes the measure chain (parity degree, degree, spectral
-sensitivity, decision depth) that underlies query lower bounds for
-such properties.
+The module checks both conditions, canonicalizes graphs as the least
+edge mask over all n! relabelings (``bits.orbit_min`` over
+``bits.relabel_maps``), enumerates every nontrivial monotone property
+as an upward-closed set of isomorphism classes, and computes the
+measure chain (parity degree, degree, spectral sensitivity, decision
+depth) that underlies query lower bounds for such properties.
+Invariance is checked on two generators of the relabelings, the
+transposition (0 1) and the n-cycle, not on all n! of them.
 """
 
 from __future__ import annotations
@@ -44,24 +46,28 @@ def pair_list(n_vertices: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n_vertices) for j in range(i + 1, n_vertices)]
 
 
-@lru_cache(maxsize=None)
-def _bit_maps(n_vertices: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex permutation, where each edge bit lands.
+def _pair_masks(n_vertices: int) -> list[int]:
+    """Pair k as a two-vertex bitmask, the point set of edge bit k."""
+    return [(1 << i) | (1 << j) for i, j in pair_list(n_vertices)]
 
-    Read as ``bits.gather_bits`` maps they relabel by the inverse
-    permutations, so the set of maps is the same either way."""
-    pairs = pair_list(n_vertices)
-    index = {p: k for k, p in enumerate(pairs)}
-    maps = []
-    for sigma in itertools.permutations(range(n_vertices)):
-        maps.append(
-            tuple(index[tuple(sorted((sigma[i], sigma[j])))] for (i, j) in pairs)
-        )
-    return tuple(maps)
+
+@lru_cache(maxsize=None)
+def _vertex_maps(n_vertices: int) -> tuple[tuple[int, ...], ...]:
+    """All n! vertex relabelings as ``bits.gather_bits`` maps on edge masks."""
+    return bits.relabel_maps(n_vertices, _pair_masks(n_vertices))
+
+
+def _check_mask(mask: int, n_vertices: int) -> None:
+    m = edge_arity(n_vertices)
+    if not 0 <= mask < 1 << m:
+        raise ValueError(f"edge mask {mask} is outside [0, 2^{m}) for {n_vertices} vertices")
 
 
 def apply_vertex_permutation(mask: int, n_vertices: int, sigma: tuple[int, ...]) -> int:
     """Relabel the graph ``mask`` by the vertex permutation ``sigma``."""
+    _check_mask(mask, n_vertices)
+    if sorted(sigma) != list(range(n_vertices)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of range({n_vertices})")
     pairs = pair_list(n_vertices)
     index = {p: k for k, p in enumerate(pairs)}
     out = 0
@@ -73,20 +79,22 @@ def apply_vertex_permutation(mask: int, n_vertices: int, sigma: tuple[int, ...])
 
 def canonical_graph(mask: int, n_vertices: int) -> int:
     """Minimum edge mask over all vertex relabelings."""
-    return min(bits.gather_bits(mask, bm) for bm in _bit_maps(n_vertices))
+    _check_mask(mask, n_vertices)
+    return bits.orbit_min(mask, _vertex_maps(n_vertices))
 
 
 def _class_array(n_vertices: int) -> np.ndarray:
     """canonical_graph for every mask at once."""
     xs = np.arange(1 << edge_arity(n_vertices), dtype=np.int64)
-    best = xs.copy()
-    for bm in _bit_maps(n_vertices):
-        np.minimum(best, bits.gather_bits(xs, bm), out=best)
-    return best
+    return bits.orbit_min(xs, _vertex_maps(n_vertices))
 
 
 def is_graph_property(f: TruthTable, n_vertices: int) -> bool:
-    """True iff the table is invariant under every vertex relabeling."""
+    """True iff the table is invariant under every vertex relabeling.
+
+    The transposition (0 1) and the n-cycle generate all permutations,
+    so invariance under those two relabelings is enough.
+    """
     m = edge_arity(n_vertices)
     if f.arity != m:
         raise ValueError(
@@ -94,8 +102,11 @@ def is_graph_property(f: TruthTable, n_vertices: int) -> bool:
         )
     if n_vertices > TABLE_MAX_VERTICES:
         raise ValueError(f"graph property tables are capped at {TABLE_MAX_VERTICES} vertices")
+    generators = [(1, 0) + tuple(range(2, n_vertices)), tuple(range(1, n_vertices)) + (0,)]
+    xs = np.arange(1 << m, dtype=np.int64)
     vals = f.to_bit_array()
-    return np.array_equal(vals[_class_array(n_vertices)], vals)
+    maps = bits.relabel_maps(generators, _pair_masks(n_vertices))
+    return all(np.array_equal(vals[bits.gather_bits(xs, g)], vals) for g in maps)
 
 
 def is_monotone(f: TruthTable) -> bool:
@@ -251,15 +262,13 @@ def named_property(name: str, n_vertices: int, clique_size: int | None = None) -
         if predicate(mask):
             t |= 1 << mask
     table = TruthTable(m, t)
-    cls = _class_array(n_vertices)
-    vals = table.to_bit_array()
-    if not np.array_equal(vals[cls], vals):
+    if not is_graph_property(table, n_vertices):
         raise RuntimeError(f"{name}: table is not permutation-invariant")
     if not is_monotone(table):
         raise RuntimeError(f"{name}: table is not monotone")
     if table.value(0) != 0 or table.value((1 << m) - 1) != 1:
         raise ValueError(f"{name} is trivial on {n_vertices} vertices")
-    upset = frozenset(cls[vals == 1].tolist())
+    upset = frozenset(_class_array(n_vertices)[table.to_bit_array() == 1].tolist())
     display = name if name != "contains-clique" else f"contains-clique-{clique_size}"
     return GraphProperty(n_vertices, table, upset, name=display)
 

@@ -28,7 +28,6 @@ DENSE_MAX_VERTICES = 256
 SIGNED_HYPERCUBE_MAX_N = 12
 LANCZOS_MAX_STEPS = 500
 RITZ_TOL = 1e-12
-KERNEL_TOL = 1e-10
 WITNESS_SLACK = 1e-9
 
 
@@ -303,39 +302,6 @@ def verify_signing(h: SignedHypercube) -> SigningReport:
     )
 
 
-def _kernel_vector(rows: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
-    """Some c != 0 with rows @ c = 0, via Gauss-Jordan with partial pivoting.
-
-    Requires strictly fewer independent rows than columns.
-    """
-    a = np.array(rows, dtype=float)
-    m, d = a.shape
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(d):
-        if r >= m:
-            break
-        piv = r + int(np.argmax(np.abs(a[r:, col])))
-        if abs(a[piv, col]) <= tol:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] /= a[r, col]
-        for i in range(m):
-            if i != r and a[i, col] != 0.0:
-                a[i] -= a[i, col] * a[r]
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(d) if c not in pivot_cols), None)
-    if free is None:
-        raise ValueError("matrix has full column rank; no kernel vector")
-    c = np.zeros(d)
-    c[free] = 1.0
-    for row, col in pivots:
-        c[col] = -a[row, free]
-    return c
-
-
 @dataclass(frozen=True)
 class DegreeWitness:
     """A nonnegative vector certifying lambda(f) >= sqrt(arity)."""
@@ -363,14 +329,22 @@ def full_degree_witness(f: TruthTable) -> DegreeWitness:
     v0, v1 = parity_partition(f)
     if len(v0) == len(v1):
         raise ValueError("parity split is balanced; degree cannot be full")
-    minority = v1 if len(v1) < len(v0) else v0
+    minority = np.asarray(v1 if len(v1) < len(v0) else v0, dtype=np.int64)
 
-    # B_n = [[B', I], [I, -B']] with B'^2 = (n-1) I, so B_n maps each
-    # column of [[B' + sqrt(n) I], [I]] to sqrt(n) times itself
-    half = np.eye(1 << (n - 1))
-    b = build_signed_hypercube(n - 1).entries
-    basis = np.vstack((b + math.sqrt(n) * half, half))
-    v = basis @ _kernel_vector(basis[np.asarray(minority, dtype=np.int64)])
+    # B_n = [[B', I], [I, -B']] with B'^2 = (n-1) I maps every
+    # v = [[B' + sqrt(n) I], [I]] c to sqrt(n) v.  A minority input
+    # half + j forces c_j = 0; the other minority rows are fewer than
+    # the free columns, so Vh's last row is in their kernel.
+    half = 1 << (n - 1)
+    top = build_signed_hypercube(n - 1).entries + math.sqrt(n) * np.eye(half)
+    free = np.setdiff1d(np.arange(half), minority[minority >= half] - half)
+    rows = top[np.ix_(minority[minority < half], free)]
+    c = np.zeros(half)
+    if len(rows):
+        c[free] = np.linalg.svd(rows)[2][-1]
+    else:
+        c[free[0]] = 1.0
+    v = np.concatenate((top @ c, c))
     vprime = np.abs(v) / np.linalg.norm(v)
 
     ratio = float(np.linalg.norm(SensitivityGraph(f).matvec(vprime)))

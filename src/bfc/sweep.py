@@ -11,12 +11,13 @@ reported as observed maxima with witnesses, never asserted.
 
 Every check and ratio is invariant under permuting inputs, complementing
 inputs and complementing the output, so an exhaustive sweep measures one
-table per NPN class (its least member) and counts it once per class
-member.  Float margins and ratios are ranked on the ``report.TIE_GRID``
-grid and ties go to the least table, so eigenvalue rounding cannot pick
-the witness and the quotient reports exactly what a per-table fold
-would.  Constant tables are counted but named as a check's witness only
-when the universe holds nothing else.
+table per NPN class (its least member, from the orbit helper that graph
+isomorphism classes use too, ``bits.orbit_min``) and counts it once per
+class member.  Float margins and ratios are ranked on the
+``report.TIE_GRID`` grid and ties go to the least table, so eigenvalue
+rounding cannot pick the witness and the quotient reports exactly what
+a per-table fold would.  Constant tables are counted but named as a
+check's witness only when the universe holds nothing else.
 
 Aggregation is associative and commutative with deterministic
 tie-breaks, so results are independent of chunking and thread count.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import itertools
 import math
 import os
 import time
@@ -176,49 +176,33 @@ def sample_tables(n: int, count: int, seed: int) -> list[int]:
     return out
 
 
-def _permutation_maps(n: int) -> list[list[int]]:
-    """Index maps p with g(x) = f(p[x]), one per variable permutation."""
-    maps = []
-    for pi in itertools.permutations(range(n)):
-        base = []
-        for x in range(1 << n):
-            y = 0
-            for i in range(n):
-                if (x >> i) & 1:
-                    y |= 1 << pi[i]
-            base.append(y)
-        maps.append(base)
-    return maps
-
-
 def npn_canonical_array(n: int) -> np.ndarray:
     """Per table: the least table reachable by permuting variables,
-    complementing inputs, and complementing the output."""
+    complementing inputs, and complementing the output.  Every such map
+    is an input complementation followed by a permutation, so the least
+    permuted table (``bits.orbit_min``) is read at each complementation."""
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"canonicalization supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
     size = 1 << n
     full = (1 << size) - 1
-    idx = np.arange(full + 1, dtype=np.uint16)  # tables of arity <= 4 fit in 16 bits
-    canon = idx.copy()
-    bit = np.empty_like(idx)
+    tt = np.arange(full + 1, dtype=np.uint16)  # tables of arity <= 4 fit in 16 bits
+    pmin = bits.orbit_min(tt, bits.relabel_maps(n, range(size)))
+    np.minimum(pmin, pmin[tt ^ full], out=pmin)
+    canon = pmin.copy()
+    bit = np.empty_like(tt)
     # table bits x with input i at 0; complementing input i swaps them
     # with the bits 2^i above
     lows = [bits.axis_mask(n, i) for i in range(n)]
-    for p in _permutation_maps(n):
-        tt = bits.gather_bits(idx, p)
-        # step k complements the input of k's lowest set bit, so the
-        # steps visit every complementation pattern once (Gray code)
-        for k in range(size):
-            if k:
-                i = (k & -k).bit_length() - 1
-                np.bitwise_and(tt, lows[i], out=bit)
-                bit <<= 1 << i
-                tt >>= 1 << i
-                tt &= lows[i]
-                tt |= bit
-            np.minimum(canon, tt, out=canon)
-            np.bitwise_xor(tt, full, out=bit)
-            np.minimum(canon, bit, out=canon)
+    # step k complements the input of k's lowest set bit, so the steps
+    # visit every complementation pattern once (Gray code)
+    for k in range(1, size):
+        i = (k & -k).bit_length() - 1
+        np.bitwise_and(tt, lows[i], out=bit)
+        bit <<= 1 << i
+        tt >>= 1 << i
+        tt &= lows[i]
+        tt |= bit
+        np.minimum(canon, pmin[tt], out=canon)
     return canon
 
 

@@ -3,10 +3,13 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from bfc import bits
 from bfc.combinatorial import deterministic_query_complexity
 from bfc.graphprops import (
+    _class_array,
     property_chain_report,
     apply_vertex_permutation,
     canonical_graph,
@@ -55,6 +58,34 @@ def test_canonical_graph_is_orbit_invariant():
             assert canonical_graph(apply_vertex_permutation(mask, n, sigma), n) == canon
         assert canonical_graph(canon, n) == canon
         assert canon <= mask  # canonical form is the orbit minimum
+
+
+def test_graph_helpers_reject_bad_input():
+    with pytest.raises(ValueError, match="not a permutation"):
+        apply_vertex_permutation(3, 3, (0, 0, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        apply_vertex_permutation(3, 3, (0, 1))
+    for mask in (99, 8, -1):
+        with pytest.raises(ValueError, match="outside"):
+            apply_vertex_permutation(mask, 3, (0, 1, 2))
+        with pytest.raises(ValueError, match="outside"):
+            canonical_graph(mask, 3)
+    assert canonical_graph(7, 3) == 7 and canonical_graph(0, 3) == 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_relabel_maps_match_vertex_permutation(n):
+    # gathering by the map of sigma^-1 relabels the graph by sigma
+    rng = random.Random(40 + n)
+    pair_masks = [(1 << i) | (1 << j) for i, j in pair_list(n)]
+    masks = rng.sample(range(1 << edge_arity(n)), 40)
+    perms = list(itertools.permutations(range(n)))
+    inverses = [tuple(sorted(range(n), key=sigma.__getitem__)) for sigma in perms]
+    maps = bits.relabel_maps(inverses, pair_masks)
+    assert len(maps) == math.factorial(n)
+    for sigma, bm in zip(perms, maps):
+        got = bits.gather_bits(np.array(masks), bm).tolist()
+        assert got == [apply_vertex_permutation(mask, n, sigma) for mask in masks]
 
 
 def test_is_graph_property_accepts_isomorphism_invariants():
@@ -229,7 +260,13 @@ def _orbits(n):
     return label
 
 
-@pytest.mark.parametrize("n", [4, 5])
+def test_every_table_on_two_vertices_is_a_graph_property():
+    # swapping the two vertices fixes their only edge
+    for t in range(4):
+        assert is_graph_property(TruthTable(1, t), 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_is_graph_property_seeded_tables(n):
     rng = random.Random(100 + n)
     label = _orbits(n)
@@ -241,3 +278,18 @@ def test_is_graph_property_seeded_tables(n):
         # flipping one graph whose class has other members breaks invariance
         mask = rng.choice([x for x, c in label.items() if x != c])
         assert not is_graph_property(TruthTable(m, t ^ (1 << mask)), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_check_agrees_with_the_full_orbit_check(n):
+    # the transposition (0 1) and the n-cycle generate every relabeling
+    rng = random.Random(200 + n)
+    m = edge_arity(n)
+    cls = _class_array(n)
+    for _ in range(50):
+        t = TruthTable(m, rng.getrandbits(1 << m))
+        # half the tables are made invariant by reading them at the class
+        if rng.random() < 0.5:
+            t = TruthTable(m, bits.from_bit_array(t.to_bit_array()[cls]))
+        vals = t.to_bit_array()
+        assert is_graph_property(t, n) == bool(np.array_equal(vals[cls], vals))

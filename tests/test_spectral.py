@@ -11,11 +11,13 @@ Closed forms used as oracles (all re-derivable by hand):
 
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 
 from bfc import spectral
+from bfc.algebraic import degree
 from bfc.bits import from_bit_array
 from bfc.spectral import (
     SensitivityGraph,
@@ -302,6 +304,22 @@ def test_witness_sampled_full_degree_functions():
         found += 1
         w = full_degree_witness(f)
         assert w.ratio >= math.sqrt(n) - 1e-9
+
+
+@pytest.mark.parametrize("family,n", [("AND", 10), ("OR", 11)])
+def test_witness_ratio_is_sqrt_n_on_and_or(family, n):
+    w = full_degree_witness(named_family(family, n))
+    assert abs(w.ratio - math.sqrt(n)) < 1e-12
+
+
+def test_witness_random_full_degree_arity_10():
+    rng = random.Random(5)
+    f = TruthTable(10, rng.getrandbits(1 << 10))
+    while degree(f) != 10:
+        f = TruthTable(10, rng.getrandbits(1 << 10))
+    w = full_degree_witness(f)
+    assert w.ratio >= math.sqrt(10) - 1e-12
+    assert np.all(w.vector >= 0) and abs(np.linalg.norm(w.vector) - 1) < 1e-12
 
 
 def test_witness_rejects_degenerate_inputs():

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from bfc import report, sweep
+from bfc import bits, report, sweep
 from bfc.report import report_hash
 from bfc.sweep import (
     CHECK_NAMES,
@@ -141,6 +141,41 @@ def test_npn_canonical_is_a_retraction():
         reps = np.unique(canon)
         assert all(canon[int(r)] == r for r in reps)
         assert all(canon[int(canon[t])] == canon[t] for t in range(len(canon)))
+
+
+def _relabel_inputs(tables, n, y_of_x):
+    """Per table t, the table x -> t(y_of_x(x))."""
+    out = np.zeros_like(tables)
+    for x in range(1 << n):
+        out |= ((tables >> y_of_x(x)) & 1) << x
+    return out
+
+
+def test_npn_canonical_n4_is_the_least_invariant_retraction():
+    n = 4
+    canon = npn_canonical_array(n)
+    tables = np.arange(1 << 16, dtype=np.uint32)
+    assert np.all(canon <= tables)
+    assert np.array_equal(canon[canon], canon)
+    swap12 = lambda x: (x & ~3) | ((x & 1) << 1) | ((x >> 1) & 1)
+    cycle = lambda x: ((x << 1) | (x >> 3)) & 15
+    flip1 = lambda x: x ^ 1
+    for g in (swap12, cycle, flip1):
+        assert np.array_equal(canon[_relabel_inputs(tables, n, g)], canon)
+    assert np.array_equal(canon[tables ^ 0xFFFF], canon)
+
+
+def test_relabel_maps_permute_truth_table_inputs():
+    n = 3
+    perms = list(itertools.permutations(range(n)))
+    maps = bits.relabel_maps(n, range(1 << n))
+    assert len(maps) == len(perms)
+    for pi, m in zip(perms, maps):
+        assert list(m) == [sum(1 << pi[i] for i in range(n) if (x >> i) & 1) for x in range(8)]
+    tables = np.arange(256, dtype=np.uint16)
+    least = bits.orbit_min(tables, maps)
+    assert least.dtype == np.uint16
+    assert least.tolist() == [bits.orbit_min(t, maps) for t in range(256)]
 
 
 def test_approx_degree_ratio_n3():
