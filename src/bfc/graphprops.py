@@ -79,6 +79,10 @@ def apply_vertex_permutation(mask: int, n_vertices: int, sigma: tuple[int, ...])
 
 def canonical_graph(mask: int, n_vertices: int) -> int:
     """Minimum edge mask over all vertex relabelings."""
+    if not 0 <= n_vertices <= TABLE_MAX_VERTICES:
+        raise ValueError(
+            f"canonical graphs are capped at TABLE_MAX_VERTICES = {TABLE_MAX_VERTICES} vertices"
+        )
     _check_mask(mask, n_vertices)
     return bits.orbit_min(mask, _vertex_maps(n_vertices))
 

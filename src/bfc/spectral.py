@@ -7,10 +7,14 @@ this module computes it, builds the signed hypercube whose eigenvectors
 certify deg(f) <= lambda(f)^2, and extracts those certifying vectors.
 
 lambda is the largest top eigenvalue over the components of G_f.  Each
-component is solved once by ``_perron``: a dense ``eigh`` up to
-DENSE_MAX_VERTICES vertices, a Lanczos iteration on the matrix-free
-``matvec`` above that.  The signed hypercube's +sqrt(n) eigenspace is
-taken in closed form, with no eigendecomposition.
+component is solved once by ``_perron``.  G_f is a subgraph of the
+hypercube, so a component splits by input parity into two sides with
+every edge between them; lambda is the top singular value of the block
+B from the smaller side to the other, and its square the top eigenvalue
+of the Gram matrix B B^T on the smaller side: a dense ``eigh`` up to
+DENSE_MAX_VERTICES component vertices, a Lanczos iteration on the
+matrix-free ``matvec`` above that.  The signed hypercube's +sqrt(n)
+eigenspace is taken in closed form, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ WITNESS_SLACK = 1e-9
 
 class SpectralConvergenceError(RuntimeError):
     """Lanczos reached LANCZOS_MAX_STEPS with the Ritz residual still
-    above RITZ_TOL * max(1, value)."""
+    above RITZ_TOL * max(1, value), where value is the operator's top
+    Ritz value (lambda^2 for a component's Gram operator)."""
 
     def __init__(self, achieved_value: float, achieved_residual: float):
         self.achieved_value = achieved_value
@@ -164,25 +169,55 @@ def _axis_swap(u: np.ndarray, axis: int) -> np.ndarray:
 def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     """The top eigenpair of the component ``comp`` of ``graph``.
 
-    A dense ``eigh`` runs up to DENSE_MAX_VERTICES vertices and a
-    Lanczos iteration on ``graph.matvec`` above that.  The vector is
-    nonnegative, unit and indexed like ``comp``; the residual
-    ||A v - value v|| is recomputed from it.
+    Every edge flips one bit, so the component is bipartite by input
+    parity and its adjacency is [[0, B], [B^T, 0]] with B running from
+    the smaller side S to the other side T.  The value is the top
+    singular value of B: its square and u are the top eigenpair of the
+    |S| x |S| Gram matrix B B^T, from a dense ``eigh`` up to
+    DENSE_MAX_VERTICES component vertices and a Lanczos iteration on
+    two ``graph.matvec`` products above that.  The T half of the vector
+    is B^T u / value.  The vector is nonnegative, unit and indexed like
+    ``comp``; the residual ||A v - value v|| is recomputed from it.
     """
+    small = bits.popcount_array(comp) & 1 == 1
+    if 2 * np.count_nonzero(small) > comp.size:
+        small = ~small
+    s, t = comp[small], comp[~small]
     if comp.size <= DENSE_MAX_VERTICES:
-        a = graph.adjacency(comp)
-        apply = a.dot
-        w, vecs = np.linalg.eigh(a)
-        value, v = float(w[-1]), vecs[:, -1]
+        # every neighbour of an S vertex lies in T
+        rows, bit = np.nonzero(graph.edges[:, s].T)
+        b = np.zeros((s.size, t.size))
+        b[rows, np.searchsorted(t, s[rows] ^ (1 << bit))] = 1.0
+        w, vecs = np.linalg.eigh(b @ b.T)
+        square, u = float(w[-1]), vecs[:, -1]
+        lift = b.T.dot
+
+        def apply(v: np.ndarray) -> np.ndarray:  # A v, indexed like comp
+            av = np.empty_like(v)
+            av[small], av[~small] = b @ v[~small], b.T @ v[small]
+            return av
+
     else:
         full = np.zeros(graph.values.size)
 
-        def apply(u: np.ndarray) -> np.ndarray:
-            full[comp] = u
+        def lift(u: np.ndarray) -> np.ndarray:  # B^T u, indexed like t
+            full[s] = u
+            return graph.matvec(full)[t]
+
+        def gram(u: np.ndarray) -> np.ndarray:  # B B^T u
+            full[s] = u
+            return graph.matvec(graph.matvec(full))[s]
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            full[comp] = v  # every entry lift or gram wrote lies in comp
             return graph.matvec(full)[comp]
 
-        value, v = _lanczos(apply, comp.size)
-    v = np.abs(v) / np.linalg.norm(v)
+        square, u = _lanczos(gram, s.size)
+    value = math.sqrt(square)
+    u = np.abs(u)
+    v = np.empty(comp.size)
+    v[small], v[~small] = u, lift(u) / value
+    v /= np.linalg.norm(v)
     return SpectralResult(value, v, float(np.linalg.norm(apply(v) - value * v)))
 
 

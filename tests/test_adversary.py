@@ -23,9 +23,9 @@ from bfc.adversary import (
     EdgeWeightScheme,
     VertexBitWeightScheme,
 )
-from bfc import spectral
+from bfc import adversary, spectral
 from bfc.bits import from_bit_array
-from bfc.spectral import spectral_sensitivity
+from bfc.spectral import SensitivityGraph, spectral_sensitivity
 from bfc.tables import PartialTruthTable, TruthTable, named_family
 
 
@@ -143,16 +143,26 @@ def test_optimal_scheme_on_disconnected_graph():
 def test_optimal_scheme_above_the_dense_cap(monkeypatch):
     rng = np.random.default_rng(2)
     f = TruthTable(10, from_bit_array(rng.integers(0, 2, size=1 << 10, dtype=np.uint8)))
-    sizes = []
-    lanczos = spectral._lanczos
+    calls, sizes = [], []
+    lanczos, perron = spectral._lanczos, adversary._perron
 
-    def recording(apply, size):
-        sizes.append(size)
+    def recording_lanczos(apply, size):
+        calls.append(size)
         return lanczos(apply, size)
 
-    monkeypatch.setattr(spectral, "_lanczos", recording)
+    def recording_perron(g, comp):
+        ran = len(calls)
+        res = perron(g, comp)
+        if len(calls) > ran:
+            sizes.append(comp.size)
+        return res
+
+    monkeypatch.setattr(spectral, "_lanczos", recording_lanczos)
+    monkeypatch.setattr(adversary, "_perron", recording_perron)
     scheme, value = optimal_vertex_scheme(f)
-    assert sizes and min(sizes) > spectral.DENSE_MAX_VERTICES
+    # every component is above the dense cap and took the Lanczos branch
+    comps = SensitivityGraph(f).components()
+    assert sizes == [c.size for c in comps] and min(sizes) > spectral.DENSE_MAX_VERTICES
     assert verify_vertex_scheme(f, scheme)[0]
     assert abs(value - spectral_sensitivity(f).value) <= 1e-9
 

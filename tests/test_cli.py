@@ -142,8 +142,10 @@ def test_verify_json_hash_matches_library(capsys):
 
 
 def test_verify_zero_tolerance_reports_float_jitter(capsys):
-    # tolerance 0 turns eigenvalue round-off into honest failures: exit 2
-    rc, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--tolerance", "0", "--format", "json")
+    # tolerance 0 turns eigenvalue round-off into honest failures: exit 2.
+    # Up to arity 2 every Gram matrix is 1 x 1 or 2 x 2 and lambda comes
+    # out exact, so the jitter first shows at arity 3.
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--tolerance", "0", "--format", "json")
     assert rc == 2
     assert json.loads(out)["violation_count"] > 0
 

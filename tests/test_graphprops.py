@@ -10,6 +10,7 @@ from bfc import bits
 from bfc.combinatorial import deterministic_query_complexity
 from bfc.graphprops import (
     _class_array,
+    _vertex_maps,
     property_chain_report,
     apply_vertex_permutation,
     canonical_graph,
@@ -71,6 +72,15 @@ def test_graph_helpers_reject_bad_input():
         with pytest.raises(ValueError, match="outside"):
             canonical_graph(mask, 3)
     assert canonical_graph(7, 3) == 7 and canonical_graph(0, 3) == 0
+
+
+@pytest.mark.parametrize("n", [7, -1])
+def test_canonical_graph_is_capped_before_building_maps(n):
+    # 7! relabelings would be built and cached before answering
+    cached = _vertex_maps.cache_info().currsize
+    with pytest.raises(ValueError, match="TABLE_MAX_VERTICES"):
+        canonical_graph(0, n)
+    assert _vertex_maps.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -113,6 +113,52 @@ def test_dense_and_lanczos_branches_agree(f, monkeypatch):
             assert res.residual <= 1e-9 * max(1.0, res.value)
 
 
+def _partial_with_holes(n, seed):
+    rng = np.random.default_rng(seed)
+    domain = from_bit_array((rng.random(1 << n) < 0.8).astype(np.uint8))
+    table = from_bit_array(rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+    return PartialTruthTable(n, table & domain, domain)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        named_family(name, n)
+        for name, n in [("OR", 6), ("AND", 5), ("PARITY", 5), ("XOR-OR", 6), ("EXACT1", 5)]
+    ]
+    + [_partial_with_holes(7, 3), _random_table(8, 1), _random_table(10, 2)],
+    ids=["OR_6", "AND_5", "PARITY_5", "XOR-OR_6", "EXACT1_5", "partial_7", "random_8", "random_10"],
+)
+@pytest.mark.parametrize("branch", ["dense", "lanczos"])
+def test_gram_solve_matches_full_adjacency_eigh(f, branch, monkeypatch):
+    # the parity-side Gram solve against a dense eigh of the whole
+    # component adjacency; OR_6 is a star whose smaller side is the even
+    # centre, AND_5 one whose smaller side is the odd centre 11111
+    g = SensitivityGraph(f)
+    sizes = []
+    lanczos = spectral._lanczos
+
+    def recording(apply, size):
+        sizes.append(size)
+        return lanczos(apply, size)
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    for comp in g.components():
+        cap = comp.size if branch == "dense" else comp.size - 1
+        monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", cap)
+        w, vecs = np.linalg.eigh(g.adjacency(comp))
+        oracle = np.abs(vecs[:, -1])
+        res = _perron(g, comp)
+        assert abs(res.value - w[-1]) <= 1e-12
+        assert np.abs(res.vector - oracle).max() <= 1e-9
+        assert res.vector.min() >= 0 and abs(np.linalg.norm(res.vector) - 1) < 1e-12
+        assert res.residual <= 1e-9 * max(1.0, res.value)
+        odd = int(np.count_nonzero(np.bitwise_count(comp) & 1))
+        smaller = min(odd, comp.size - odd)
+        assert sizes == ([] if branch == "dense" else [smaller])
+        sizes.clear()
+
+
 def test_lambda_is_the_largest_component_value():
     # a random arity-10 table splits into two components above the dense cap
     f = _random_table(10, 2)

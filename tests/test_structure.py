@@ -2,7 +2,8 @@
 
 Vertex relabelings and variable permutations both come from
 ``bits.relabel_maps``; a second module enumerating permutations would
-be a second, hand-rolled map builder.
+be a second, hand-rolled map builder.  Likewise every eigensolver call
+sits on the one spectral path.
 """
 
 from pathlib import Path
@@ -13,3 +14,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bfc"
 def test_permutations_are_enumerated_only_in_bits():
     users = sorted(p.name for p in SRC.glob("*.py") if "permutations(" in p.read_text())
     assert users == ["bits.py"]
+
+
+def test_eigensolvers_run_only_on_the_one_spectral_path():
+    # spectral.py: the Gram solve and the Lanczos tridiagonal;
+    # adversary.py: the SDP's least eigenvalue.  A third call would be a
+    # second, hand-rolled Perron path.
+    calls = {}
+    for p in SRC.glob("*.py"):
+        text = p.read_text()
+        count = text.count("eigh(") + text.count("eigvalsh(")
+        if count:
+            calls[p.name] = count
+    assert calls == {"adversary.py": 1, "spectral.py": 2}
