@@ -174,10 +174,6 @@ def _cmd_witness(args) -> int:
 
 def _cmd_graphprops(args) -> int:
     n = args.n_vertices
-    if n > graphprops.ENUMERATION_MAX_VERTICES:
-        raise ValueError(
-            f"measure chains are capped at {graphprops.ENUMERATION_MAX_VERTICES} vertices"
-        )
     if args.enumerate_all:
         props = graphprops.enumerate_monotone_properties(n)
     else:

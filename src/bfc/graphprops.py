@@ -18,7 +18,6 @@ transposition (0 1) and the n-cycle, not on all n! of them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -126,15 +125,10 @@ def is_monotone(f: TruthTable) -> bool:
 
 @dataclass(frozen=True)
 class GraphProperty:
-    """A nontrivial monotone graph property.
-
-    ``upset`` holds the canonical masks of the isomorphism classes on
-    which the property is 1; it is closed under adding edges.
-    """
+    """A nontrivial monotone graph property."""
 
     n_vertices: int
     table: TruthTable
-    upset: frozenset[int]
     name: str = ""
 
     @property
@@ -183,8 +177,7 @@ def enumerate_monotone_properties(n_vertices: int) -> list[GraphProperty]:
             return  # all-0, or contains the empty graph hence all-1
         table_bits = member[topo_index].astype(np.uint8)
         table = TruthTable(edge_arity(n_vertices), bits.from_bit_array(table_bits))
-        upset = frozenset(classes[i] for i in range(k) if member[i])
-        out.append(GraphProperty(n_vertices, table, upset))
+        out.append(GraphProperty(n_vertices, table))
 
     def walk(i: int) -> None:
         if i == k:
@@ -205,29 +198,15 @@ def enumerate_monotone_properties(n_vertices: int) -> list[GraphProperty]:
     return out
 
 
-def _connected(mask: int, n_vertices: int, pairs: list[tuple[int, int]]) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for k, (i, j) in enumerate(pairs):
-            if (mask >> k) & 1:
-                if i == v and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-                elif j == v and i not in seen:
-                    seen.add(i)
-                    stack.append(i)
-    return len(seen) == n_vertices
-
-
-def _has_clique(mask: int, n_vertices: int, size: int, index: dict) -> bool:
-    for group in itertools.combinations(range(n_vertices), size):
-        if all(
-            (mask >> index[(a, b)]) & 1 for a, b in itertools.combinations(group, 2)
-        ):
-            return True
-    return False
+def _edge_masks(sets: np.ndarray, n_vertices: int, crossing: bool) -> np.ndarray:
+    """Per vertex set S (a bitmask), the edge mask of the pairs with both
+    ends in S, or with ``crossing`` the pairs with exactly one end in S."""
+    out = np.zeros(len(sets), dtype=np.int64)
+    for k, pair in enumerate(_pair_masks(n_vertices)):
+        ends = sets & pair
+        picked = (ends != 0) & (ends != pair) if crossing else ends == pair
+        out |= picked.astype(np.int64) << k
+    return out
 
 
 def named_property(name: str, n_vertices: int, clique_size: int | None = None) -> GraphProperty:
@@ -235,46 +214,49 @@ def named_property(name: str, n_vertices: int, clique_size: int | None = None) -
 
     Names: ``has-edge``, ``connectivity``, ``contains-triangle``,
     ``contains-clique`` (requires ``clique_size``), ``min-degree-1``.
+    Each is one reduction over all edge masks at once: a graph has
+    minimum degree 1 iff its edges cross every single-vertex cut, is
+    connected iff they cross every cut {S, V - S} with vertex 0 in S,
+    and contains a k-clique iff they cover every pair inside some k-set.
     The result is validated for invariance, monotonicity, and
     nontriviality before being returned.
     """
     if not 2 <= n_vertices <= TABLE_MAX_VERTICES:
         raise ValueError(f"named properties support 2 <= n_vertices <= {TABLE_MAX_VERTICES}")
+    if clique_size is not None and name != "contains-clique":
+        raise ValueError(f"a clique size applies only to contains-clique, not {name!r}")
     m = edge_arity(n_vertices)
-    pairs = pair_list(n_vertices)
-    index = {p: k for k, p in enumerate(pairs)}
+    xs = np.arange(1 << m, dtype=np.int64)[:, None]
 
     if name == "contains-triangle":
         name, clique_size = "contains-clique", 3
     if name == "has-edge":
-        predicate = lambda mask: mask != 0
+        values = xs[:, 0] != 0
     elif name == "connectivity":
-        predicate = lambda mask: _connected(mask, n_vertices, pairs)
+        cuts = _edge_masks(np.arange(1, (1 << n_vertices) - 1, 2), n_vertices, crossing=True)
+        values = np.all((xs & cuts) != 0, axis=1)
     elif name == "contains-clique":
         if clique_size is None or not 2 <= clique_size <= n_vertices:
             raise ValueError("contains-clique needs 2 <= clique_size <= n_vertices")
-        size = clique_size
-        predicate = lambda mask: _has_clique(mask, n_vertices, size, index)
+        sets = np.arange(1 << n_vertices)
+        sets = sets[np.bitwise_count(sets) == clique_size]
+        inside = _edge_masks(sets, n_vertices, crossing=False)
+        values = np.any((xs & inside) == inside, axis=1)
     elif name == "min-degree-1":
-        full = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(n_vertices)]
-        predicate = lambda mask: all(mask & inc for inc in full)
+        cuts = _edge_masks(1 << np.arange(n_vertices), n_vertices, crossing=True)
+        values = np.all((xs & cuts) != 0, axis=1)
     else:
         raise ValueError(f"unknown property name {name!r}")
 
-    t = 0
-    for mask in range(1 << m):
-        if predicate(mask):
-            t |= 1 << mask
-    table = TruthTable(m, t)
+    table = TruthTable(m, bits.from_bit_array(values))
     if not is_graph_property(table, n_vertices):
         raise RuntimeError(f"{name}: table is not permutation-invariant")
     if not is_monotone(table):
         raise RuntimeError(f"{name}: table is not monotone")
     if table.value(0) != 0 or table.value((1 << m) - 1) != 1:
         raise ValueError(f"{name} is trivial on {n_vertices} vertices")
-    upset = frozenset(_class_array(n_vertices)[table.to_bit_array() == 1].tolist())
     display = name if name != "contains-clique" else f"contains-clique-{clique_size}"
-    return GraphProperty(n_vertices, table, upset, name=display)
+    return GraphProperty(n_vertices, table, name=display)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,10 +235,10 @@ def parse_table(text: str) -> TruthTable:
     head, sep, hexpart = s.partition(":")
     if not sep:
         raise ValueError(f"expected 'n:HEX', got {text!r}")
-    try:
-        arity = int(head)
-    except ValueError:
-        raise ValueError(f"bad arity in {text!r}") from None
+    # int() would also take a sign, spaces, underscores and non-ASCII digits
+    if not re.fullmatch(r"[0-9]+", head):
+        raise ValueError(f"bad arity in {text!r}")
+    arity = int(head)
     if not 0 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be in [0, {MAX_ARITY}], got {arity}")
     expected = max(1, ((1 << arity) + 3) // 4)
@@ -245,10 +246,9 @@ def parse_table(text: str) -> TruthTable:
         raise ValueError(
             f"expected {expected} hex digits for arity {arity}, got {len(hexpart)}"
         )
-    try:
-        value = int(hexpart, 16)
-    except ValueError:
-        raise ValueError(f"bad hex digits in {text!r}") from None
+    if not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
+        raise ValueError(f"bad hex digits in {text!r}")
+    value = int(hexpart, 16)
     if value > bits.table_mask(arity):
         raise ValueError(f"table value exceeds 2^(2^{arity}) - 1")
     return TruthTable(arity, value)

@@ -123,6 +123,12 @@ def test_bad_table_is_usage_error(capsys):
     assert "hex digits" in err
 
 
+def test_signed_hex_table_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "measures", "4:+FFF")
+    assert rc == 1 and out == ""
+    assert "bad hex digits" in err
+
+
 def test_verify_clean_json(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--format", "json")
     assert rc == 0
@@ -295,6 +301,25 @@ def test_graphprops_vertex_cap(capsys):
     rc, _, err = run_cli(capsys, "graphprops", "--n-vertices", "6", "--enumerate")
     assert rc == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "n, message", [("6", "arity 15 above cap 10"), ("7", "2 <= n_vertices <= 6")]
+)
+def test_graphprops_named_vertex_caps(capsys, n, message):
+    # 6 vertices build a table but stop at D's arity cap; 7 build nothing
+    rc, out, err = run_cli(capsys, "graphprops", "--n-vertices", n, "--name", "has-edge")
+    assert rc == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("name", ["has-edge", "contains-triangle"])
+def test_graphprops_clique_size_only_with_contains_clique(capsys, name):
+    rc, out, err = run_cli(
+        capsys, "graphprops", "--n-vertices", "4", "--name", name, "--clique-size", "4"
+    )
+    assert rc == 1 and out == ""
+    assert "clique size applies only to contains-clique" in err
 
 
 def test_families_listing(capsys):

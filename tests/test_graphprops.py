@@ -207,6 +207,63 @@ def test_named_property_rejects_unknown():
         named_property("contains-clique", 3, clique_size=5)
 
 
+@pytest.mark.parametrize("name", ["has-edge", "connectivity", "contains-triangle", "min-degree-1"])
+def test_named_property_rejects_a_stray_clique_size(name):
+    with pytest.raises(ValueError, match="clique size applies only to contains-clique"):
+        named_property(name, 4, clique_size=4)
+
+
+def _connected(mask, n_vertices, pairs):
+    """Reference: depth-first search from vertex 0 over the edges of mask."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for k, (i, j) in enumerate(pairs):
+            if (mask >> k) & 1:
+                if i == v and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+                elif j == v and i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+    return len(seen) == n_vertices
+
+
+def _has_clique(mask, n_vertices, size, index):
+    """Reference: scan every size-set of vertices for a full set of edges."""
+    for group in itertools.combinations(range(n_vertices), size):
+        if all((mask >> index[(a, b)]) & 1 for a, b in itertools.combinations(group, 2)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_named_properties_match_per_mask_predicates(n):
+    # the array reductions against a predicate run graph by graph
+    m = edge_arity(n)
+    pairs = pair_list(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    incident = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(n)]
+    predicates = {
+        ("has-edge", None): lambda mask: mask != 0,
+        ("connectivity", None): lambda mask: _connected(mask, n, pairs),
+        ("min-degree-1", None): lambda mask: all(mask & inc for inc in incident),
+    }
+    for size in range(2, n + 1):
+        predicates["contains-clique", size] = (
+            lambda mask, size=size: _has_clique(mask, n, size, index)
+        )
+    want = {
+        key: TruthTable(m, sum(1 << mask for mask in range(1 << m) if pred(mask)))
+        for key, pred in predicates.items()
+    }
+    if n >= 3:
+        want["contains-triangle", None] = want["contains-clique", 3]
+    for (name, size), table in want.items():
+        assert named_property(name, n, clique_size=size).table == table, (name, size)
+
+
 def test_chain_report_has_edge_4():
     r = property_chain_report(named_property("has-edge", 4))
     assert (r.deg2, r.deg, r.depth) == (6, 6, 6)

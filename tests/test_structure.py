@@ -3,9 +3,11 @@
 Vertex relabelings and variable permutations both come from
 ``bits.relabel_maps``; a second module enumerating permutations would
 be a second, hand-rolled map builder.  Likewise every eigensolver call
-sits on the one spectral path.
+sits on the one spectral path, and no table is built by a Python loop
+over all 2^m inputs.
 """
 
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bfc"
@@ -27,3 +29,11 @@ def test_eigensolvers_run_only_on_the_one_spectral_path():
         if count:
             calls[p.name] = count
     assert calls == {"adversary.py": 1, "spectral.py": 2}
+
+
+def test_no_python_loop_over_every_mask():
+    # ``for x in range(1 << m)`` runs the interpreter once per table
+    # entry; tables are built as numpy reductions over ``np.arange``.
+    loop = re.compile(r"\bfor\b[^\n]*\bin\s+range\(\s*1\s*<<")
+    users = sorted(p.name for p in SRC.glob("*.py") if loop.search(p.read_text()))
+    assert users == []

@@ -49,7 +49,9 @@ def test_parse_rejects_wrong_digit_count():
 
 
 def test_parse_rejects_junk():
-    for bad in ("", "2", ":E", "2:", "2:G", "-1:0", "x:0"):
+    # int() alone would accept a sign, spaces, underscores and non-ASCII digits
+    for bad in ("", "2", ":E", "2:", "2:G", "-1:0", "x:0", "+2:E", "2 :E", "2:\u0661",
+                "4:+FFF", "4: FFF", "4:F_FF", "4:-000", "\u0664:FFFF"):
         with pytest.raises(ValueError):
             parse_table(bad)
 
