@@ -70,6 +70,7 @@ from .spectral import (
     SigningReport,
     SpectralConvergenceError,
     SpectralResult,
+    Spectrum,
     build_signed_hypercube,
     full_degree_witness,
     restrict_to_top_monomial,

@@ -2,7 +2,9 @@
 
 Four equivalent ways to bound (and in fact compute) the spectral
 sensitivity of a non-constant function, each with an explicit
-certificate object and an independent feasibility verifier:
+certificate object and an independent feasibility verifier.  The
+builders read one ``Spectrum`` (G_f and its Perron pairs); the
+verifiers read only its ``SensitivityGraph``, never the solver's vector:
 
 * the norm of the 0/1 bipartite block between the two preimages,
 * edge weights induced by the principal eigenvector,
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SensitivityGraph, _perron, spectral_sensitivity
+from .spectral import SensitivityGraph, Spectrum
 from .tables import PartialTruthTable, TruthTable
 
 SUPPORT_EPS = 1e-12
@@ -81,6 +83,14 @@ def _require_nonconstant(g: SensitivityGraph, what: str) -> None:
         raise ValueError(f"{what} needs a non-constant function")
 
 
+def _sdp_graph(spec: Spectrum, what: str) -> SensitivityGraph:
+    g = spec.graph
+    if g.arity > SDP_MAX_ARITY:
+        raise ValueError(f"semidefinite certificates support arity <= {SDP_MAX_ARITY}")
+    _require_nonconstant(g, what)
+    return g
+
+
 def bipartite_block(f: TruthTable | PartialTruthTable) -> BipartiteBlock:
     g = SensitivityGraph(f)
     zeros, ones = g.sides()
@@ -102,20 +112,17 @@ def bipartite_block_value(f: TruthTable | PartialTruthTable) -> float:
     return float(np.linalg.svd(block.matrix, compute_uv=False)[0])
 
 
-def edge_scheme_from_eigenvector(
-    f: TruthTable | PartialTruthTable,
-) -> tuple[EdgeWeightScheme, float]:
+def edge_scheme_from_eigenvector(spec: Spectrum) -> tuple[EdgeWeightScheme, float]:
     """w(x, y) = v(x) v(y) on sensitive pairs, v the principal eigenvector.
 
     The certified value is the minimum over supported pairs of
     sqrt(wt(x) wt(y)) / w(x, y); with the exact eigenvector this ratio
     is the spectral sensitivity itself on every supported pair.
     """
-    g = SensitivityGraph(f)
+    g = spec.graph
     _require_nonconstant(g, "the edge-weight scheme")
-    res = spectral_sensitivity(f)
     v = np.zeros(g.values.size)
-    v[g.domain_inputs] = res.vector
+    v[g.domain_inputs] = spec.vector
     xs, ys, _ = g.pairs()
     vx, vy = v[xs], v[ys]
     keep = (vx > SUPPORT_EPS) & (vy > SUPPORT_EPS)
@@ -132,16 +139,14 @@ def edge_scheme_from_eigenvector(
     return EdgeWeightScheme(g.arity, entries), value
 
 
-def balanced_vertex_scheme(
-    f: TruthTable | PartialTruthTable,
-) -> tuple[VertexBitWeightScheme, float]:
+def balanced_vertex_scheme(spec: Spectrum) -> tuple[VertexBitWeightScheme, float]:
     """The closed-form scheme: sqrt(s0/s1) on ones, sqrt(s1/s0) on zeros.
 
     Weights are placed on sensitive coordinates only; insensitive
     coordinates are zeroed (recorded in the scheme note).  The value is
     at most sqrt(s0 * s1).
     """
-    g = SensitivityGraph(f)
+    g = spec.graph
     _require_nonconstant(g, "the balanced scheme")
     zeros, ones = g.sides()
     s0 = int(g.degrees[zeros].max())
@@ -162,9 +167,7 @@ def balanced_vertex_scheme(
     return scheme, vertex_scheme_value(scheme)
 
 
-def optimal_vertex_scheme(
-    f: TruthTable | PartialTruthTable,
-) -> tuple[VertexBitWeightScheme, float]:
+def optimal_vertex_scheme(spec: Spectrum) -> tuple[VertexBitWeightScheme, float]:
     """w(x, i) = v(x^i) / v(x) from each component's principal eigenvector.
 
     Within a connected component the eigenvector is strictly positive,
@@ -172,14 +175,11 @@ def optimal_vertex_scheme(
     equal the component's spectral norm; the global value is therefore
     the spectral sensitivity itself.
     """
-    g = SensitivityGraph(f)
+    g = spec.graph
     _require_nonconstant(g, "the eigenvector scheme")
     entries = []
-    lam = 0.0
-    for comp in g.components():
-        res = _perron(g, comp)
-        lam = max(lam, res.value)
-        v = res.vector
+    for k, comp in enumerate(spec.components):
+        v = spec.perron(k).vector
         if v.min() <= 0.0:
             raise ArithmeticError(
                 "component eigenvector has a zero entry; cannot form weight ratios"
@@ -193,9 +193,9 @@ def optimal_vertex_scheme(
         g.arity, tuple(entries), note="per-component principal-eigenvector ratios"
     )
     value = vertex_scheme_value(scheme)
-    if value > lam + VALUE_SLACK:
+    if value > spec.value + VALUE_SLACK:
         raise ArithmeticError(
-            f"scheme value {value:.12g} exceeds the spectral sensitivity {lam:.12g}"
+            f"scheme value {value:.12g} exceeds the spectral sensitivity {spec.value:.12g}"
         )
     return scheme, value
 
@@ -208,9 +208,7 @@ def vertex_scheme_value(scheme: VertexBitWeightScheme) -> float:
 
 
 def verify_vertex_scheme(
-    f: TruthTable | PartialTruthTable,
-    scheme: VertexBitWeightScheme,
-    slack: float = FEAS_SLACK,
+    g: SensitivityGraph, scheme: VertexBitWeightScheme, slack: float = FEAS_SLACK
 ) -> tuple[bool, tuple[int, int] | None]:
     """Feasibility: every weight is finite and nonnegative, and
     w(x, i) w(y, i) >= 1 on every sensitive pair (y = x^i).
@@ -222,7 +220,7 @@ def verify_vertex_scheme(
         if not (math.isfinite(w) and w >= 0.0):
             return False, (x, i)
     wm = scheme.weight_map()
-    xs, ys, bit = SensitivityGraph(f).pairs()
+    xs, ys, bit = g.pairs()
     for x, y, i in zip(xs.tolist(), ys.tolist(), bit.tolist()):
         if wm.get((x, i), 0.0) * wm.get((y, i), 0.0) < 1.0 - slack:
             return False, (x, i)
@@ -230,11 +228,10 @@ def verify_vertex_scheme(
 
 
 def verify_edge_scheme(
-    f: TruthTable | PartialTruthTable, scheme: EdgeWeightScheme
+    g: SensitivityGraph, scheme: EdgeWeightScheme
 ) -> tuple[bool, tuple[int, int] | None]:
     """Support check: finite weights w >= 0, only on sensitive
     distance-1 pairs."""
-    g = SensitivityGraph(f)
     for x, y, w in scheme.weights:
         if not (math.isfinite(w) and w >= 0.0) or not g.is_edge(x, y):
             return False, (x, y)
@@ -259,7 +256,7 @@ def _min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def sdp_primal_certificate(f: TruthTable | PartialTruthTable) -> SdpPrimal:
+def sdp_primal_certificate(spec: Spectrum) -> SdpPrimal:
     """Feasible primal pair (Z, Delta) with objective <Z, A> = lambda(f).
 
     Z = A o vv^T and Delta = I o vv^T for the unit principal eigenvector
@@ -267,13 +264,9 @@ def sdp_primal_certificate(f: TruthTable | PartialTruthTable) -> SdpPrimal:
     theorem because I - A o D_i is (a partial matching has eigenvalues
     in [-1, 1]).
     """
-    g = SensitivityGraph(f)
-    if g.arity > SDP_MAX_ARITY:
-        raise ValueError(f"semidefinite certificates support arity <= {SDP_MAX_ARITY}")
-    _require_nonconstant(g, "the semidefinite primal")
+    g = _sdp_graph(spec, "the semidefinite primal")
     a = g.adjacency()
-    res = spectral_sensitivity(f)
-    v = res.vector
+    v = spec.vector
     outer = np.outer(v, v)
     z = a * outer
     delta = np.diag(v * v)
@@ -285,14 +278,17 @@ def sdp_primal_certificate(f: TruthTable | PartialTruthTable) -> SdpPrimal:
     )
 
 
-def verify_sdp_primal(
-    f: TruthTable | PartialTruthTable, cert: SdpPrimal, slack: float = PSD_SLACK
-) -> bool:
-    g = SensitivityGraph(f)
+def verify_sdp_primal(g: SensitivityGraph, cert: SdpPrimal, slack: float = PSD_SLACK) -> bool:
+    """Feasibility of (Z, Delta) over g's domain, and the claimed
+    objective against <Z, A> recomputed from g's adjacency."""
     if not _fits(g, cert, [cert.z, cert.delta]):
         return False
-    a = g.adjacency()
     z, delta = cert.z, cert.delta
+    if not (np.isfinite(z).all() and np.isfinite(delta).all() and math.isfinite(cert.objective)):
+        return False
+    a = g.adjacency()
+    if abs(float(np.sum(z * a)) - cert.objective) > FEAS_SLACK:
+        return False
     if not np.allclose(z, z.T, atol=1e-12):
         return False
     if z.min() < -1e-12:
@@ -310,20 +306,15 @@ def verify_sdp_primal(
     return True
 
 
-def sdp_dual_certificate(
-    f: TruthTable | PartialTruthTable, scheme: VertexBitWeightScheme
-) -> SdpDual:
+def sdp_dual_certificate(spec: Spectrum, scheme: VertexBitWeightScheme) -> SdpDual:
     """Dual blocks R_i from a feasible vertex-bit scheme.
 
     R_i is the outer product of sqrt(w(., i)); the dual objective alpha
     is the largest weight row sum.  An infeasible scheme is rejected
     with the violated pair.
     """
-    g = SensitivityGraph(f)
-    if g.arity > SDP_MAX_ARITY:
-        raise ValueError(f"semidefinite certificates support arity <= {SDP_MAX_ARITY}")
-    _require_nonconstant(g, "the semidefinite dual")
-    ok, violated = verify_vertex_scheme(f, scheme)
+    g = _sdp_graph(spec, "the semidefinite dual")
+    ok, violated = verify_vertex_scheme(g, scheme)
     if not ok:
         raise ValueError(f"infeasible weight scheme at (input, bit) {violated}")
     dom = tuple(g.domain_inputs)
@@ -335,11 +326,12 @@ def sdp_dual_certificate(
     return SdpDual(domain=dom, alpha=vertex_scheme_value(scheme), r_blocks=tuple(blocks))
 
 
-def verify_sdp_dual(
-    f: TruthTable | PartialTruthTable, cert: SdpDual, slack: float = FEAS_SLACK
-) -> bool:
-    g = SensitivityGraph(f)
+def verify_sdp_dual(g: SensitivityGraph, cert: SdpDual, slack: float = FEAS_SLACK) -> bool:
+    """Feasibility of a finite alpha and PSD blocks R_i over g's domain:
+    diagonal sums at most alpha and sum_i R_i o D_i covering A."""
     if len(cert.r_blocks) != g.arity or not _fits(g, cert, list(cert.r_blocks)):
+        return False
+    if not (math.isfinite(cert.alpha) and all(np.isfinite(r).all() for r in cert.r_blocks)):
         return False
     a = g.adjacency()
     diag_sum = np.zeros(len(cert.domain))
@@ -375,15 +367,14 @@ def verify_equivalences(f: TruthTable | PartialTruthTable) -> EquivalenceReport:
     semidefinite primal objective and dual bound.  Verdicts hold the
     outcome of every feasibility verifier plus primal <= dual.
     """
-    lam = spectral_sensitivity(f).value
-    kval = bipartite_block_value(f)
-    edge_scheme, edge_value = edge_scheme_from_eigenvector(f)
-    vertex_scheme, vertex_value = optimal_vertex_scheme(f)
-    primal = sdp_primal_certificate(f)
-    dual = sdp_dual_certificate(f, vertex_scheme)
+    spec = Spectrum(f)
+    edge_scheme, edge_value = edge_scheme_from_eigenvector(spec)
+    vertex_scheme, vertex_value = optimal_vertex_scheme(spec)
+    primal = sdp_primal_certificate(spec)
+    dual = sdp_dual_certificate(spec, vertex_scheme)
     values = {
-        "spectral": lam,
-        "bipartite_block": kval,
+        "spectral": spec.value,
+        "bipartite_block": bipartite_block_value(f),
         "edge_scheme": edge_value,
         "vertex_scheme": vertex_value,
         "sdp_primal": primal.objective,
@@ -394,19 +385,19 @@ def verify_equivalences(f: TruthTable | PartialTruthTable) -> EquivalenceReport:
         abs(values[a] - values[b]) for i, a in enumerate(keys) for b in keys[i + 1 :]
     )
     verdicts = {
-        "edge_scheme_feasible": verify_edge_scheme(f, edge_scheme)[0],
-        "vertex_scheme_feasible": verify_vertex_scheme(f, vertex_scheme)[0],
-        "sdp_primal_feasible": verify_sdp_primal(f, primal),
-        "sdp_dual_feasible": verify_sdp_dual(f, dual),
+        "edge_scheme_feasible": verify_edge_scheme(spec.graph, edge_scheme)[0],
+        "vertex_scheme_feasible": verify_vertex_scheme(spec.graph, vertex_scheme)[0],
+        "sdp_primal_feasible": verify_sdp_primal(spec.graph, primal),
+        "sdp_dual_feasible": verify_sdp_dual(spec.graph, dual),
         "weak_duality": primal.objective <= dual.alpha + VALUE_SLACK,
     }
     return EquivalenceReport(values=values, max_discrepancy=max_disc, verdicts=verdicts)
 
 
-def certificate_json(f: TruthTable | PartialTruthTable, cert) -> dict:
+def certificate_json(g: SensitivityGraph, cert) -> dict:
     """Serialize a certificate with its claimed value and verdict."""
     if isinstance(cert, EdgeWeightScheme):
-        ok, _ = verify_edge_scheme(f, cert)
+        ok, _ = verify_edge_scheme(g, cert)
         return {
             "scheme": "edge-weights",
             "arity": cert.arity,
@@ -414,7 +405,7 @@ def certificate_json(f: TruthTable | PartialTruthTable, cert) -> dict:
             "verdict": ok,
         }
     if isinstance(cert, VertexBitWeightScheme):
-        ok, violated = verify_vertex_scheme(f, cert)
+        ok, violated = verify_vertex_scheme(g, cert)
         return {
             "scheme": "vertex-bit-weights",
             "arity": cert.arity,
@@ -431,7 +422,7 @@ def certificate_json(f: TruthTable | PartialTruthTable, cert) -> dict:
             "z": cert.z.tolist(),
             "delta": cert.delta.tolist(),
             "claimed_value": cert.objective,
-            "verdict": verify_sdp_primal(f, cert),
+            "verdict": verify_sdp_primal(g, cert),
         }
     if isinstance(cert, SdpDual):
         return {
@@ -439,6 +430,6 @@ def certificate_json(f: TruthTable | PartialTruthTable, cert) -> dict:
             "domain": list(cert.domain),
             "alpha": cert.alpha,
             "r_blocks": [r.tolist() for r in cert.r_blocks],
-            "verdict": verify_sdp_dual(f, cert),
+            "verdict": verify_sdp_dual(g, cert),
         }
     raise TypeError(f"unknown certificate type {type(cert).__name__}")

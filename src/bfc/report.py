@@ -156,8 +156,8 @@ def measure_report(
 
     Measures whose engine cap is below the function's arity appear as
     ``{"skipped": reason}`` instead of failing the whole report.
-    Certificates (optional) cover the adversary forms and carry their
-    own verifier verdicts.
+    Certificates (optional) cover the adversary forms, are built from
+    one ``Spectrum`` and carry their own verifier verdicts.
     """
     measures, timing = measure(f, MEASURE_NAMES)
     body = {
@@ -175,21 +175,21 @@ def measure_report(
             body["certificates"] = {"skipped": reason}
         else:
             t0 = time.perf_counter()
-            edge_scheme, edge_value = adversary.edge_scheme_from_eigenvector(f)
-            balanced, balanced_value = adversary.balanced_vertex_scheme(f)
-            optimal, optimal_value = adversary.optimal_vertex_scheme(f)
-            primal = adversary.sdp_primal_certificate(f)
-            dual = adversary.sdp_dual_certificate(f, optimal)
-            body["certificates"] = {
-                "edge_scheme": {
-                    **adversary.certificate_json(f, edge_scheme),
-                    "claimed_value": edge_value,
-                },
-                "vertex_scheme_balanced": adversary.certificate_json(f, balanced),
-                "vertex_scheme_optimal": adversary.certificate_json(f, optimal),
-                "sdp_primal": adversary.certificate_json(f, primal),
-                "sdp_dual": adversary.certificate_json(f, dual),
+            spec = spectral_sensitivity(f)
+            edge_scheme, edge_value = adversary.edge_scheme_from_eigenvector(spec)
+            balanced, _ = adversary.balanced_vertex_scheme(spec)
+            optimal, _ = adversary.optimal_vertex_scheme(spec)
+            certs = {
+                "edge_scheme": edge_scheme,
+                "vertex_scheme_balanced": balanced,
+                "vertex_scheme_optimal": optimal,
+                "sdp_primal": adversary.sdp_primal_certificate(spec),
+                "sdp_dual": adversary.sdp_dual_certificate(spec, optimal),
             }
+            body["certificates"] = {
+                name: adversary.certificate_json(spec.graph, cert) for name, cert in certs.items()
+            }
+            body["certificates"]["edge_scheme"]["claimed_value"] = edge_value
             timing["certificates"] = time.perf_counter() - t0
 
     body["timing"] = timing

@@ -6,15 +6,16 @@ norm lambda(f) sits between sensitivity-type and degree-type measures;
 this module computes it, builds the signed hypercube whose eigenvectors
 certify deg(f) <= lambda(f)^2, and extracts those certifying vectors.
 
-lambda is the largest top eigenvalue over the components of G_f.  Each
-component is solved once by ``_perron``.  G_f is a subgraph of the
-hypercube, so a component splits by input parity into two sides with
-every edge between them; lambda is the top singular value of the block
-B from the smaller side to the other, and its square the top eigenvalue
-of the Gram matrix B B^T on the smaller side: a dense ``eigh`` up to
-DENSE_MAX_VERTICES component vertices, a Lanczos iteration on the
-matrix-free ``matvec`` above that.  The signed hypercube's +sqrt(n)
-eigenspace is taken in closed form, with no eigendecomposition.
+lambda is the largest top eigenvalue over the components of G_f; one
+``Spectrum`` per function solves each component at most once by
+``_perron``.  G_f is a subgraph of the hypercube, so a component splits
+by input parity into two sides with every edge between them; lambda is
+the top singular value of the block B from the smaller side to the
+other, and its square the top eigenvalue of the Gram matrix B B^T on
+the smaller side: a dense ``eigh`` up to DENSE_MAX_VERTICES component
+vertices, a Lanczos iteration on the matrix-free ``matvec`` above that.
+The signed hypercube's +sqrt(n) eigenspace is taken in closed form,
+with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -245,30 +246,45 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
     raise SpectralConvergenceError(value, ritz)
 
 
-def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> SpectralResult:
-    """lambda(f) = ||A_{G_f}|| with a certifying eigenvector.
+class Spectrum:
+    """lambda(f) = ||A_{G_f}|| with a certifying eigenvector, read off one
+    G_f (``graph``) and its ``components``; ``perron(k)`` solves
+    component k at most once.
 
-    lambda is the largest component value (ties go to the first
-    component), and the vector is that component's Perron vector,
-    zero elsewhere.  A component's norm is at most its largest degree,
-    so a component whose largest degree is at most the best value so
-    far cannot win and is not solved.  A graph with no edges gives 0
-    and the uniform vector.
+    ``value`` is the largest component value (ties go to the first
+    component), ``vector`` that component's Perron vector (indexed by
+    the domain, zero elsewhere) and ``residual`` its residual.  A graph
+    with no edges gives 0 and the uniform vector.
     """
-    graph = SensitivityGraph(f)
-    domain = np.asarray(graph.domain_inputs, dtype=np.int64)
-    best, where = None, None
-    for comp in graph.components():
-        if best is not None and graph.degrees[comp].max() <= best.value:
-            continue
-        res = _perron(graph, comp)
-        if best is None or res.value > best.value:
-            best, where = res, comp
-    if best is None:
-        return SpectralResult(0.0, np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1))), 0.0)
-    vec = np.zeros(domain.size)
-    vec[np.searchsorted(domain, where)] = best.vector
-    return SpectralResult(best.value, vec, best.residual)
+
+    def __init__(self, f: TruthTable | PartialTruthTable):
+        self.graph = SensitivityGraph(f)
+        self.components = self.graph.components()
+        self._solved: dict[int, SpectralResult] = {}
+        self.value, self.residual, top = 0.0, 0.0, None
+        for k, comp in enumerate(self.components):
+            if self.graph.degrees[comp].max() <= self.value:
+                continue  # its norm is at most its largest degree: it cannot win
+            res = self.perron(k)
+            if res.value > self.value:
+                self.value, self.residual, top = res.value, res.residual, k
+        domain = np.asarray(self.graph.domain_inputs, dtype=np.int64)
+        if top is None:
+            self.vector = np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
+        else:
+            self.vector = np.zeros(domain.size)
+            self.vector[np.searchsorted(domain, self.components[top])] = self.perron(top).vector
+
+    def perron(self, k: int) -> SpectralResult:
+        """Component k's Perron pair, indexed like ``components[k]``."""
+        if k not in self._solved:
+            self._solved[k] = _perron(self.graph, self.components[k])
+        return self._solved[k]
+
+
+def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> Spectrum:
+    """The ``Spectrum`` of f: lambda(f), its vector and G_f."""
+    return Spectrum(f)
 
 
 @dataclass(frozen=True)

@@ -264,10 +264,10 @@ def parse_restriction(text: str) -> Restriction:
         var_s, sep, val_s = part.partition("=")
         if not sep:
             raise ValueError(f"expected 'var=value', got {part!r}")
-        try:
-            var, val = int(var_s), int(val_s)
-        except ValueError:
-            raise ValueError(f"bad restriction entry {part!r}") from None
+        # int() would also take a sign, spaces, underscores and non-ASCII digits
+        if not (re.fullmatch(r"[0-9]+", var_s) and re.fullmatch(r"[0-9]+", val_s)):
+            raise ValueError(f"bad restriction entry {part!r}")
+        var, val = int(var_s), int(val_s)
         if var in fixed:
             raise ValueError(f"variable {var} fixed twice")
         fixed[var] = val

@@ -180,7 +180,7 @@ def test_criterion_5_named_family_regressions():
                       named_family("AND-OR", (3, 2)), named_family("AND-OR", (2, 3))]
     for f in family_members:
         rep = sensitivity(f)
-        _, value = balanced_vertex_scheme(f)
+        _, value = balanced_vertex_scheme(spectral_sensitivity(f))
         balanced_ok &= value <= math.sqrt(rep.s0 * rep.s1) + 1e-9
     clauses["balanced-scheme-bound"] = balanced_ok
 

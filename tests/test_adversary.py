@@ -23,7 +23,7 @@ from bfc.adversary import (
     EdgeWeightScheme,
     VertexBitWeightScheme,
 )
-from bfc import adversary, spectral
+from bfc import spectral
 from bfc.bits import from_bit_array
 from bfc.spectral import SensitivityGraph, spectral_sensitivity
 from bfc.tables import PartialTruthTable, TruthTable, named_family
@@ -62,10 +62,10 @@ def test_block_norm_vs_signed_matrix_random_signs():
 
 
 def test_edge_scheme_or3():
-    f = named_family("OR", 3)
-    scheme, value = edge_scheme_from_eigenvector(f)
+    spec = spectral_sensitivity(named_family("OR", 3))
+    scheme, value = edge_scheme_from_eigenvector(spec)
     assert abs(value - math.sqrt(3)) < 1e-9
-    ok, bad = verify_edge_scheme(f, scheme)
+    ok, bad = verify_edge_scheme(spec.graph, scheme)
     assert ok and bad is None
     # all three star edges carry weight
     assert len(scheme.weights) == 3
@@ -79,10 +79,11 @@ def test_edge_scheme_value_is_lambda_sampled():
             f = TruthTable(n, t)
             if f.is_constant():
                 continue
-            lam = spectral_sensitivity(f).value
+            spec = spectral_sensitivity(f)
+            lam = spec.value
             if lam == 0.0:
                 continue
-            _, value = edge_scheme_from_eigenvector(f)
+            _, value = edge_scheme_from_eigenvector(spec)
             assert abs(value - lam) < 1e-6
 
 
@@ -91,17 +92,17 @@ def test_edge_scheme_rejects_misplaced_weight():
 
     f = named_family("OR", 3)
     bogus = EdgeWeightScheme(3, ((1, 2, 0.5),))  # not an edge of G_f
-    ok, bad = verify_edge_scheme(f, bogus)
+    ok, bad = verify_edge_scheme(SensitivityGraph(f), bogus)
     assert not ok and bad == (1, 2)
 
 
 def test_balanced_scheme_or_n():
     # weights sqrt(s0/s1) on ones / sqrt(s1/s0) on zeros; value sqrt(s0*s1)
     for n in (2, 3, 4):
-        f = named_family("OR", n)
-        scheme, value = balanced_vertex_scheme(f)
+        spec = spectral_sensitivity(named_family("OR", n))
+        scheme, value = balanced_vertex_scheme(spec)
         assert abs(value - math.sqrt(n)) < 1e-12
-        ok, _ = verify_vertex_scheme(f, scheme)
+        ok, _ = verify_vertex_scheme(spec.graph, scheme)
         assert ok
 
 
@@ -111,21 +112,23 @@ def test_balanced_scheme_value_bound_exhaustive_n3():
         from bfc.combinatorial import sensitivity
 
         rep = sensitivity(f)
-        scheme, value = balanced_vertex_scheme(f)
+        spec = spectral_sensitivity(f)
+        scheme, value = balanced_vertex_scheme(spec)
         assert value <= math.sqrt(rep.s0 * rep.s1) + 1e-9
-        ok, violated = verify_vertex_scheme(f, scheme)
+        ok, violated = verify_vertex_scheme(spec.graph, scheme)
         assert ok, f"infeasible balanced scheme on {f}: {violated}"
 
 
 def test_optimal_scheme_matches_lambda_exhaustive_n3():
     for t in range(1, 255):
         f = TruthTable(3, t)
-        lam = spectral_sensitivity(f).value
+        spec = spectral_sensitivity(f)
+        lam = spec.value
         if lam == 0.0:
             continue
-        scheme, value = optimal_vertex_scheme(f)
+        scheme, value = optimal_vertex_scheme(spec)
         assert abs(value - lam) < 1e-9
-        ok, violated = verify_vertex_scheme(f, scheme)
+        ok, violated = verify_vertex_scheme(spec.graph, scheme)
         assert ok, f"{f}: {violated}"
 
 
@@ -134,17 +137,17 @@ def test_optimal_scheme_on_disconnected_graph():
     from bfc.tables import compose
 
     f = compose(named_family("PARITY", 2), named_family("PARITY", 2))
-    lam = spectral_sensitivity(f).value
-    scheme, value = optimal_vertex_scheme(f)
-    assert abs(value - lam) < 1e-9
-    assert verify_vertex_scheme(f, scheme)[0]
+    spec = spectral_sensitivity(f)
+    scheme, value = optimal_vertex_scheme(spec)
+    assert abs(value - spec.value) < 1e-9
+    assert verify_vertex_scheme(spec.graph, scheme)[0]
 
 
 def test_optimal_scheme_above_the_dense_cap(monkeypatch):
     rng = np.random.default_rng(2)
     f = TruthTable(10, from_bit_array(rng.integers(0, 2, size=1 << 10, dtype=np.uint8)))
     calls, sizes = [], []
-    lanczos, perron = spectral._lanczos, adversary._perron
+    lanczos, perron = spectral._lanczos, spectral._perron
 
     def recording_lanczos(apply, size):
         calls.append(size)
@@ -158,56 +161,57 @@ def test_optimal_scheme_above_the_dense_cap(monkeypatch):
         return res
 
     monkeypatch.setattr(spectral, "_lanczos", recording_lanczos)
-    monkeypatch.setattr(adversary, "_perron", recording_perron)
-    scheme, value = optimal_vertex_scheme(f)
+    monkeypatch.setattr(spectral, "_perron", recording_perron)
+    spec = spectral_sensitivity(f)
+    scheme, value = optimal_vertex_scheme(spec)
     # every component is above the dense cap and took the Lanczos branch
     comps = SensitivityGraph(f).components()
     assert sizes == [c.size for c in comps] and min(sizes) > spectral.DENSE_MAX_VERTICES
-    assert verify_vertex_scheme(f, scheme)[0]
-    assert abs(value - spectral_sensitivity(f).value) <= 1e-9
+    assert verify_vertex_scheme(spec.graph, scheme)[0]
+    assert abs(value - spec.value) <= 1e-9
 
 
 def test_vertex_scheme_verifier_catches_infeasibility():
     f = named_family("OR", 2)
     bogus = VertexBitWeightScheme(2, ((0, 0, 0.1), (1, 0, 0.1)))
-    ok, violated = verify_vertex_scheme(f, bogus)
+    ok, violated = verify_vertex_scheme(SensitivityGraph(f), bogus)
     assert not ok
     assert violated == (0, 0)
 
 
 def test_sdp_primal_or3():
-    f = named_family("OR", 3)
-    cert = sdp_primal_certificate(f)
+    spec = spectral_sensitivity(named_family("OR", 3))
+    cert = sdp_primal_certificate(spec)
     assert abs(cert.objective - math.sqrt(3)) < 1e-9
-    assert verify_sdp_primal(f, cert)
+    assert verify_sdp_primal(spec.graph, cert)
     assert abs(np.trace(cert.delta) - 1) < 1e-12
 
 
 def test_sdp_primal_tampering_detected():
-    f = named_family("OR", 3)
-    cert = sdp_primal_certificate(f)
+    spec = spectral_sensitivity(named_family("OR", 3))
+    cert = sdp_primal_certificate(spec)
     bad = type(cert)(
         domain=cert.domain,
         z=cert.z * 3.0,  # breaks Delta - Z o D_i >= 0
         delta=cert.delta,
         objective=cert.objective,
     )
-    assert not verify_sdp_primal(f, bad)
+    assert not verify_sdp_primal(spec.graph, bad)
 
 
 def test_sdp_dual_from_optimal_scheme():
-    f = named_family("OR", 3)
-    scheme, value = optimal_vertex_scheme(f)
-    dual = sdp_dual_certificate(f, scheme)
+    spec = spectral_sensitivity(named_family("OR", 3))
+    scheme, value = optimal_vertex_scheme(spec)
+    dual = sdp_dual_certificate(spec, scheme)
     assert abs(dual.alpha - value) < 1e-12
-    assert verify_sdp_dual(f, dual)
+    assert verify_sdp_dual(spec.graph, dual)
 
 
 def test_sdp_dual_rejects_infeasible_scheme():
-    f = named_family("OR", 2)
+    spec = spectral_sensitivity(named_family("OR", 2))
     bogus = VertexBitWeightScheme(2, ((0, 0, 0.1),))
     with pytest.raises(ValueError):
-        sdp_dual_certificate(f, bogus)
+        sdp_dual_certificate(spec, bogus)
 
 
 def test_weak_duality_sampled_n4():
@@ -216,9 +220,10 @@ def test_weak_duality_sampled_n4():
         f = TruthTable(4, int(rng.integers(1, 65535)))
         if f.is_constant():
             continue
-        primal = sdp_primal_certificate(f)
-        scheme, _ = optimal_vertex_scheme(f)
-        dual = sdp_dual_certificate(f, scheme)
+        spec = spectral_sensitivity(f)
+        primal = sdp_primal_certificate(spec)
+        scheme, _ = optimal_vertex_scheme(spec)
+        dual = sdp_dual_certificate(spec, scheme)
         assert primal.objective <= dual.alpha + 1e-5
 
 
@@ -249,26 +254,27 @@ def test_partial_function_certificates():
 
 
 def test_certificate_json_roundtrip_and_verdicts():
-    f = named_family("OR", 3)
-    scheme, value = optimal_vertex_scheme(f)
-    blob = certificate_json(f, scheme)
+    spec = spectral_sensitivity(named_family("OR", 3))
+    g = spec.graph
+    scheme, value = optimal_vertex_scheme(spec)
+    blob = certificate_json(g, scheme)
     parsed = json.loads(json.dumps(blob))
     assert parsed["scheme"] == "vertex-bit-weights"
     assert parsed["verdict"] is True
     assert parsed["violated_pair"] is None
     assert abs(parsed["claimed_value"] - value) < 1e-12
 
-    edge, _ = edge_scheme_from_eigenvector(f)
-    assert certificate_json(f, edge)["verdict"] is True
+    edge, _ = edge_scheme_from_eigenvector(spec)
+    assert certificate_json(g, edge)["verdict"] is True
 
-    primal = sdp_primal_certificate(f)
-    blob = certificate_json(f, primal)
+    primal = sdp_primal_certificate(spec)
+    blob = certificate_json(g, primal)
     assert blob["scheme"] == "sdp-primal"
     assert blob["verdict"] is True
     assert len(blob["z"]) == 8
 
-    dual = sdp_dual_certificate(f, scheme)
-    blob = certificate_json(f, dual)
+    dual = sdp_dual_certificate(spec, scheme)
+    blob = certificate_json(g, dual)
     assert blob["scheme"] == "sdp-dual"
     assert blob["verdict"] is True
 
@@ -281,38 +287,40 @@ def test_scheme_value_helper():
 def test_vertex_scheme_verifier_rejects_negative_and_nonfinite_weights():
     # every product of two -1 weights is 1, so only the sign check can
     # refuse this scheme (lambda(OR_2) = sqrt(2), not -1)
-    f = named_family("OR", 2)
+    spec = spectral_sensitivity(named_family("OR", 2))
     negative = VertexBitWeightScheme(2, ((0, 0, -1.0), (0, 1, -1.0), (1, 0, -1.0), (2, 1, -1.0)))
-    assert verify_vertex_scheme(f, negative) == (False, (0, 0))
-    blob = certificate_json(f, negative)
+    assert verify_vertex_scheme(spec.graph, negative) == (False, (0, 0))
+    blob = certificate_json(spec.graph, negative)
     assert blob["verdict"] is False
     assert blob["violated_pair"] == [0, 0]
     for bad in (math.nan, math.inf):
         scheme = VertexBitWeightScheme(2, ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (2, 1, bad)))
-        assert verify_vertex_scheme(f, scheme) == (False, (2, 1))
+        assert verify_vertex_scheme(spec.graph, scheme) == (False, (2, 1))
     with pytest.raises(ValueError):
-        sdp_dual_certificate(f, negative)
+        sdp_dual_certificate(spec, negative)
 
 
 def test_edge_scheme_verifier_rejects_nonfinite_weight():
-    f = named_family("OR", 2)
-    scheme, _ = edge_scheme_from_eigenvector(f)
-    assert verify_edge_scheme(f, scheme) == (True, None)
+    spec = spectral_sensitivity(named_family("OR", 2))
+    scheme, _ = edge_scheme_from_eigenvector(spec)
+    assert verify_edge_scheme(spec.graph, scheme) == (True, None)
     x, y, _w = scheme.weights[0]
     for bad in (math.nan, math.inf):
         tampered = EdgeWeightScheme(2, ((x, y, bad),) + scheme.weights[1:])
-        assert verify_edge_scheme(f, tampered) == (False, (x, y))
+        assert verify_edge_scheme(spec.graph, tampered) == (False, (x, y))
 
 
 def test_sdp_verifiers_reject_wrong_size_certificate():
-    or2, or3 = named_family("OR", 2), named_family("OR", 3)
+    or2 = spectral_sensitivity(named_family("OR", 2))
+    or3 = SensitivityGraph(named_family("OR", 3))
     primal = sdp_primal_certificate(or2)
     dual = sdp_dual_certificate(or2, optimal_vertex_scheme(or2)[0])
     assert not verify_sdp_primal(or3, primal)
     assert not verify_sdp_dual(or3, dual)
     # right domain, wrong matrix shape
-    assert not verify_sdp_primal(or2, dataclasses.replace(primal, z=primal.z[:-1, :-1]))
-    assert not verify_sdp_dual(or2, dataclasses.replace(dual, r_blocks=dual.r_blocks[:-1]))
+    g = or2.graph
+    assert not verify_sdp_primal(g, dataclasses.replace(primal, z=primal.z[:-1, :-1]))
+    assert not verify_sdp_dual(g, dataclasses.replace(dual, r_blocks=dual.r_blocks[:-1]))
 
 
 def test_sdp_verifiers_check_the_certificate_domain():
@@ -321,9 +329,71 @@ def test_sdp_verifiers_check_the_certificate_domain():
     p = PartialTruthTable(3, 0x0E, 0xFE)
     q = PartialTruthTable(3, 0x0F, 0x7F)
     for f, other in ((p, q), (q, p)):
-        primal = sdp_primal_certificate(f)
-        dual = sdp_dual_certificate(f, optimal_vertex_scheme(f)[0])
-        assert verify_sdp_primal(f, primal)
-        assert verify_sdp_dual(f, dual)
-        assert not verify_sdp_primal(other, primal)
-        assert not verify_sdp_dual(other, dual)
+        spec, g = spectral_sensitivity(f), SensitivityGraph(other)
+        primal = sdp_primal_certificate(spec)
+        dual = sdp_dual_certificate(spec, optimal_vertex_scheme(spec)[0])
+        assert verify_sdp_primal(spec.graph, primal)
+        assert verify_sdp_dual(spec.graph, dual)
+        assert not verify_sdp_primal(g, primal)
+        assert not verify_sdp_dual(g, dual)
+
+
+def _or3_primal_and_dual():
+    spec = spectral_sensitivity(named_family("OR", 3))
+    primal = sdp_primal_certificate(spec)
+    dual = sdp_dual_certificate(spec, optimal_vertex_scheme(spec)[0])
+    return spec.graph, primal, dual
+
+
+def test_sdp_primal_verifier_checks_the_claimed_objective():
+    # (Z, Delta) stay feasible; only the claim is wrong: lambda(OR_3) = sqrt(3)
+    g, primal, _ = _or3_primal_and_dual()
+    inflated = dataclasses.replace(primal, objective=100.0)
+    assert not verify_sdp_primal(g, inflated)
+    blob = certificate_json(g, inflated)
+    assert blob["claimed_value"] == 100.0 and blob["verdict"] is False
+
+
+def test_sdp_primal_verifier_rejects_a_nan_delta_entry():
+    # a NaN on the diagonal used to reach eigvalsh and raise LinAlgError
+    g, primal, _ = _or3_primal_and_dual()
+    for entry in ((1, 1), (0, 1)):
+        delta = primal.delta.copy()
+        delta[entry] = math.nan
+        assert not verify_sdp_primal(g, dataclasses.replace(primal, delta=delta))
+
+
+def test_sdp_dual_verifier_rejects_a_nan_alpha():
+    g, _, dual = _or3_primal_and_dual()
+    assert not verify_sdp_dual(g, dataclasses.replace(dual, alpha=math.nan))
+
+
+def test_sdp_dual_verifier_rejects_a_nan_block_entry():
+    g, _, dual = _or3_primal_and_dual()
+    for entry in ((0, 0), (1, 1)):
+        r = dual.r_blocks[0].copy()
+        r[entry] = math.nan
+        assert not verify_sdp_dual(g, dataclasses.replace(dual, r_blocks=(r,) + dual.r_blocks[1:]))
+
+
+def test_equivalences_build_one_graph_and_solve_each_component_once(monkeypatch):
+    # the spectrum's graph and the bipartite_block reference are the only
+    # two builds; every component's Perron pair is solved exactly once
+    f = named_family("AND-OR", (3, 2))
+    comps = len(SensitivityGraph(f).components())
+    perron, init = spectral._perron, SensitivityGraph.__init__
+    solved, built = [], []
+
+    def counting_perron(g, comp):
+        solved.append(int(comp[0]))
+        return perron(g, comp)
+
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(spectral, "_perron", counting_perron)
+    monkeypatch.setattr(SensitivityGraph, "__init__", counting_init)
+    assert verify_equivalences(f).all_ok
+    assert len(solved) == len(set(solved)) == comps == 7
+    assert len(built) == 2

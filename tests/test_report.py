@@ -12,6 +12,7 @@ from bfc.combinatorial import (
 )
 from bfc.lp import LpNumericalError
 from bfc.report import MEASURE_CAPS, measure, measure_report
+from bfc.spectral import spectral_sensitivity
 from bfc.sweep import run_sweep
 from bfc.tables import named_family, parse_table
 
@@ -20,7 +21,7 @@ ENGINES = {
     "C": certificate_complexity,
     "D": deterministic_query_complexity,
     "adeg": approximate_degree,
-    "certificates": sdp_primal_certificate,
+    "certificates": lambda f: sdp_primal_certificate(spectral_sensitivity(f)),
 }
 
 

@@ -3,8 +3,9 @@
 Vertex relabelings and variable permutations both come from
 ``bits.relabel_maps``; a second module enumerating permutations would
 be a second, hand-rolled map builder.  Likewise every eigensolver call
-sits on the one spectral path, and no table is built by a Python loop
-over all 2^m inputs.
+sits on the one spectral path, every Perron pair is solved behind one
+``Spectrum``, and no table is built by a Python loop over all 2^m
+inputs.
 """
 
 import re
@@ -29,6 +30,13 @@ def test_eigensolvers_run_only_on_the_one_spectral_path():
         if count:
             calls[p.name] = count
     assert calls == {"adversary.py": 1, "spectral.py": 2}
+
+
+def test_perron_is_named_only_in_spectral():
+    # other modules reach a component's Perron pair through
+    # ``Spectrum.perron``, which solves it at most once
+    users = sorted(p.name for p in SRC.glob("*.py") if "_perron" in p.read_text())
+    assert users == ["spectral.py"]
 
 
 def test_no_python_loop_over_every_mask():

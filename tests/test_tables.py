@@ -129,6 +129,10 @@ def test_parse_restriction():
         parse_restriction("1=0,1=1")
     with pytest.raises(ValueError):
         parse_restriction("a=1")
+    # only ASCII decimal digits: no sign, spaces, underscores or other scripts
+    for text in ("+1=1", " 1 = 0", "1=+1", "\u0661=1", "1_0=1"):
+        with pytest.raises(ValueError):
+            parse_restriction(text)
 
 
 def test_compose_block_order():
