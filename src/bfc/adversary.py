@@ -129,14 +129,8 @@ def edge_scheme_from_eigenvector(spec: Spectrum) -> tuple[EdgeWeightScheme, floa
     if not keep.any():
         raise ValueError("principal eigenvector has empty support on the edges")
     xs, ys, w = xs[keep], ys[keep], vx[keep] * vy[keep]
-    # pairs run in ascending x, so each vertex's sum adds its lower
-    # neighbours' weights first, as a running sum over the pairs would
-    wt = np.zeros(g.values.size)
-    np.add.at(wt, ys, w)
-    np.add.at(wt, xs, w)
-    value = float((np.sqrt(wt[xs] * wt[ys]) / w).min())
-    entries = tuple(zip(xs.tolist(), ys.tolist(), w.tolist()))
-    return EdgeWeightScheme(g.arity, entries), value
+    scheme = EdgeWeightScheme(g.arity, tuple(zip(xs.tolist(), ys.tolist(), w.tolist())))
+    return scheme, edge_scheme_value(scheme)
 
 
 def balanced_vertex_scheme(spec: Spectrum) -> tuple[VertexBitWeightScheme, float]:
@@ -205,6 +199,23 @@ def vertex_scheme_value(scheme: VertexBitWeightScheme) -> float:
     for x, _i, w in scheme.weights:
         sums[x] = sums.get(x, 0.0) + w
     return max(sums.values(), default=0.0)
+
+
+def edge_scheme_value(scheme: EdgeWeightScheme) -> float:
+    """min of sqrt(wt(x) wt(y)) / w(x, y) over the pairs with w > 0,
+    where wt(x) sums the weights at x; 0 if no weight is positive."""
+    cols = np.array(scheme.weights, dtype=float).reshape(-1, 3)
+    xs, ys, w = cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
+    # the builder's pairs run in ascending x, so each vertex's sum adds its
+    # lower neighbours' weights first, as a running sum over the pairs would
+    wt = np.zeros(1 << scheme.arity)
+    np.add.at(wt, ys, w)
+    np.add.at(wt, xs, w)
+    keep = w > 0
+    if not keep.any():
+        return 0.0
+    with np.errstate(invalid="ignore"):  # negative sums on an invalid scheme
+        return float((np.sqrt(wt[xs[keep]] * wt[ys[keep]]) / w[keep]).min())
 
 
 def verify_vertex_scheme(
@@ -402,6 +413,7 @@ def certificate_json(g: SensitivityGraph, cert) -> dict:
             "scheme": "edge-weights",
             "arity": cert.arity,
             "weights": [[x, y, w] for x, y, w in cert.weights],
+            "claimed_value": edge_scheme_value(cert) if ok else None,
             "verdict": ok,
         }
     if isinstance(cert, VertexBitWeightScheme):

@@ -95,7 +95,7 @@ def _ranged_problem(columns: np.ndarray, values: np.ndarray, epsilon: float) -> 
     f is 1, over the given lattice columns."""
     lo = np.where(values, 1.0 - epsilon, 0.0)
     hi = np.where(values, 1.0, epsilon)
-    return lp.LpProblem.ranged(columns, lo, hi)
+    return lp.LpProblem(columns, lo, hi)
 
 
 def approximation_problem(f: TruthTable, degree_cap: int, epsilon: float) -> lp.LpProblem:

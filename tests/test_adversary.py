@@ -11,6 +11,7 @@ from bfc.adversary import (
     bipartite_block_value,
     certificate_json,
     edge_scheme_from_eigenvector,
+    edge_scheme_value,
     optimal_vertex_scheme,
     sdp_dual_certificate,
     sdp_primal_certificate,
@@ -69,6 +70,25 @@ def test_edge_scheme_or3():
     assert ok and bad is None
     # all three star edges carry weight
     assert len(scheme.weights) == 3
+
+
+def test_certificate_json_recomputes_the_edge_scheme_value():
+    spec = spectral_sensitivity(named_family("OR", 3))
+    scheme, value = edge_scheme_from_eigenvector(spec)
+    blob = certificate_json(spec.graph, scheme)
+    assert blob["claimed_value"] == value
+    assert abs(blob["claimed_value"] - math.sqrt(3)) < 1e-9
+    # doubling the weight c on the star edge (0, 1) keeps the support valid
+    # and lowers that edge's ratio to sqrt(4c * 2c) / 2c = sqrt(2)
+    (x, y, w), *rest = scheme.weights
+    doubled = EdgeWeightScheme(3, ((x, y, 2 * w), *rest))
+    blob = certificate_json(spec.graph, doubled)
+    assert blob["verdict"] is True
+    assert abs(blob["claimed_value"] - math.sqrt(2)) < 1e-9
+    assert edge_scheme_value(EdgeWeightScheme(3, ())) == 0.0
+    # a weight off the cube fails the support check and has no value
+    blob = certificate_json(spec.graph, EdgeWeightScheme(3, ((1, 9, 0.5),)))
+    assert blob["verdict"] is False and blob["claimed_value"] is None
 
 
 def test_edge_scheme_value_is_lambda_sampled():

@@ -51,14 +51,14 @@ def test_measure_computes_only_the_named_measures_in_order():
 
 
 def _failing_lp(*args, **kwargs):
-    raise LpNumericalError("iteration cap 50000 exceeded in phase 1")
+    raise LpNumericalError("iteration cap 50000 exceeded")
 
 
 def test_engine_error_names_measure_and_table(monkeypatch):
     monkeypatch.setattr(report, "approximate_degree", _failing_lp)
     with pytest.raises(LpNumericalError) as caught:
         measure(parse_table("3:E8"), ["s", "adeg"])
-    assert str(caught.value) == "adeg of 3:E8: iteration cap 50000 exceeded in phase 1"
+    assert str(caught.value) == "adeg of 3:E8: iteration cap 50000 exceeded"
 
 
 def _failing_depth(f):
