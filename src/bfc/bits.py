@@ -101,12 +101,3 @@ def from_bit_array(bits: np.ndarray) -> int:
 def popcount_array(a: np.ndarray) -> np.ndarray:
     """Per-element popcount of a nonnegative integer array."""
     return np.bitwise_count(a.astype(np.uint64)).astype(np.int64)
-
-
-def parity_array(n: int) -> np.ndarray:
-    """parity(x) = popcount(x) mod 2 for every x in [0, 2^n), as uint8."""
-    v = np.arange(1 << n, dtype=np.uint32)
-    for s in (16, 8, 4, 2, 1):
-        v ^= v >> s
-    return (v & 1).astype(np.uint8)
-

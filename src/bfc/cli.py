@@ -41,6 +41,8 @@ def _add_function_args(p: argparse.ArgumentParser) -> None:
 def _resolve_function(args) -> tuple[TruthTable, str | None]:
     if args.table and args.family:
         raise ValueError("give either a table or --family, not both")
+    if not args.family and (args.n is not None or args.l is not None):
+        raise ValueError("--n and --l apply only to --family")
     if args.table:
         return parse_table(args.table), None
     if args.family:
@@ -50,6 +52,8 @@ def _resolve_function(args) -> tuple[TruthTable, str | None]:
             if args.l is None:
                 raise ValueError("AND-OR needs --n (outer) and --l (inner)")
             return named_family("AND-OR", (args.n, args.l)), f"AND-OR({args.n},{args.l})"
+        if args.l is not None:
+            raise ValueError("--l applies only to --family AND-OR")
         return named_family(args.family, args.n), args.family.strip().upper()
     raise ValueError("no function given; pass n:HEX or --family NAME --n K")
 
@@ -175,6 +179,8 @@ def _cmd_witness(args) -> int:
 def _cmd_graphprops(args) -> int:
     n = args.n_vertices
     if args.enumerate_all:
+        if args.clique_size is not None:
+            raise ValueError("--clique-size applies only to --name contains-clique")
         props = graphprops.enumerate_monotone_properties(n)
     else:
         props = [graphprops.named_property(args.name, n, clique_size=args.clique_size)]
@@ -220,7 +226,7 @@ def _cmd_graphprops(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    if not (args.table or args.family):
+    if not (args.table or args.family or args.n is not None or args.l is not None):
         for name in FAMILY_NAMES:
             print(name)
         return 0

@@ -67,13 +67,9 @@ def apply_vertex_permutation(mask: int, n_vertices: int, sigma: tuple[int, ...])
     _check_mask(mask, n_vertices)
     if sorted(sigma) != list(range(n_vertices)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of range({n_vertices})")
-    pairs = pair_list(n_vertices)
-    index = {p: k for k, p in enumerate(pairs)}
-    out = 0
-    for k, (i, j) in enumerate(pairs):
-        if (mask >> k) & 1:
-            out |= 1 << index[tuple(sorted((sigma[i], sigma[j])))]
-    return out
+    # out edge {sigma[i], sigma[j]} is in edge {i, j}: gather through sigma^-1
+    sigma_inverse = tuple(sorted(range(n_vertices), key=lambda v: sigma[v]))
+    return bits.gather_bits(mask, bits.relabel_maps([sigma_inverse], _pair_masks(n_vertices))[0])
 
 
 def canonical_graph(mask: int, n_vertices: int) -> int:

@@ -9,15 +9,18 @@ inequality the function with the smallest slack is recorded as a
 witness.  Ratio pairs that are only conjectured to be bounded are
 reported as observed maxima with witnesses, never asserted.
 
+Both universes fold one weighted table list: each distinct measured
+table once, weighted by the number of universe tables it stands for.
 Every check and ratio is invariant under permuting inputs, complementing
-inputs and complementing the output, so an exhaustive sweep measures one
-table per NPN class (its least member, from the orbit helper that graph
-isomorphism classes use too, ``bits.orbit_min``) and counts it once per
-class member.  Float margins and ratios are ranked on the
-``report.TIE_GRID`` grid and ties go to the least table, so eigenvalue
-rounding cannot pick the witness and the quotient reports exactly what
-a per-table fold would.  Constant tables are counted but named as a
-check's witness only when the universe holds nothing else.
+inputs and complementing the output, so an exhaustive universe measures
+each table's NPN class through its least member (from the orbit helper
+that graph isomorphism classes use too, ``bits.orbit_min``); a sampled
+universe measures each drawn table, a repeated draw once.  Float margins
+and ratios are ranked on the ``report.TIE_GRID`` grid and ties go to the
+least table, so eigenvalue rounding cannot pick the witness and the
+weighted fold reports exactly what a per-table fold would.  Constant
+tables are counted but named as a check's witness only when the universe
+holds nothing else.
 
 Aggregation is associative and commutative with deterministic
 tie-breaks, so results are independent of chunking and thread count.
@@ -62,8 +65,8 @@ CHECK_NAMES = (
 FLOAT_CHECKS = frozenset(
     ("deg<=lambda^2", "s<=lambda^2", "lambda<=s", "lambda<=sqrt(s0*s1)", "avg_s<=lambda")
 )
-RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4")
-FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4"))
+RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4", "lambda/adeg")
+FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4", "lambda/adeg"))
 
 
 def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> dict:
@@ -96,7 +99,8 @@ def _check_margins(m: dict) -> list[tuple[str, float, float, float]]:
 
 
 def _ratio_entries(m: dict) -> list[tuple[str, float, float, float]]:
-    """(name, ratio, numerator, denominator); constants contribute nothing."""
+    """(name, ratio, numerator, denominator); constants contribute
+    nothing, and ``lambda/adeg`` comes only where ``m`` carries ``adeg``."""
     out = []
     if m["deg"] > 0:
         out.append(("lambda/deg", m["lambda"] / m["deg"], m["lambda"], float(m["deg"])))
@@ -106,6 +110,8 @@ def _ratio_entries(m: dict) -> list[tuple[str, float, float, float]]:
     if m["lambda"] > 0:
         lam4 = m["lambda"] ** 4
         out.append(("D/lambda^4", m["D"] / lam4, float(m["D"]), lam4))
+    if m.get("adeg"):
+        out.append(("lambda/adeg", m["lambda"] / m["adeg"], m["lambda"], float(m["adeg"])))
     return out
 
 
@@ -144,10 +150,10 @@ def _fold(partial: dict, table: int, m: dict, tolerance: float, weight: int = 1)
 
 
 def _sweep_chunk(args: tuple) -> dict:
-    n, tables, tolerance = args
+    n, weighted, names, tolerance = args
     partial = _empty_partial()
-    for table in tables:
-        _fold(partial, table, _values(n, table), tolerance)
+    for table, weight in weighted:
+        _fold(partial, table, _values(n, table, names), tolerance, weight)
     return partial
 
 
@@ -204,49 +210,6 @@ def npn_canonical_array(n: int) -> np.ndarray:
         tt |= bit
         np.minimum(canon, pmin[tt], out=canon)
     return canon
-
-
-def _class_values(n: int, canon: np.ndarray) -> list[tuple[int, int, dict]]:
-    """(representative, class size, measures) per NPN class, each class
-    measured once for the checks and the ``lambda/adeg`` ratio alike."""
-    reps, sizes = np.unique(canon, return_counts=True)
-    names = SWEEP_MEASURES + ("adeg",)
-    return [(rep, size, _values(n, rep, names)) for rep, size in zip(reps.tolist(), sizes.tolist())]
-
-
-def _adeg_ratio_block(n: int, classes: list[tuple[int, int, dict]]) -> dict:
-    """The ``lambda/adeg`` ratio block over the measured classes; the
-    witness is the least table whose ratio is largest on the
-    ``TIE_GRID`` grid, and constants contribute nothing."""
-    best = None
-    for rep, _, m in classes:
-        if m["deg"] == 0:
-            continue
-        ad, lam = m["adeg"], m["lambda"]
-        key = (-on_grid(lam / ad), rep, lam / ad, lam, float(ad))
-        if best is None or key < best:
-            best = key
-    _, table, ratio, num, den = best
-    return {
-        "name": "lambda/adeg",
-        "max_ratio": ratio,
-        "witness": format_table(TruthTable(n, table)),
-        "numerator": num,
-        "denominator": den,
-        "class_count": len(classes),
-        "note": "evaluated on equivalence-class representatives",
-    }
-
-
-def approx_degree_ratio(n: int) -> dict:
-    """Max observed spectral-sensitivity / approximate-degree ratio at arity n.
-
-    Both quantities are invariant under variable permutation and
-    input/output complementation, so only one representative per
-    equivalence class is evaluated, by the same per-class pass as the
-    exhaustive sweep.
-    """
-    return _adeg_ratio_block(n, _class_values(n, npn_canonical_array(n)))
 
 
 @dataclass(frozen=True)
@@ -319,35 +282,36 @@ def _pin_blas() -> None:
     setter(1)
 
 
-def _chunks(tables: list[int], threads: int) -> list[tuple[int, ...]]:
-    pieces = min(threads * 4, len(tables))
-    step = (len(tables) + pieces - 1) // pieces
-    return [tuple(tables[lo : lo + step]) for lo in range(0, len(tables), step)]
+def _chunks(items: list, threads: int) -> list[tuple]:
+    pieces = min(threads * 4, len(items))
+    step = (len(items) + pieces - 1) // pieces
+    return [tuple(items[lo : lo + step]) for lo in range(0, len(items), step)]
 
 
-def _universe(max_n: int, sample: int | None, seed: int, tolerance: float) -> dict:
-    """The universe block of a sweep; ValueError beyond the arity caps
-    or on a negative or non-finite tolerance."""
+def _universe(
+    max_n: int, sample: int | None, seed: int, tolerance: float
+) -> tuple[dict, range | list[int], np.ndarray]:
+    """The universe block of a sweep, its tables in order, and per table
+    the table measured in its place: the least member of its NPN class
+    in an exhaustive universe, the table itself in a sampled one.
+    ValueError beyond the arity caps or on a negative or non-finite
+    tolerance."""
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if sample is None:
         if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps support 1 <= max_n <= {EXHAUSTIVE_MAX_N}")
-        return {
-            "mode": "exhaustive",
-            "arity": max_n,
-            "function_count": 1 << (1 << max_n),
-        }
+        count = 1 << (1 << max_n)
+        block = {"mode": "exhaustive", "arity": max_n, "function_count": count}
+        return block, range(count), npn_canonical_array(max_n)
     if not 1 <= max_n <= SAMPLED_MAX_N:
         raise ValueError(f"sampled sweeps support 1 <= max_n <= {SAMPLED_MAX_N}")
     if sample < 1:
         raise ValueError("sample count must be positive")
-    return {
-        "mode": "sampled",
-        "arity": max_n,
-        "function_count": sample,
-        "seed": seed,
-    }
+    block = {"mode": "sampled", "arity": max_n, "function_count": sample, "seed": seed}
+    tables = sample_tables(max_n, sample, seed)
+    # object dtype keeps tables wider than 64 bits exact
+    return block, tables, np.array(tables, dtype=object)
 
 
 def run_sweep(
@@ -360,34 +324,33 @@ def run_sweep(
     """Run the full inequality suite over one universe of functions.
 
     ``sample=None`` checks all 2^(2^max_n) tables of arity ``max_n``
-    (max_n <= 4) by measuring one representative per NPN class, serially;
-    otherwise ``sample`` seeded random tables of that arity (max_n <= 8),
-    each measured, on up to ``threads`` worker processes.  The
-    spectral/approximate-degree ratio block runs only for exhaustive
-    universes, where class representatives cover every function.
+    (max_n <= 4), measuring one representative per NPN class, ``adeg``
+    included, in one process; otherwise ``sample`` seeded random tables
+    of that arity (max_n <= 8), each distinct draw measured once, on up
+    to ``threads`` worker processes.  Both fold the same weighted table
+    list.  The ``lambda/adeg`` ratio is reported only for exhaustive
+    universes, the only ones that measure ``adeg``.
     """
-    universe = _universe(max_n, sample, seed, tolerance)
     started = time.perf_counter()
-    acc = _empty_partial()
-    if sample is None:
-        classes = _class_values(max_n, npn_canonical_array(max_n))
-        for rep, size, m in classes:
-            _fold(acc, rep, m, tolerance, weight=size)
-        diagnostics = {"evaluated_functions": len(classes), "method": "npn-quotient"}
+    universe, _, measured = _universe(max_n, sample, seed, tolerance)
+    reps, counts = np.unique(measured, return_counts=True)
+    weighted = list(zip(reps.tolist(), counts.tolist()))
+    names = SWEEP_MEASURES + ("adeg",) if sample is None else SWEEP_MEASURES
+    specs = _chunks(weighted, max(1, threads))
+    # a fork pool starts every worker up front, so never ask for more
+    # than there are chunks or CPUs to run them.  Exhaustive universes
+    # stay in this process: on their few cheap NPN classes a pool cuts
+    # wall time but adds CPU time.
+    workers = 1 if sample is None else min(threads, len(specs), _usable_cpus())
+    jobs = [(max_n, spec, names, tolerance) for spec in specs]
+    if workers <= 1:
+        partials = map(_sweep_chunk, jobs)
     else:
-        specs = _chunks(sample_tables(max_n, sample, seed), max(1, threads))
-        # a fork pool starts every worker up front, so never ask for more
-        # than there are chunks or CPUs to run them
-        workers = min(threads, len(specs), _usable_cpus())
-        jobs = [(max_n, spec, tolerance) for spec in specs]
-        if workers <= 1:
-            partials = map(_sweep_chunk, jobs)
-        else:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-                partials = list(pool.map(_sweep_chunk, jobs))
-        for partial in partials:
-            _merge(acc, partial)
-        diagnostics = {"evaluated_functions": sample, "method": "per-table"}
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+            partials = list(pool.map(_sweep_chunk, jobs))
+    acc = _empty_partial()
+    for partial in partials:
+        _merge(acc, partial)
 
     checks = []
     for name in CHECK_NAMES:
@@ -410,17 +373,17 @@ def run_sweep(
         if key is None:
             continue
         _, table, ratio, num, den = key
-        ratios.append(
-            {
-                "name": name,
-                "max_ratio": ratio,
-                "witness": format_table(TruthTable(max_n, table)),
-                "numerator": num,
-                "denominator": den,
-            }
-        )
-    if sample is None:
-        ratios.append(_adeg_ratio_block(max_n, classes))
+        entry = {
+            "name": name,
+            "max_ratio": ratio,
+            "witness": format_table(TruthTable(max_n, table)),
+            "numerator": num,
+            "denominator": den,
+        }
+        if name == "lambda/adeg":
+            entry["class_count"] = len(weighted)
+            entry["note"] = "evaluated on equivalence-class representatives"
+        ratios.append(entry)
 
     violation_count = sum(c["failures"] for c in checks)
     body = {
@@ -430,6 +393,7 @@ def run_sweep(
         "ratios": ratios,
         "violation_count": violation_count,
     }
+    method = "npn-quotient" if sample is None else "per-table"
     return SweepResult(
         universe=universe,
         tolerance=tolerance,
@@ -438,8 +402,17 @@ def run_sweep(
         violation_count=violation_count,
         report_hash=report_hash(body),
         elapsed_seconds=time.perf_counter() - started,
-        diagnostics=diagnostics,
+        diagnostics={"evaluated_functions": len(weighted), "method": method},
     )
+
+
+def approx_degree_ratio(n: int) -> dict:
+    """Max observed spectral-sensitivity / approximate-degree ratio at
+    arity n: the ``lambda/adeg`` block of the exhaustive sweep, which
+    measures one representative per NPN class (both quantities are
+    invariant under permuting and complementing inputs and
+    complementing the output)."""
+    return next(r for r in run_sweep(n).ratios if r["name"] == "lambda/adeg")
 
 
 def iter_csv_rows(
@@ -450,26 +423,19 @@ def iter_csv_rows(
 ):
     """One CSV row per (function, inequality), streamed in table order.
 
-    An exhaustive universe reuses its NPN class representative's
-    measures for every table of the class, as ``run_sweep`` does, so
-    the ``pass`` column agrees with the JSON counts.
+    Each table's cells come from the table measured in its place, once
+    per measured table, as ``run_sweep`` folds them, so the ``pass``
+    column agrees with the JSON counts.
     """
-    _universe(max_n, sample, seed, tolerance)
+    _, tables, measured = _universe(max_n, sample, seed, tolerance)
     yield "n,table,check,lhs,rhs,margin,pass"
-
-    def cells(table: int) -> list[str]:
-        return [
-            f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
-            for name, margin, lhs, rhs in _check_margins(_values(max_n, table))
-        ]
-
-    if sample is None:
-        canon = npn_canonical_array(max_n).tolist()
-        by_class = {rep: cells(rep) for rep in set(canon)}
-        rows = ((table, by_class[rep]) for table, rep in enumerate(canon))
-    else:
-        rows = ((table, cells(table)) for table in sample_tables(max_n, sample, seed))
-    for table, row_cells in rows:
+    memo: dict[int, list[str]] = {}
+    for table, rep in zip(tables, measured.tolist()):
+        if rep not in memo:
+            memo[rep] = [
+                f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
+                for name, margin, lhs, rhs in _check_margins(_values(max_n, rep))
+            ]
         spec = format_table(TruthTable(max_n, table))
-        for cell in row_cells:
+        for cell in memo[rep]:
             yield f"{max_n},{spec},{cell}"

@@ -176,7 +176,7 @@ def parity_partition(f: TruthTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Returns (V0, V1) where V0 = {x : f(x) = popcount(x) mod 2} and V1 is
     the complement, both in ascending input order.
     """
-    par = bits.parity_array(f.arity)
+    par = bits.popcount_array(np.arange(f.size)) & 1
     vals = f.to_bit_array()
     agree = vals == par
     idx = np.arange(f.size)
@@ -207,7 +207,7 @@ def named_family(name: str, n) -> TruthTable:
     if key == "AND":
         return TruthTable(n, 1 << ((1 << n) - 1))
     if key == "PARITY":
-        return TruthTable(n, bits.from_bit_array(bits.parity_array(n)))
+        return TruthTable(n, bits.from_bit_array(bits.popcount_array(np.arange(1 << n)) & 1))
     if key == "EXACT1":
         t = 0
         for i in range(n):

@@ -87,6 +87,20 @@ def test_measures_rejects_conflicting_inputs(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measures", "2:E", "--n", "5"], "--n and --l apply only to --family"),
+        (["families", "--family", "OR", "--n", "3", "--l", "2"], "--l applies only to"),
+        (["families", "--n", "3"], "--n and --l apply only to --family"),
+    ],
+)
+def test_stray_function_flags_are_usage_errors(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert message in err
+
+
 def test_measures_and_or_needs_l(capsys):
     rc, _, err = run_cli(capsys, "measures", "--family", "AND-OR", "--n", "4")
     assert rc == 1
@@ -320,6 +334,14 @@ def test_graphprops_clique_size_only_with_contains_clique(capsys, name):
     )
     assert rc == 1 and out == ""
     assert "clique size applies only to contains-clique" in err
+
+
+def test_graphprops_enumerate_rejects_clique_size(capsys):
+    rc, out, err = run_cli(
+        capsys, "graphprops", "--n-vertices", "3", "--enumerate", "--clique-size", "3"
+    )
+    assert rc == 1 and out == ""
+    assert "--clique-size applies only to --name contains-clique" in err
 
 
 def test_families_listing(capsys):

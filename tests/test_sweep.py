@@ -15,6 +15,7 @@ from bfc.sweep import (
     FLOAT_CHECKS,
     RATIO_NAMES,
     SAMPLED_MAX_N,
+    SWEEP_MEASURES,
     _check_margins,
     _values,
     _ratio_entries,
@@ -231,8 +232,8 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
 
     Float margins and the lambda/deg and D/lambda^4 ratios are ranked in
     units of 1e-9 and ties go to the least table; constant tables are
-    never a check's witness; the lambda/adeg block comes from
-    ``approx_degree_ratio``."""
+    never a check's witness.  The lambda/adeg ratio is folded here too,
+    from ``adeg`` measured on every table, and counts the NPN classes."""
 
     def grid(x):
         return round(x / 1e-9)
@@ -240,7 +241,8 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
     counts = {name: [0, 0] for name in CHECK_NAMES}
     worst, best = {}, {}
     for table in range(1 << (1 << n)):
-        m = _values(n, table)
+        m = _values(n, table, SWEEP_MEASURES + ("adeg",))
+        adeg = m.pop("adeg")
         for name, margin, lhs, rhs in _check_margins(m):
             is_float = name in FLOAT_CHECKS
             ok = margin >= (-tolerance if is_float else 0)
@@ -254,6 +256,11 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
             rank = (-(ratio if name == "D/bs^2" else grid(ratio)), table)
             if name not in best or rank < best[name][0]:
                 best[name] = (rank, ratio, num, den)
+        if adeg > 0:
+            ratio = m["lambda"] / adeg
+            rank = (-grid(ratio), table)
+            if "lambda/adeg" not in best or rank < best["lambda/adeg"][0]:
+                best["lambda/adeg"] = (rank, ratio, m["lambda"], float(adeg))
 
     def spec(table):
         return format_table(TruthTable(n, table))
@@ -281,7 +288,8 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
         for name in RATIO_NAMES
         if name in best
     ]
-    ratios.append(approx_degree_ratio(n))
+    ratios[-1]["class_count"] = len(np.unique(npn_canonical_array(n)))
+    ratios[-1]["note"] = "evaluated on equivalence-class representatives"
     return {
         "universe": {"mode": "exhaustive", "arity": n, "function_count": 1 << (1 << n)},
         "tolerance": tolerance,
@@ -381,14 +389,32 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     huge = 10**6
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
-    clamped = run_sweep(max_n=2, sample=8, seed=1, threads=huge)
+    clamped = run_sweep(max_n=3, sample=8, seed=1, threads=huge)
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
-    run_sweep(max_n=2, sample=8, seed=1, threads=huge)  # 8 tables make 8 chunks
-    run_sweep(max_n=2, sample=8, seed=1, threads=2)
+    run_sweep(max_n=3, sample=8, seed=1, threads=huge)  # 8 distinct tables make 8 chunks
+    run_sweep(max_n=3, sample=8, seed=1, threads=2)
     run_sweep(max_n=2, threads=huge)  # exhaustive sweeps never use the pool
     assert sizes == [3, 8, 2]
     assert initializers == [sweep._pin_blas] * 3
-    assert clamped.report_hash == run_sweep(max_n=2, sample=8, seed=1).report_hash
+    assert clamped.report_hash == run_sweep(max_n=3, sample=8, seed=1).report_hash
+
+
+def test_repeated_samples_are_measured_once_and_counted_per_draw(monkeypatch):
+    draws = sweep.sample_tables(2, 8, 1)
+    assert len(set(draws)) == 6
+    real = report.spectral_sensitivity
+    calls = []
+
+    def counting(f):
+        calls.append(f.table)
+        return real(f)
+
+    monkeypatch.setattr(report, "spectral_sensitivity", counting)
+    result = run_sweep(max_n=2, sample=8, seed=1)
+    assert sorted(calls) == sorted(set(draws))
+    for entry in result.checks:
+        assert entry["passes"] + entry["failures"] == 8
+    assert result.diagnostics["evaluated_functions"] == 6
 
 
 def test_usable_cpus_bounded():
