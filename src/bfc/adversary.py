@@ -13,7 +13,11 @@ verifiers read only its ``SensitivityGraph``, never the solver's vector:
 * a semidefinite pair: a primal feasible solution and a dual built
   from any feasible weight scheme.
 
-Matrices are indexed by the defined inputs in ascending order.
+The semidefinite pair is stored in factored form, indexed by the
+defined inputs in ascending order: the primal as its weights z on the
+sensitive pairs and its diagonal delta, the dual as one nonnegative
+vector r_i per bit with block R_i = r_i r_i^T.  Its verifiers check
+closed forms over those factors, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .tables import PartialTruthTable, TruthTable
 SUPPORT_EPS = 1e-12
 FEAS_SLACK = 1e-9
 VALUE_SLACK = 1e-6
-PSD_SLACK = 1e-8
 SDP_MAX_ARITY = 8
 
 
@@ -58,23 +61,24 @@ class VertexBitWeightScheme:
     weights: tuple[tuple[int, int, float], ...]  # (x, bit, w)
     note: str = ""
 
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        return {(x, i): w for x, i, w in self.weights}
-
 
 @dataclass(frozen=True)
 class SdpPrimal:
+    """Z as its weights on the sensitive pairs and Delta as its diagonal."""
+
     domain: tuple[int, ...]
-    z: np.ndarray
-    delta: np.ndarray
+    z: tuple[tuple[int, int, float], ...]  # (x, y, Z_xy) with x < y
+    delta: np.ndarray  # Delta_xx, indexed like domain
     objective: float
 
 
 @dataclass(frozen=True)
 class SdpDual:
+    """The dual bound alpha and the factors of the blocks R_i = r_i r_i^T."""
+
     domain: tuple[int, ...]
     alpha: float
-    r_blocks: tuple[np.ndarray, ...]  # one PSD block per bit
+    r: np.ndarray  # (arity, len(domain)): row i is r_i
 
 
 def _require_nonconstant(g: SensitivityGraph, what: str) -> None:
@@ -201,11 +205,16 @@ def vertex_scheme_value(scheme: VertexBitWeightScheme) -> float:
     return max(sums.values(), default=0.0)
 
 
+def _columns(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, second, weight) arrays of (int, int, float) triples."""
+    cols = np.array(weights, dtype=float).reshape(-1, 3)
+    return cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
+
+
 def edge_scheme_value(scheme: EdgeWeightScheme) -> float:
     """min of sqrt(wt(x) wt(y)) / w(x, y) over the pairs with w > 0,
     where wt(x) sums the weights at x; 0 if no weight is positive."""
-    cols = np.array(scheme.weights, dtype=float).reshape(-1, 3)
-    xs, ys, w = cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64), cols[:, 2]
+    xs, ys, w = _columns(scheme.weights)
     # the builder's pairs run in ascending x, so each vertex's sum adds its
     # lower neighbours' weights first, as a running sum over the pairs would
     wt = np.zeros(1 << scheme.arity)
@@ -218,145 +227,135 @@ def edge_scheme_value(scheme: EdgeWeightScheme) -> float:
         return float((np.sqrt(wt[xs[keep]] * wt[ys[keep]]) / w[keep]).min())
 
 
-def verify_vertex_scheme(
-    g: SensitivityGraph, scheme: VertexBitWeightScheme, slack: float = FEAS_SLACK
-) -> tuple[bool, tuple[int, int] | None]:
-    """Feasibility: every weight is finite and nonnegative, and
-    w(x, i) w(y, i) >= 1 on every sensitive pair (y = x^i).
-
-    Returns (ok, first offending (x, bit)): a bad weight, else the lower
-    input of a violated pair.
-    """
-    for x, i, w in scheme.weights:
-        if not (math.isfinite(w) and w >= 0.0):
-            return False, (x, i)
-    wm = scheme.weight_map()
+def _short_pair(g: SensitivityGraph, w: np.ndarray) -> tuple[int, int] | None:
+    """The first sensitive pair (x, bit) in ``g.pairs()`` order with
+    w[bit, x] w[bit, x ^ 2^bit] < 1; None if every pair is covered.
+    ``w`` is indexed by bit, then by input."""
     xs, ys, bit = g.pairs()
-    for x, y, i in zip(xs.tolist(), ys.tolist(), bit.tolist()):
-        if wm.get((x, i), 0.0) * wm.get((y, i), 0.0) < 1.0 - slack:
-            return False, (x, i)
-    return True, None
+    short = np.flatnonzero(w[bit, xs] * w[bit, ys] < 1.0 - FEAS_SLACK)
+    return (int(xs[short[0]]), int(bit[short[0]])) if short.size else None
+
+
+def verify_vertex_scheme(
+    g: SensitivityGraph, scheme: VertexBitWeightScheme
+) -> tuple[bool, tuple[int, int] | None]:
+    """Feasibility: the scheme has g's arity, every weight is finite,
+    nonnegative and on an input and bit of g, and w(x, i) w(y, i) >= 1
+    on every sensitive pair (y = x^i).
+
+    Returns (ok, first offending (x, bit)): a bad weight (every weight
+    is bad under another arity), else the lower input of a violated pair.
+    """
+    xs, bit, w = _columns(scheme.weights)
+    good = np.isfinite(w) & (w >= 0.0) & (xs >= 0) & (xs < g.values.size)
+    good &= (bit >= 0) & (bit < g.arity) & (scheme.arity == g.arity)
+    if not good.all():
+        x, i, _ = scheme.weights[int(np.argmin(good))]
+        return False, (x, i)
+    full = np.zeros((g.arity, g.values.size))
+    full[bit, xs] = w
+    violated = _short_pair(g, full)
+    return violated is None, violated
 
 
 def verify_edge_scheme(
     g: SensitivityGraph, scheme: EdgeWeightScheme
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Support check: finite weights w >= 0, only on sensitive
-    distance-1 pairs."""
+    """Support check: the scheme has g's arity, and every weight is
+    finite, nonnegative and on a sensitive distance-1 pair."""
     for x, y, w in scheme.weights:
-        if not (math.isfinite(w) and w >= 0.0) or not g.is_edge(x, y):
+        if scheme.arity != g.arity or not (math.isfinite(w) and w >= 0.0) or not g.is_edge(x, y):
             return False, (x, y)
     return True, None
-
-
-def _bit_difference_masks(domain: tuple[int, ...], arity: int) -> list[np.ndarray]:
-    idx = np.asarray(domain)
-    return [((idx[:, None] ^ idx[None, :]) >> i) & 1 for i in range(arity)]
-
-
-def _fits(g: SensitivityGraph, cert: SdpPrimal | SdpDual, blocks: list[np.ndarray]) -> bool:
-    """True iff the certificate is labelled by g's domain and every
-    block is a matrix over it."""
-    side = len(g.domain_inputs)
-    return cert.domain == tuple(g.domain_inputs) and all(
-        np.shape(b) == (side, side) for b in blocks
-    )
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
 
 
 def sdp_primal_certificate(spec: Spectrum) -> SdpPrimal:
     """Feasible primal pair (Z, Delta) with objective <Z, A> = lambda(f).
 
     Z = A o vv^T and Delta = I o vv^T for the unit principal eigenvector
-    v; Delta - Z o D_i is positive semidefinite by the Schur product
-    theorem because I - A o D_i is (a partial matching has eigenvalues
-    in [-1, 1]).
+    v: z(x, y) = v(x) v(y) on every sensitive pair, delta = v^2, and the
+    objective counts each pair twice.  Each 2 x 2 block of Delta - Z o D_i
+    is [[v(x)^2, -v(x) v(y)], [-v(x) v(y), v(y)^2]], which is PSD.
     """
     g = _sdp_graph(spec, "the semidefinite primal")
-    a = g.adjacency()
-    v = spec.vector
-    outer = np.outer(v, v)
-    z = a * outer
-    delta = np.diag(v * v)
+    v = np.zeros(g.values.size)
+    v[g.domain_inputs] = spec.vector
+    xs, ys, _ = g.pairs()
+    z = v[xs] * v[ys]
     return SdpPrimal(
         domain=tuple(g.domain_inputs),
-        z=z,
-        delta=delta,
-        objective=float(np.sum(z * a)),
+        z=tuple(zip(xs.tolist(), ys.tolist(), z.tolist())),
+        delta=spec.vector * spec.vector,
+        objective=2.0 * float(z.sum()),
     )
 
 
-def verify_sdp_primal(g: SensitivityGraph, cert: SdpPrimal, slack: float = PSD_SLACK) -> bool:
+def verify_sdp_primal(g: SensitivityGraph, cert: SdpPrimal) -> bool:
     """Feasibility of (Z, Delta) over g's domain, and the claimed
-    objective against <Z, A> recomputed from g's adjacency."""
-    if not _fits(g, cert, [cert.z, cert.delta]):
+    objective against <Z, A> = 2 sum z.
+
+    ``verify_edge_scheme`` checks that z is finite, nonnegative and on
+    G_f; each pair must appear once, as (x, y) with x < y.  Z o D_i is
+    then a weighted matching along bit i, so Delta - Z o D_i is a sum of
+    2 x 2 blocks [[delta_x, -z], [-z, delta_y]] and 1 x 1 blocks delta_x:
+    it is PSD for every i exactly when delta >= 0 and
+    z^2 <= delta_x delta_y on every pair.
+    """
+    delta = np.asarray(cert.delta, dtype=float)
+    if cert.domain != tuple(g.domain_inputs) or delta.shape != (len(cert.domain),):
         return False
-    z, delta = cert.z, cert.delta
-    if not (np.isfinite(z).all() and np.isfinite(delta).all() and math.isfinite(cert.objective)):
+    if not verify_edge_scheme(g, EdgeWeightScheme(g.arity, cert.z))[0]:
         return False
-    a = g.adjacency()
-    if abs(float(np.sum(z * a)) - cert.objective) > FEAS_SLACK:
+    xs, ys, z = _columns(cert.z)
+    if np.any(xs >= ys) or np.unique(xs * g.values.size + ys).size < z.size:
         return False
-    if not np.allclose(z, z.T, atol=1e-12):
+    if not (np.isfinite(delta).all() and math.isfinite(cert.objective)):
         return False
-    if z.min() < -1e-12:
+    if abs(2.0 * z.sum() - cert.objective) > FEAS_SLACK or abs(delta.sum() - 1.0) > FEAS_SLACK:
         return False
-    if np.any((z > 1e-12) & (a == 0.0)):
-        return False
-    if abs(np.trace(delta) - 1.0) > 1e-9:
-        return False
-    if np.any(np.diag(delta) < -1e-12):
-        return False
-    for d in _bit_difference_masks(cert.domain, g.arity):
-        m = delta - z * d
-        if _min_eig(m) < -slack * (1.0 + float(np.abs(m).max())):
-            return False
-    return True
+    d = np.zeros(g.values.size)
+    d[g.domain_inputs] = delta
+    return bool((delta >= 0.0).all() and (z * z <= d[xs] * d[ys] * (1.0 + FEAS_SLACK)).all())
 
 
 def sdp_dual_certificate(spec: Spectrum, scheme: VertexBitWeightScheme) -> SdpDual:
-    """Dual blocks R_i from a feasible vertex-bit scheme.
+    """Dual blocks R_i = r_i r_i^T from a feasible vertex-bit scheme.
 
-    R_i is the outer product of sqrt(w(., i)); the dual objective alpha
-    is the largest weight row sum.  An infeasible scheme is rejected
-    with the violated pair.
+    r_i = sqrt(w(., i)); the dual objective alpha is the largest weight
+    row sum.  An infeasible scheme is rejected with the violated pair.
     """
     g = _sdp_graph(spec, "the semidefinite dual")
     ok, violated = verify_vertex_scheme(g, scheme)
     if not ok:
         raise ValueError(f"infeasible weight scheme at (input, bit) {violated}")
-    dom = tuple(g.domain_inputs)
-    wm = scheme.weight_map()
-    blocks = []
-    for i in range(g.arity):
-        r = np.sqrt([wm.get((x, i), 0.0) for x in dom])
-        blocks.append(np.outer(r, r))
-    return SdpDual(domain=dom, alpha=vertex_scheme_value(scheme), r_blocks=tuple(blocks))
+    xs, bit, w = _columns(scheme.weights)
+    r = np.zeros((g.arity, g.values.size))
+    r[bit, xs] = np.sqrt(w)
+    return SdpDual(
+        domain=tuple(g.domain_inputs),
+        alpha=vertex_scheme_value(scheme),
+        r=r[:, g.domain_inputs],
+    )
 
 
-def verify_sdp_dual(g: SensitivityGraph, cert: SdpDual, slack: float = FEAS_SLACK) -> bool:
-    """Feasibility of a finite alpha and PSD blocks R_i over g's domain:
-    diagonal sums at most alpha and sum_i R_i o D_i covering A."""
-    if len(cert.r_blocks) != g.arity or not _fits(g, cert, list(cert.r_blocks)):
+def verify_sdp_dual(g: SensitivityGraph, cert: SdpDual) -> bool:
+    """Feasibility of a finite alpha and the blocks R_i = r_i r_i^T over
+    g's domain, each PSD as an outer product.
+
+    r >= 0 makes sum_i R_i o D_i >= 0 = A off the edges; on the diagonal
+    sum_i r_i(x)^2 <= alpha, and on every sensitive pair (x, x^i) the
+    cover r_i(x) r_i(x^i) >= 1.
+    """
+    r = np.asarray(cert.r, dtype=float)
+    if cert.domain != tuple(g.domain_inputs) or r.shape != (g.arity, len(cert.domain)):
         return False
-    if not (math.isfinite(cert.alpha) and all(np.isfinite(r).all() for r in cert.r_blocks)):
+    if not (math.isfinite(cert.alpha) and np.isfinite(r).all() and (r >= 0.0).all()):
         return False
-    a = g.adjacency()
-    diag_sum = np.zeros(len(cert.domain))
-    cover = np.zeros_like(a)
-    for i, (r, d) in enumerate(zip(cert.r_blocks, _bit_difference_masks(cert.domain, g.arity))):
-        if _min_eig(r) < -PSD_SLACK * (1.0 + float(np.abs(r).max())):
-            return False
-        diag_sum += np.diag(r)
-        cover += r * d
-    if np.any(diag_sum > cert.alpha + slack):
+    if np.any((r * r).sum(axis=0) > cert.alpha + FEAS_SLACK):
         return False
-    if np.any(cover < a - slack):
-        return False
-    return True
+    w = np.zeros((g.arity, g.values.size))
+    w[:, g.domain_inputs] = r
+    return _short_pair(g, w) is None
 
 
 @dataclass(frozen=True)
@@ -431,7 +430,7 @@ def certificate_json(g: SensitivityGraph, cert) -> dict:
         return {
             "scheme": "sdp-primal",
             "domain": list(cert.domain),
-            "z": cert.z.tolist(),
+            "z": [[x, y, w] for x, y, w in cert.z],
             "delta": cert.delta.tolist(),
             "claimed_value": cert.objective,
             "verdict": verify_sdp_primal(g, cert),
@@ -441,7 +440,7 @@ def certificate_json(g: SensitivityGraph, cert) -> dict:
             "scheme": "sdp-dual",
             "domain": list(cert.domain),
             "alpha": cert.alpha,
-            "r_blocks": [r.tolist() for r in cert.r_blocks],
+            "r": cert.r.tolist(),
             "verdict": verify_sdp_dual(g, cert),
         }
     raise TypeError(f"unknown certificate type {type(cert).__name__}")

@@ -94,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_measures(args) -> int:
+    if args.certificates and args.format == "csv":
+        raise ValueError("--certificates has no csv form; use --format json or text")
     f, family = _resolve_function(args)
     body = report.measure_report(f, family=family, include_certificates=args.certificates)
     if args.format == "json":

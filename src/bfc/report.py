@@ -9,6 +9,7 @@ makes reruns comparable at a glance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -100,9 +101,29 @@ _INTEGER_ENGINES = {
 }
 
 
-def _engine_entries(f: TruthTable, key: str) -> dict[str, dict]:
+def _certificates(f: TruthTable, spectrum) -> dict:
+    """Every adversary certificate of ``spectrum()`` with its verifier's
+    verdict; skipped for a constant function."""
+    if f.is_constant():
+        return {"skipped": "constant function"}
+    spec = spectrum()
+    edge_scheme, _ = adversary.edge_scheme_from_eigenvector(spec)
+    balanced, _ = adversary.balanced_vertex_scheme(spec)
+    optimal, _ = adversary.optimal_vertex_scheme(spec)
+    certs = {
+        "edge_scheme": edge_scheme,
+        "vertex_scheme_balanced": balanced,
+        "vertex_scheme_optimal": optimal,
+        "sdp_primal": adversary.sdp_primal_certificate(spec),
+        "sdp_dual": adversary.sdp_dual_certificate(spec, optimal),
+    }
+    return {name: adversary.certificate_json(spec.graph, cert) for name, cert in certs.items()}
+
+
+def _engine_entries(f: TruthTable, key: str, spectrum) -> dict[str, dict]:
     """The entries one engine call gives: the four sensitivity measures
-    for ``"sensitivity"``, otherwise the measure ``key`` alone."""
+    for ``"sensitivity"``, otherwise the measure ``key`` alone.
+    ``spectrum()`` gives f's one ``Spectrum``."""
     if key == "sensitivity":
         sens = sensitivity(f)
         return {
@@ -116,8 +137,10 @@ def _engine_entries(f: TruthTable, key: str) -> dict[str, dict]:
             },
         }
     if key == "lambda":
-        sr = spectral_sensitivity(f)
+        sr = spectrum()
         return {"lambda": {"value": sr.value, "exactness": SPECTRAL_TAG, "residual": sr.residual}}
+    if key == "certificates":
+        return {"certificates": _certificates(f, spectrum)}
     return {key: _exact(_INTEGER_ENGINES[key](f))}
 
 
@@ -126,11 +149,15 @@ def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict[str, float]]:
     seconds each engine call took.
 
     Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
-    reason}`` above the measure's ``MEASURE_CAPS`` arity.  An engine
-    error is re-raised with the measure and table prefixed to its text.
+    reason}`` above the measure's ``MEASURE_CAPS`` arity.  The name
+    ``"certificates"`` gives the adversary certificate block instead.
+    ``lambda`` and the certificates read one ``Spectrum``, built once per
+    call.  An engine error is re-raised with the measure and table
+    prefixed to its text.
     """
     got: dict[str, dict] = {}
     timing: dict[str, float] = {}
+    spectrum = functools.cache(lambda: spectral_sensitivity(f))
     for name in names:
         reason = cap_reason(name, f.arity)
         if reason is not None:
@@ -139,7 +166,7 @@ def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict[str, float]]:
             key = "sensitivity" if name in _SENSITIVITY_GROUP else name
             t0 = time.perf_counter()
             try:
-                got.update(_engine_entries(f, key))
+                got.update(_engine_entries(f, key, spectrum))
             except _ENGINE_ERRORS as exc:
                 exc.args = (f"{name} of {format_table(f)}: {exc}",)
                 raise
@@ -157,9 +184,12 @@ def measure_report(
     Measures whose engine cap is below the function's arity appear as
     ``{"skipped": reason}`` instead of failing the whole report.
     Certificates (optional) cover the adversary forms, are built from
-    one ``Spectrum`` and carry their own verifier verdicts.
+    the ``Spectrum`` behind ``lambda`` and carry their own verifier
+    verdicts.
     """
-    measures, timing = measure(f, MEASURE_NAMES)
+    names = MEASURE_NAMES + ("certificates",) if include_certificates else MEASURE_NAMES
+    measures, timing = measure(f, names)
+    certificates = measures.pop("certificates", None)
     body = {
         "function": {
             "arity": f.arity,
@@ -168,29 +198,8 @@ def measure_report(
         },
         "measures": measures,
     }
-
     if include_certificates:
-        reason = "constant function" if f.is_constant() else cap_reason("certificates", f.arity)
-        if reason is not None:
-            body["certificates"] = {"skipped": reason}
-        else:
-            t0 = time.perf_counter()
-            spec = spectral_sensitivity(f)
-            edge_scheme, _ = adversary.edge_scheme_from_eigenvector(spec)
-            balanced, _ = adversary.balanced_vertex_scheme(spec)
-            optimal, _ = adversary.optimal_vertex_scheme(spec)
-            certs = {
-                "edge_scheme": edge_scheme,
-                "vertex_scheme_balanced": balanced,
-                "vertex_scheme_optimal": optimal,
-                "sdp_primal": adversary.sdp_primal_certificate(spec),
-                "sdp_dual": adversary.sdp_dual_certificate(spec, optimal),
-            }
-            body["certificates"] = {
-                name: adversary.certificate_json(spec.graph, cert) for name, cert in certs.items()
-            }
-            timing["certificates"] = time.perf_counter() - t0
-
+        body["certificates"] = certificates
     body["timing"] = timing
     return body
 
@@ -217,7 +226,7 @@ def render_text(body: dict) -> str:
         else:
             for name, cert in certs.items():
                 verdict = "ok" if cert.get("verdict") else "FAILED"
-                value = cert.get("claimed_value")
+                value = cert.get("claimed_value", cert.get("alpha"))
                 shown = f" value {value:.9g}" if isinstance(value, float) else ""
                 lines.append(f"  certificate {name}:{shown} verifier {verdict}")
     return "\n".join(lines) + "\n"

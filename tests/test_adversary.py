@@ -204,7 +204,7 @@ def test_sdp_primal_or3():
     cert = sdp_primal_certificate(spec)
     assert abs(cert.objective - math.sqrt(3)) < 1e-9
     assert verify_sdp_primal(spec.graph, cert)
-    assert abs(np.trace(cert.delta) - 1) < 1e-12
+    assert abs(cert.delta.sum() - 1) < 1e-12
 
 
 def test_sdp_primal_tampering_detected():
@@ -212,11 +212,13 @@ def test_sdp_primal_tampering_detected():
     cert = sdp_primal_certificate(spec)
     bad = type(cert)(
         domain=cert.domain,
-        z=cert.z * 3.0,  # breaks Delta - Z o D_i >= 0
+        z=tuple((x, y, 3.0 * w) for x, y, w in cert.z),  # breaks Delta - Z o D_i >= 0
         delta=cert.delta,
         objective=cert.objective,
     )
     assert not verify_sdp_primal(spec.graph, bad)
+    # doubling Delta keeps z^2 <= delta_x delta_y but breaks trace(Delta) = 1
+    assert not verify_sdp_primal(spec.graph, dataclasses.replace(cert, delta=2.0 * cert.delta))
 
 
 def test_sdp_dual_from_optimal_scheme():
@@ -291,12 +293,13 @@ def test_certificate_json_roundtrip_and_verdicts():
     blob = certificate_json(g, primal)
     assert blob["scheme"] == "sdp-primal"
     assert blob["verdict"] is True
-    assert len(blob["z"]) == 8
+    assert len(blob["z"]) == 3  # the three sensitive pairs of OR_3
 
     dual = sdp_dual_certificate(spec, scheme)
     blob = certificate_json(g, dual)
     assert blob["scheme"] == "sdp-dual"
     assert blob["verdict"] is True
+    assert np.array(blob["r"]).shape == (3, 8)
 
 
 def test_scheme_value_helper():
@@ -337,10 +340,11 @@ def test_sdp_verifiers_reject_wrong_size_certificate():
     dual = sdp_dual_certificate(or2, optimal_vertex_scheme(or2)[0])
     assert not verify_sdp_primal(or3, primal)
     assert not verify_sdp_dual(or3, dual)
-    # right domain, wrong matrix shape
+    # right domain, wrong shape
     g = or2.graph
-    assert not verify_sdp_primal(g, dataclasses.replace(primal, z=primal.z[:-1, :-1]))
-    assert not verify_sdp_dual(g, dataclasses.replace(dual, r_blocks=dual.r_blocks[:-1]))
+    assert not verify_sdp_primal(g, dataclasses.replace(primal, delta=primal.delta[:-1]))
+    assert not verify_sdp_dual(g, dataclasses.replace(dual, r=dual.r[:-1]))
+    assert not verify_sdp_dual(g, dataclasses.replace(dual, r=dual.r[:, :-1]))
 
 
 def test_sdp_verifiers_check_the_certificate_domain():
@@ -375,9 +379,8 @@ def test_sdp_primal_verifier_checks_the_claimed_objective():
 
 
 def test_sdp_primal_verifier_rejects_a_nan_delta_entry():
-    # a NaN on the diagonal used to reach eigvalsh and raise LinAlgError
     g, primal, _ = _or3_primal_and_dual()
-    for entry in ((1, 1), (0, 1)):
+    for entry in (0, 1, 7):  # the centre, a leaf, and an input on no pair
         delta = primal.delta.copy()
         delta[entry] = math.nan
         assert not verify_sdp_primal(g, dataclasses.replace(primal, delta=delta))
@@ -391,9 +394,77 @@ def test_sdp_dual_verifier_rejects_a_nan_alpha():
 def test_sdp_dual_verifier_rejects_a_nan_block_entry():
     g, _, dual = _or3_primal_and_dual()
     for entry in ((0, 0), (1, 1)):
-        r = dual.r_blocks[0].copy()
+        r = dual.r.copy()
         r[entry] = math.nan
-        assert not verify_sdp_dual(g, dataclasses.replace(dual, r_blocks=(r,) + dual.r_blocks[1:]))
+        assert not verify_sdp_dual(g, dataclasses.replace(dual, r=r))
+
+
+def _with_z(primal, z):
+    """``primal`` with the weights ``z`` and the objective they give."""
+    return dataclasses.replace(primal, z=tuple(z), objective=2.0 * sum(w for _, _, w in z))
+
+
+def test_sdp_primal_verifier_rejects_repeated_and_reversed_pairs():
+    # halving a pair's weight into two entries keeps every sum and every
+    # z^2 <= delta_x delta_y; only the pair check refuses it
+    g, primal, _ = _or3_primal_and_dual()
+    (x, y, w), *rest = primal.z
+    assert verify_sdp_primal(g, _with_z(primal, primal.z))
+    assert not verify_sdp_primal(g, _with_z(primal, [(x, y, w / 2), (x, y, w / 2), *rest]))
+    assert not verify_sdp_primal(g, _with_z(primal, [(y, x, w / 2), (x, y, w / 2), *rest]))
+    assert not verify_sdp_primal(g, _with_z(primal, [(y, x, w), *rest]))
+
+
+def test_sdp_primal_verifier_rejects_a_pair_off_the_graph():
+    # f(1) = f(3) = 1: a zero weight there changes no sum
+    g, primal, _ = _or3_primal_and_dual()
+    assert not verify_sdp_primal(g, _with_z(primal, [*primal.z, (1, 3, 0.0)]))
+
+
+def test_sdp_primal_verifier_rejects_z_squared_just_above_the_diagonal_product():
+    g, primal, _ = _or3_primal_and_dual()
+    (x, y, w), *rest = primal.z
+    pos = g.domain_inputs.index
+    assert w * w <= primal.delta[pos(x)] * primal.delta[pos(y)] * (1 + 1e-12)
+    assert verify_sdp_primal(g, _with_z(primal, [(x, y, w * (1 - 1e-6)), *rest]))
+    assert not verify_sdp_primal(g, _with_z(primal, [(x, y, w * (1 + 1e-6)), *rest]))
+
+
+def test_sdp_dual_verifier_rejects_a_negative_factor_entry():
+    # input 7 of OR_3 is on no edge, so r_0(7) = -0.1 keeps every edge
+    # product and diagonal sum, but R_0 o D_0 has r_0(7) r_0(0) < 0 at (7, 0)
+    g, _, dual = _or3_primal_and_dual()
+    assert dual.r[0, 7] == 0.0
+    r = dual.r.copy()
+    r[0, 7] = -0.1
+    assert not verify_sdp_dual(g, dataclasses.replace(dual, r=r))
+
+
+def test_sdp_certificates_are_factored():
+    spec = spectral_sensitivity(named_family("PARITY", 6))
+    primal = sdp_primal_certificate(spec)
+    dual = sdp_dual_certificate(spec, optimal_vertex_scheme(spec)[0])
+    assert len(primal.z) == 192 and primal.delta.shape == (64,)
+    assert dual.r.shape == (6, 64)
+    assert verify_sdp_primal(spec.graph, primal) and verify_sdp_dual(spec.graph, dual)
+    assert abs(primal.objective - 6) < 1e-9 and abs(dual.alpha - 6) < 1e-9
+
+
+def test_scheme_verifiers_reject_another_arity_and_weights_off_the_cube():
+    spec = spectral_sensitivity(named_family("OR", 3))
+    g = spec.graph
+    stray = EdgeWeightScheme(1, ((0, 4, 0.5),))  # (0, 4) is an edge of G_f
+    assert verify_edge_scheme(g, stray) == (False, (0, 4))
+    blob = certificate_json(g, stray)
+    assert blob["verdict"] is False and blob["claimed_value"] is None
+    scheme, _ = optimal_vertex_scheme(spec)
+    assert verify_vertex_scheme(g, scheme) == (True, None)
+    narrow = dataclasses.replace(scheme, arity=2)
+    assert verify_vertex_scheme(g, narrow) == (False, scheme.weights[0][:2])
+    assert certificate_json(g, narrow)["violated_pair"] == list(scheme.weights[0][:2])
+    for x, i in ((8, 0), (-1, 0), (1, 3)):  # no such input or bit at arity 3
+        off = dataclasses.replace(scheme, weights=scheme.weights + ((x, i, 1.0),))
+        assert verify_vertex_scheme(g, off) == (False, (x, i))
 
 
 def test_equivalences_build_one_graph_and_solve_each_component_once(monkeypatch):

@@ -81,6 +81,23 @@ def test_measures_with_certificates(capsys):
     assert certs["edge_scheme"]["claimed_value"] == pytest.approx(math.sqrt(3))
 
 
+def test_measures_text_shows_every_certificate_value(capsys):
+    rc, out, _ = run_cli(
+        capsys, "measures", "--family", "OR", "--n", "3", "--certificates", "--format", "text"
+    )
+    assert rc == 0
+    lines = [line for line in out.splitlines() if "certificate " in line]
+    assert len(lines) == 5
+    # sdp_dual carries alpha, not claimed_value; lambda(OR_3) = sqrt(3)
+    assert all(" value 1.7320508" in line and line.endswith("verifier ok") for line in lines)
+
+
+def test_measures_certificates_have_no_csv_form(capsys):
+    rc, out, err = run_cli(capsys, "measures", "2:E", "--certificates", "--format", "csv")
+    assert rc == 1 and out == ""
+    assert "--certificates has no csv form" in err
+
+
 def test_measures_rejects_conflicting_inputs(capsys):
     rc, _, err = run_cli(capsys, "measures", "2:E", "--family", "OR", "--n", "2")
     assert rc == 1

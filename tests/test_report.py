@@ -2,7 +2,7 @@
 
 import pytest
 
-from bfc import report
+from bfc import report, spectral
 from bfc.adversary import sdp_primal_certificate
 from bfc.algebraic import approximate_degree
 from bfc.combinatorial import (
@@ -12,9 +12,9 @@ from bfc.combinatorial import (
 )
 from bfc.lp import LpNumericalError
 from bfc.report import MEASURE_CAPS, measure, measure_report
-from bfc.spectral import spectral_sensitivity
+from bfc.spectral import SensitivityGraph, spectral_sensitivity
 from bfc.sweep import run_sweep
-from bfc.tables import named_family, parse_table
+from bfc.tables import TruthTable, named_family, parse_table
 
 ENGINES = {
     "bs": block_sensitivity,
@@ -85,3 +85,34 @@ def test_report_hash_takes_computed_sweep_floats_on_the_grid():
     nudged["checks"][0]["min_margin"] += 2 * report.TIE_GRID
     assert report.report_hash(nudged) != report.report_hash(body)
     assert report.report_hash({**body, "tolerance": body["tolerance"] + 1e-13}) != report.report_hash(body)
+
+
+@pytest.mark.parametrize("family, n", [("AND-OR", (3, 2)), ("XOR-OR", 6)])
+def test_report_with_certificates_solves_each_component_once(monkeypatch, family, n):
+    # lambda and the certificates share one Spectrum; the other build is
+    # the sensitivity engine's own graph
+    f = named_family(family, n)
+    comps = len(SensitivityGraph(f).components())
+    perron, init = spectral._perron, SensitivityGraph.__init__
+    solved, built = [], []
+
+    def counting_perron(g, comp):
+        solved.append(int(comp[0]))
+        return perron(g, comp)
+
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(spectral, "_perron", counting_perron)
+    monkeypatch.setattr(SensitivityGraph, "__init__", counting_init)
+    body = measure_report(f, include_certificates=True)
+    assert all(cert["verdict"] for cert in body["certificates"].values())
+    assert len(solved) == len(set(solved)) == comps
+    assert len(built) == 2
+
+
+def test_constant_function_skips_certificates():
+    entries, _ = measure(TruthTable(3, 0), ["lambda", "certificates"])
+    assert entries["certificates"] == {"skipped": "constant function"}
+    assert entries["lambda"]["value"] == 0.0

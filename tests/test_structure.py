@@ -20,16 +20,16 @@ def test_permutations_are_enumerated_only_in_bits():
 
 
 def test_eigensolvers_run_only_on_the_one_spectral_path():
-    # spectral.py: the Gram solve and the Lanczos tridiagonal;
-    # adversary.py: the SDP's least eigenvalue.  A third call would be a
-    # second, hand-rolled Perron path.
+    # spectral.py: the Gram solve and the Lanczos tridiagonal.  The SDP
+    # verifiers check closed forms over the certificate's factors; a third
+    # call would be a second, hand-rolled Perron path.
     calls = {}
     for p in SRC.glob("*.py"):
         text = p.read_text()
         count = text.count("eigh(") + text.count("eigvalsh(")
         if count:
             calls[p.name] = count
-    assert calls == {"adversary.py": 1, "spectral.py": 2}
+    assert calls == {"spectral.py": 2}
 
 
 def test_perron_is_named_only_in_spectral():
