@@ -405,7 +405,8 @@ def verify_equivalences(f: TruthTable | PartialTruthTable) -> EquivalenceReport:
 
 
 def certificate_json(g: SensitivityGraph, cert) -> dict:
-    """Serialize a certificate with its claimed value and verdict."""
+    """Serialize a certificate with its verdict and, where the verdict is
+    true, its claimed value (null on a refused scheme)."""
     if isinstance(cert, EdgeWeightScheme):
         ok, _ = verify_edge_scheme(g, cert)
         return {
@@ -422,18 +423,19 @@ def certificate_json(g: SensitivityGraph, cert) -> dict:
             "arity": cert.arity,
             "note": cert.note,
             "weights": [[x, i, w] for x, i, w in cert.weights],
-            "claimed_value": vertex_scheme_value(cert),
+            "claimed_value": vertex_scheme_value(cert) if ok else None,
             "verdict": ok,
             "violated_pair": list(violated) if violated else None,
         }
     if isinstance(cert, SdpPrimal):
+        ok = verify_sdp_primal(g, cert)
         return {
             "scheme": "sdp-primal",
             "domain": list(cert.domain),
             "z": [[x, y, w] for x, y, w in cert.z],
             "delta": cert.delta.tolist(),
-            "claimed_value": cert.objective,
-            "verdict": verify_sdp_primal(g, cert),
+            "claimed_value": cert.objective if ok else None,
+            "verdict": ok,
         }
     if isinstance(cert, SdpDual):
         return {

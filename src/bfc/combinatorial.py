@@ -8,6 +8,11 @@ All measures here are integers obtained by exhaustive search:
 * certificate complexity C(f) and deterministic decision-tree depth
   D(f), both read from one table over the 3^n subcubes that marks
   where f is constant (monochromatic).
+
+The engines stay exhaustive and take no shortcut.  ``report.measure``
+calls the bs and D engines only where the bounds it already holds
+differ: ``s <= bs <= C`` gives bs = s when s = C, and ``deg <= D <= n``
+gives D = n when deg = n.
 """
 
 from __future__ import annotations

@@ -288,7 +288,7 @@ def property_chain_report(p: GraphProperty) -> PropertyChainReport:
     reason = cap_reason("D", f.arity)
     if reason is not None:
         raise ValueError(f"D of property {p.property_id}: {reason}")
-    m, _ = measure(f, CHAIN_MEASURES)
+    m, _, _ = measure(f, CHAIN_MEASURES)
     d2, dg, lam, depth = (m[name]["value"] for name in CHAIN_MEASURES)
     chain_ok = lam >= math.sqrt(dg) - CHAIN_SLACK and dg >= d2
     return PropertyChainReport(

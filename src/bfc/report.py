@@ -91,7 +91,9 @@ def cap_reason(name: str, n: int) -> str | None:
 
 # the engine names are looked up at call time, so rebinding them in this
 # module (as tracing and tests do) reaches every caller of measure()
-_INTEGER_ENGINES = {
+_ENGINES = {
+    "sensitivity": lambda f: sensitivity(f),
+    "lambda": lambda f: spectral_sensitivity(f),
     "bs": lambda f: block_sensitivity(f).global_value,
     "C": lambda f: certificate_complexity(f).global_value,
     "D": lambda f: deterministic_query_complexity(f),
@@ -99,14 +101,17 @@ _INTEGER_ENGINES = {
     "deg2": lambda f: degree_gf2(f),
     "adeg": lambda f: approximate_degree(f),
 }
+# How measure() obtains bs and D: from the two bounds of a sandwich when
+# they meet, otherwise from the exhaustive engine.
+METHODS = {"bs": ("s = C", "engine"), "D": ("deg = n", "engine")}
 
 
-def _certificates(f: TruthTable, spectrum) -> dict:
-    """Every adversary certificate of ``spectrum()`` with its verifier's
+def _certificates(f: TruthTable, run) -> dict:
+    """Every adversary certificate of f's ``Spectrum`` with its verifier's
     verdict; skipped for a constant function."""
     if f.is_constant():
         return {"skipped": "constant function"}
-    spec = spectrum()
+    spec = run("lambda")
     edge_scheme, _ = adversary.edge_scheme_from_eigenvector(spec)
     balanced, _ = adversary.balanced_vertex_scheme(spec)
     optimal, _ = adversary.optimal_vertex_scheme(spec)
@@ -120,12 +125,13 @@ def _certificates(f: TruthTable, spectrum) -> dict:
     return {name: adversary.certificate_json(spec.graph, cert) for name, cert in certs.items()}
 
 
-def _engine_entries(f: TruthTable, key: str, spectrum) -> dict[str, dict]:
+def _engine_entries(f: TruthTable, key: str, run, methods: dict) -> dict[str, dict]:
     """The entries one engine call gives: the four sensitivity measures
     for ``"sensitivity"``, otherwise the measure ``key`` alone.
-    ``spectrum()`` gives f's one ``Spectrum``."""
+    ``run(engine)`` gives that engine's result on f; the method of a
+    sandwiched measure goes into ``methods``."""
     if key == "sensitivity":
-        sens = sensitivity(f)
+        sens = run("sensitivity")
         return {
             "s": _exact(sens.local.global_value),
             "s0": {**_exact(sens.s0), "defined": sens.s0_defined},
@@ -137,27 +143,43 @@ def _engine_entries(f: TruthTable, key: str, spectrum) -> dict[str, dict]:
             },
         }
     if key == "lambda":
-        sr = spectrum()
+        sr = run("lambda")
         return {"lambda": {"value": sr.value, "exactness": SPECTRAL_TAG, "residual": sr.residual}}
     if key == "certificates":
-        return {"certificates": _certificates(f, spectrum)}
-    return {key: _exact(_INTEGER_ENGINES[key](f))}
+        return {"certificates": _certificates(f, run)}
+    if key == "bs":  # s <= bs <= C (Nisan)
+        s = run("sensitivity").local.global_value
+        value, methods[key] = (s, "s = C") if s == run("C") else (run("bs"), "engine")
+        return {key: _exact(value)}
+    if key == "D":  # deg <= D <= n
+        n = f.arity
+        value, methods[key] = (n, "deg = n") if run("deg") == n else (run("D"), "engine")
+        return {key: _exact(value)}
+    return {key: _exact(run(key))}
 
 
-def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict[str, float]]:
-    """The measures ``names`` of one function, in that order, and the
-    seconds each engine call took.
+def measure(
+    f: TruthTable, names
+) -> tuple[dict[str, dict], dict[str, float], dict[str, str]]:
+    """The measures ``names`` of one function, in that order, the
+    seconds each engine call took, and how ``bs`` and ``D`` were
+    obtained (a ``METHODS`` entry per measured name).
 
     Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
     reason}`` above the measure's ``MEASURE_CAPS`` arity.  The name
     ``"certificates"`` gives the adversary certificate block instead.
-    ``lambda`` and the certificates read one ``Spectrum``, built once per
-    call.  An engine error is re-raised with the measure and table
-    prefixed to its text.
+    Every engine runs at most once per call: ``lambda`` and the
+    certificates read one ``Spectrum``, and ``bs`` and ``D`` read s, C
+    and deg from the same memo as the entries of those names.  ``bs``
+    is s when s = C and ``D`` is n when deg = n, since ``s <= bs <= C``
+    and ``deg <= D <= n``; only where the bounds differ does the
+    exhaustive engine run.  An engine error is re-raised with the
+    measure and table prefixed to its text.
     """
     got: dict[str, dict] = {}
     timing: dict[str, float] = {}
-    spectrum = functools.cache(lambda: spectral_sensitivity(f))
+    methods: dict[str, str] = {}
+    run = functools.cache(lambda engine: _ENGINES[engine](f))
     for name in names:
         reason = cap_reason(name, f.arity)
         if reason is not None:
@@ -166,12 +188,12 @@ def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict[str, float]]:
             key = "sensitivity" if name in _SENSITIVITY_GROUP else name
             t0 = time.perf_counter()
             try:
-                got.update(_engine_entries(f, key, spectrum))
+                got.update(_engine_entries(f, key, run, methods))
             except _ENGINE_ERRORS as exc:
                 exc.args = (f"{name} of {format_table(f)}: {exc}",)
                 raise
             timing[key] = time.perf_counter() - t0
-    return {name: got[name] for name in names}, timing
+    return {name: got[name] for name in names}, timing, methods
 
 
 def measure_report(
@@ -185,10 +207,11 @@ def measure_report(
     ``{"skipped": reason}`` instead of failing the whole report.
     Certificates (optional) cover the adversary forms, are built from
     the ``Spectrum`` behind ``lambda`` and carry their own verifier
-    verdicts.
+    verdicts.  The volatile ``diagnostics`` block names how ``bs`` and
+    ``D`` were obtained (``measure``'s methods).
     """
     names = MEASURE_NAMES + ("certificates",) if include_certificates else MEASURE_NAMES
-    measures, timing = measure(f, names)
+    measures, timing, methods = measure(f, names)
     certificates = measures.pop("certificates", None)
     body = {
         "function": {
@@ -201,6 +224,7 @@ def measure_report(
     if include_certificates:
         body["certificates"] = certificates
     body["timing"] = timing
+    body["diagnostics"] = {"methods": methods}
     return body
 
 

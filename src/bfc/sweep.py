@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
-from .report import measure, on_grid, report_hash
+from .report import METHODS, measure, on_grid, report_hash
 from .tables import TruthTable, format_table
 
 EXHAUSTIVE_MAX_N = 4
@@ -69,10 +69,11 @@ RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4", "lambda/adeg")
 FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4", "lambda/adeg"))
 
 
-def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> dict:
-    """The measures ``names`` of one table, keyed by their report names."""
-    entries, _ = measure(TruthTable(n, table), names)
-    return {name: entry["value"] for name, entry in entries.items()}
+def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> tuple[dict, dict]:
+    """The measures ``names`` of one table, keyed by their report names,
+    and how ``bs`` and ``D`` were obtained."""
+    entries, _, methods = measure(TruthTable(n, table), names)
+    return {name: entry["value"] for name, entry in entries.items()}, methods
 
 
 def _check_margins(m: dict) -> list[tuple[str, float, float, float]]:
@@ -119,6 +120,7 @@ def _empty_partial() -> dict:
     return {
         "checks": {name: [0, 0, None] for name in CHECK_NAMES},
         "ratios": {name: None for name in RATIO_NAMES},
+        "methods": {name: dict.fromkeys(ways, 0) for name, ways in METHODS.items()},
     }
 
 
@@ -153,7 +155,10 @@ def _sweep_chunk(args: tuple) -> dict:
     n, weighted, names, tolerance = args
     partial = _empty_partial()
     for table, weight in weighted:
-        _fold(partial, table, _values(n, table, names), tolerance, weight)
+        values, methods = _values(n, table, names)
+        _fold(partial, table, values, tolerance, weight)
+        for name, way in methods.items():
+            partial["methods"][name][way] += 1
     return partial
 
 
@@ -168,6 +173,9 @@ def _merge(acc: dict, part: dict) -> None:
         cur = acc["ratios"][name]
         if key is not None and (cur is None or key < cur):
             acc["ratios"][name] = key
+    for name, ways in part["methods"].items():
+        for way, count in ways.items():
+            acc["methods"][name][way] += count
 
 
 def sample_tables(n: int, count: int, seed: int) -> list[int]:
@@ -402,7 +410,11 @@ def run_sweep(
         violation_count=violation_count,
         report_hash=report_hash(body),
         elapsed_seconds=time.perf_counter() - started,
-        diagnostics={"evaluated_functions": len(weighted), "method": method},
+        diagnostics={
+            "evaluated_functions": len(weighted),
+            "method": method,
+            "measure_methods": acc["methods"],
+        },
     )
 
 
@@ -434,7 +446,7 @@ def iter_csv_rows(
         if rep not in memo:
             memo[rep] = [
                 f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
-                for name, margin, lhs, rhs in _check_margins(_values(max_n, rep))
+                for name, margin, lhs, rhs in _check_margins(_values(max_n, rep)[0])
             ]
         spec = format_table(TruthTable(max_n, table))
         for cell in memo[rep]:

@@ -375,7 +375,7 @@ def test_sdp_primal_verifier_checks_the_claimed_objective():
     inflated = dataclasses.replace(primal, objective=100.0)
     assert not verify_sdp_primal(g, inflated)
     blob = certificate_json(g, inflated)
-    assert blob["claimed_value"] == 100.0 and blob["verdict"] is False
+    assert blob["claimed_value"] is None and blob["verdict"] is False
 
 
 def test_sdp_primal_verifier_rejects_a_nan_delta_entry():
@@ -465,6 +465,11 @@ def test_scheme_verifiers_reject_another_arity_and_weights_off_the_cube():
     for x, i in ((8, 0), (-1, 0), (1, 3)):  # no such input or bit at arity 3
         off = dataclasses.replace(scheme, weights=scheme.weights + ((x, i, 1.0),))
         assert verify_vertex_scheme(g, off) == (False, (x, i))
+    # a refused scheme prints no value, not the 50.0 its weights would give
+    off = dataclasses.replace(scheme, weights=scheme.weights + ((99, 0, 50.0),))
+    assert vertex_scheme_value(off) == 50.0
+    blob = certificate_json(g, off)
+    assert (blob["verdict"], blob["claimed_value"], blob["violated_pair"]) == (False, None, [99, 0])
 
 
 def test_equivalences_build_one_graph_and_solve_each_component_once(monkeypatch):

@@ -8,6 +8,7 @@ bound over each input's minimal sensitive blocks, kept as a faster
 reference for the arities the naive search cannot reach.
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -239,6 +240,110 @@ def test_depth_exhaustive_n3(n):
     for f in functions_to_check(n):
         want = naive_depth(as_tuple_values(f))
         assert deterministic_query_complexity(f) == want, f"D mismatch on {f}"
+
+
+def memo_depth(f):
+    """D(f) by recursion over restrictions, memoized on (fixed mask,
+    fixed values): a subcube is constant or costs 1 + the best split."""
+    n, full = f.arity, (1 << f.arity) - 1
+
+    @functools.cache
+    def rec(mask, fixed):
+        free, outs, sub = full & ~mask, set(), full & ~mask
+        while len(outs) < 2:
+            outs.add(f.value(fixed | sub))
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+        if len(outs) == 1:
+            return 0
+        return 1 + min(
+            max(rec(mask | 1 << i, fixed), rec(mask | 1 << i, fixed | 1 << i))
+            for i in range(n)
+            if free >> i & 1
+        )
+
+    return rec(0, 0)
+
+
+def top_coefficient(f):
+    """The Mobius coefficient of x_1 ... x_n: sum of (-1)^(n - |x|) f(x)."""
+    return sum((-1) ** (f.arity - x.bit_count()) * f.value(x) for x in range(f.size))
+
+
+def without_top_monomial(f, rng):
+    """f with outputs flipped at seeded inputs, each flip moving the top
+    Mobius coefficient one step towards 0, until it is 0 (deg < n)."""
+    table, top = f.table, top_coefficient(f)
+    while top:
+        x = rng.randrange(f.size)
+        # flipping f(x) adds (-1)^(n - |x|) to the top coefficient, negated for a 1
+        step = (-1) ** (f.arity - x.bit_count()) * (-1 if table >> x & 1 else 1)
+        if step * top < 0:
+            table ^= 1 << x
+            top += step
+    return TruthTable(f.arity, table)
+
+
+# The engines below are exhaustive; report.measure reaches them only
+# where a sandwich stays open (s < C for bs, deg < n for D), so these
+# tests pin them on exactly such tables.
+def test_block_sensitivity_engine_where_s_is_below_c():
+    open_classes = []
+    for t in np.unique(npn_canonical_array(4)).tolist():
+        f = TruthTable(4, t)
+        if sensitivity(f).local.global_value < certificate_complexity(f).global_value:
+            open_classes.append(f)
+    assert len(open_classes) == 1  # 4:1BD8, s = 2 < bs = C = 3
+    for f in open_classes:
+        per = [naive_block_sensitivity(f, x) for x in range(f.size)]
+        assert list(block_sensitivity(f).per_input) == per, f
+    assert block_sensitivity(open_classes[0]).global_value == 3
+
+
+def test_depth_engine_on_arity_4_classes_below_full_degree():
+    below = [
+        TruthTable(4, t)
+        for t in np.unique(npn_canonical_array(4)).tolist()
+        if top_coefficient(TruthTable(4, t)) == 0
+    ]
+    assert len(below) == 58
+    for f in below:
+        want = naive_depth(as_tuple_values(f))
+        assert memo_depth(f) == want
+        assert deterministic_query_complexity(f) == want, f
+
+
+def seeded_tree(n, depth, rng):
+    """The table of a seeded decision tree of the given depth: each node
+    queries a variable not yet queried on its path, each leaf is a
+    random bit, so D <= depth."""
+
+    def node(free, d):
+        if d == 0 or not free:
+            bit = rng.getrandbits(1)
+            return lambda x: bit
+        i = rng.choice(free)
+        rest = [j for j in free if j != i]
+        low, high = node(rest, d - 1), node(rest, d - 1)
+        return lambda x: high(x) if x >> i & 1 else low(x)
+
+    tree = node(list(range(n)), depth)
+    return TruthTable(n, sum(tree(x) << x for x in range(1 << n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_depth_engine_on_seeded_tables_below_full_degree(n):
+    # flipped random tables stay evasive (D = n); the shallow trees do not
+    rng = random.Random(2000 + n)
+    tables = [without_top_monomial(f, rng) for f in seeded_tables(n, 3)]
+    tables += [seeded_tree(n, n - 2, rng) for _ in range(3)]
+    depths = []
+    for g in tables:
+        assert top_coefficient(g) == 0
+        depths.append(memo_depth(g))
+        assert deterministic_query_complexity(g) == depths[-1], g
+    assert min(depths) < n - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

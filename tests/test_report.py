@@ -4,16 +4,17 @@ import pytest
 
 from bfc import report, spectral
 from bfc.adversary import sdp_primal_certificate
-from bfc.algebraic import approximate_degree
+from bfc.algebraic import approximate_degree, degree
 from bfc.combinatorial import (
     block_sensitivity,
     certificate_complexity,
     deterministic_query_complexity,
+    sensitivity,
 )
 from bfc.lp import LpNumericalError
-from bfc.report import MEASURE_CAPS, measure, measure_report
+from bfc.report import MEASURE_CAPS, measure, measure_report, report_hash
 from bfc.spectral import SensitivityGraph, spectral_sensitivity
-from bfc.sweep import run_sweep
+from bfc.sweep import run_sweep, sample_tables
 from bfc.tables import TruthTable, named_family, parse_table
 
 ENGINES = {
@@ -33,21 +34,22 @@ def test_cap_table_skips_in_reports_and_raises_in_engines(name):
     if name == "certificates":
         assert measure_report(f, include_certificates=True)["certificates"] == expected
     else:
-        entries, timing = measure(f, [name])
+        entries, timing, methods = measure(f, [name])
         assert entries == {name: expected}
-        assert timing == {}
+        assert timing == methods == {}
     with pytest.raises(ValueError, match=f"<= {cap}"):
         ENGINES[name](f)
 
 
 def test_measure_computes_only_the_named_measures_in_order():
     f = parse_table("3:E8")  # majority
-    entries, timing = measure(f, ["lambda", "s1", "D"])
+    entries, timing, methods = measure(f, ["lambda", "s1", "D"])
     assert list(entries) == ["lambda", "s1", "D"]
     assert entries["D"] == {"value": 3, "exactness": "exact"}
     assert entries["s1"] == {"value": 2, "exactness": "exact", "defined": True}
     assert entries["lambda"]["value"] == pytest.approx(2.0)
     assert set(timing) == {"lambda", "sensitivity", "D"}
+    assert methods == {"D": "deg = n"}
 
 
 def _failing_lp(*args, **kwargs):
@@ -66,10 +68,98 @@ def _failing_depth(f):
 
 
 def test_engine_error_in_sweep_worker_names_measure_and_table(monkeypatch):
+    # only a table with deg < 3 reaches the D engine, and this sample holds some
+    assert any(degree(TruthTable(3, t)) < 3 for t in sample_tables(3, 8, 0))
     # pool workers fork from this process, so they inherit the patch
     monkeypatch.setattr(report, "deterministic_query_complexity", _failing_depth)
     with pytest.raises(ValueError, match=r"^D of 3:[0-9A-F]{2}: depth engine failed$"):
         run_sweep(max_n=3, sample=8, seed=0, threads=2)
+
+
+COUNTED_ENGINES = (
+    "sensitivity",
+    "block_sensitivity",
+    "certificate_complexity",
+    "deterministic_query_complexity",
+    "degree",
+)
+
+
+def _count_engine_calls(monkeypatch) -> dict[str, int]:
+    calls = dict.fromkeys(COUNTED_ENGINES, 0)
+    for name in COUNTED_ENGINES:
+        real = getattr(report, name)
+
+        def counted(f, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(f)
+
+        monkeypatch.setattr(report, name, counted)
+    return calls
+
+
+SANDWICH_NAMES = ("s", "s0", "bs", "C", "D", "deg")
+
+
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("table", ["OR_8", "random_8"])
+def test_bs_and_d_skip_their_engines_when_the_bounds_meet(monkeypatch, table, order):
+    f = named_family("OR", 8) if table == "OR_8" else TruthTable(8, sample_tables(8, 1, 7)[0])
+    s = sensitivity(f).local.global_value
+    assert s == certificate_complexity(f).global_value and degree(f) == 8
+    want = {"bs": block_sensitivity(f).global_value, "D": deterministic_query_complexity(f)}
+    calls = _count_engine_calls(monkeypatch)
+    entries, _, methods = measure(f, SANDWICH_NAMES[::order])
+    assert {name: entries[name]["value"] for name in want} == want == {"bs": s, "D": 8}
+    assert methods == {"bs": "s = C", "D": "deg = n"}
+    # s, C and deg feed both their own entries and the sandwiches, once each
+    assert calls == {
+        "sensitivity": 1,
+        "block_sensitivity": 0,
+        "certificate_complexity": 1,
+        "deterministic_query_complexity": 0,
+        "degree": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, engines, expected",
+    [
+        # the dictator x1: s = C = 1, but deg = 1 < 3
+        ("3:AA", {"deterministic_query_complexity": 1}, {"bs": "s = C", "D": "engine"}),
+        # s = 2 < bs = C = 3 and deg = 2 < D = 3
+        (
+            "4:1BD8",
+            {"block_sensitivity": 1, "deterministic_query_complexity": 1},
+            {"bs": "engine", "D": "engine"},
+        ),
+    ],
+)
+def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expected):
+    f = parse_table(spec)
+    want = {"bs": block_sensitivity(f).global_value, "D": deterministic_query_complexity(f)}
+    calls = _count_engine_calls(monkeypatch)
+    entries, _, methods = measure(f, ("D", "bs", "deg", "C", "s"))
+    assert {name: entries[name]["value"] for name in want} == want
+    assert methods == expected
+    assert calls == {
+        "sensitivity": 1,
+        "block_sensitivity": 0,
+        "certificate_complexity": 1,
+        "deterministic_query_complexity": 0,
+        "degree": 1,
+        **engines,
+    }
+
+
+def test_measures_diagnostics_name_the_methods_and_stay_out_of_the_hash():
+    body = measure_report(parse_table("3:AA"))
+    assert body["diagnostics"] == {"methods": {"bs": "s = C", "D": "engine"}}
+    digest = report_hash(body)
+    body["diagnostics"] = {"methods": {"bs": "engine", "D": "deg = n"}}
+    assert report_hash(body) == digest
+    del body["diagnostics"]
+    assert report_hash(body) == digest
 
 
 def test_report_hash_takes_computed_sweep_floats_on_the_grid():
@@ -113,6 +203,6 @@ def test_report_with_certificates_solves_each_component_once(monkeypatch, family
 
 
 def test_constant_function_skips_certificates():
-    entries, _ = measure(TruthTable(3, 0), ["lambda", "certificates"])
+    entries, _, _ = measure(TruthTable(3, 0), ["lambda", "certificates"])
     assert entries["certificates"] == {"skipped": "constant function"}
     assert entries["lambda"]["value"] == 0.0

@@ -241,7 +241,7 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
     counts = {name: [0, 0] for name in CHECK_NAMES}
     worst, best = {}, {}
     for table in range(1 << (1 << n)):
-        m = _values(n, table, SWEEP_MEASURES + ("adeg",))
+        m, _ = _values(n, table, SWEEP_MEASURES + ("adeg",))
         adeg = m.pop("adeg")
         for name, margin, lhs, rhs in _check_margins(m):
             is_float = name in FLOAT_CHECKS
@@ -340,20 +340,27 @@ def test_constants_are_never_check_witnesses():
 
 
 def test_sweep_diagnostics_block():
+    # no arity-3 table has s < C; 6 of the 14 classes have deg < 3
     assert run_sweep(max_n=3).diagnostics == {
         "evaluated_functions": 14,
         "method": "npn-quotient",
+        "measure_methods": {"bs": {"s = C": 14, "engine": 0}, "D": {"deg = n": 8, "engine": 6}},
     }
     assert run_sweep(max_n=3, sample=7, seed=1).diagnostics == {
         "evaluated_functions": 7,
         "method": "per-table",
+        "measure_methods": {"bs": {"s = C": 7, "engine": 0}, "D": {"deg = n": 5, "engine": 2}},
     }
 
 
 def test_hash_ignores_diagnostics():
     r = run_sweep(max_n=2)
     body = r.to_dict()
-    assert body["diagnostics"] == {"evaluated_functions": 4, "method": "npn-quotient"}
+    assert body["diagnostics"] == {
+        "evaluated_functions": 4,
+        "method": "npn-quotient",
+        "measure_methods": {"bs": {"s = C": 4, "engine": 0}, "D": {"deg = n": 2, "engine": 2}},
+    }
     assert report_hash(body) == r.report_hash
     body["diagnostics"] = {"evaluated_functions": 16, "method": "per-table"}
     assert report_hash(body) == r.report_hash
