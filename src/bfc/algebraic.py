@@ -10,6 +10,8 @@ against their certificates.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,9 @@ DEGREE_MAX_ARITY = 20
 APPROX_DEGREE_MAX_ARITY = 8
 DEFAULT_EPSILON = 1.0 / 3.0
 LP_CHECK_TOL = 1e-7
+# (degree, pivots) of each LP that approximate_degree solves, appended
+# while a ``lp_solve_log`` block is open in this context
+_LP_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar("lp_log", default=None)
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,18 @@ def approximation_problem(f: TruthTable, degree_cap: int, epsilon: float) -> lp.
     return _ranged_problem(lattice, f.to_bit_array().astype(bool), epsilon)
 
 
+@contextlib.contextmanager
+def lp_solve_log():
+    """Yield a list that collects ``(degree, pivots)`` for every LP that
+    ``approximate_degree`` solves inside the block, in solve order."""
+    log: list[tuple[int, int]] = []
+    token = _LP_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _LP_LOG.reset(token)
+
+
 def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
     """adeg(f): least degree admitting an epsilon-approximation.
 
@@ -142,6 +159,9 @@ def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
             result = lp.solve_lp(problem)
         except lp.LpNumericalError as exc:
             raise lp.LpNumericalError(f"{exc} at degree {d}") from exc
+        log = _LP_LOG.get()
+        if log is not None:
+            log.append((d, result.iterations))
         if result.status == "optimal":
             if not lp.verify_point(problem, result.point, LP_CHECK_TOL):
                 raise lp.LpNumericalError(

@@ -10,9 +10,9 @@ All measures here are integers obtained by exhaustive search:
   where f is constant (monochromatic).
 
 The engines stay exhaustive and take no shortcut.  ``report.measure``
-calls the bs and D engines only where the bounds it already holds
-differ: ``s <= bs <= C`` gives bs = s when s = C, and ``deg <= D <= n``
-gives D = n when deg = n.
+calls the bs, C and D engines only where the bounds it already holds
+differ: ``s <= bs <= C <= n`` gives bs = s when s = C and C = n when
+s = n, and ``deg <= D <= n`` gives D = n when deg = n.
 """
 
 from __future__ import annotations

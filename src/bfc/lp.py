@@ -8,14 +8,18 @@ The solver is a one-phase bounded-variable simplex on a dense tableau,
 sized for this package's problems (hundreds of rows).  Row i gets a
 logical variable s_i = a_i.x whose bounds are the row's range, so a
 ranged row is one tableau row; the structural variables are free and
-never split.  The start is the all-logical basis with x = 0, so there
-are no artificials.  The simplex minimises the sum of the basic
-variables' infeasibilities.  It prices by Dantzig's largest reduced cost
-with a vectorised Harris ratio test, and after ``STALL_PIVOTS`` pivots
-in a row that leave the infeasibility unchanged it switches to Bland's
-rule (smallest eligible column, ties broken by smallest basic index),
-which cannot cycle, until the infeasibility moves again.  Every verdict
-is taken on a basis refactorised from the original data.
+never split.  The start is the all-logical basis, so there are no
+artificials, with x at the least-squares fit of the row midpoints
+``(lo + hi) / 2``.  A free nonbasic variable may sit at any value, and
+that point is often feasible already or close to it: on a square
+invertible ``a`` it meets every row exactly.  The simplex minimises the
+sum of the basic variables' infeasibilities.  It prices by Dantzig's
+largest reduced cost with a vectorised Harris ratio test, and after
+``STALL_PIVOTS`` pivots in a row that leave the infeasibility unchanged
+it switches to Bland's rule (smallest eligible column, ties broken by
+smallest basic index), which cannot cycle, until the infeasibility
+moves again.  Every verdict is taken on a basis refactorised from the
+original data (the starting tableau is ``a`` itself, exact for it).
 
 Every outcome can be re-checked from the original data:
 
@@ -96,7 +100,7 @@ class _Simplex:
         self.basis = np.arange(nv, nv + m)
         self.nonbasic = np.arange(nv)
         self.tab = problem.a.copy()
-        self.x_n = np.zeros(nv)
+        self.x_n = np.linalg.lstsq(problem.a, (problem.lo + problem.hi) / 2, rcond=None)[0]
         self.iterations = 0
         self.fresh = True  # tableau refactorised since the last pivot
 

@@ -20,6 +20,7 @@ from .algebraic import (
     approximate_degree,
     degree,
     degree_gf2,
+    lp_solve_log,
 )
 from .combinatorial import (
     BLOCK_MEASURE_MAX_ARITY,
@@ -101,9 +102,9 @@ _ENGINES = {
     "deg2": lambda f: degree_gf2(f),
     "adeg": lambda f: approximate_degree(f),
 }
-# How measure() obtains bs and D: from the two bounds of a sandwich when
-# they meet, otherwise from the exhaustive engine.
-METHODS = {"bs": ("s = C", "engine"), "D": ("deg = n", "engine")}
+# How measure() obtains bs, C and D: from the two bounds of a sandwich
+# when they meet, otherwise from the exhaustive engine.
+METHODS = {"bs": ("s = C", "engine"), "C": ("s = n", "engine"), "D": ("deg = n", "engine")}
 
 
 def _certificates(f: TruthTable, run) -> dict:
@@ -123,6 +124,14 @@ def _certificates(f: TruthTable, run) -> dict:
         "sdp_dual": adversary.sdp_dual_certificate(spec, optimal),
     }
     return {name: adversary.certificate_json(spec.graph, cert) for name, cert in certs.items()}
+
+
+def _certificate_complexity(f: TruthTable, run) -> tuple[int, str]:
+    """C(f) and its ``METHODS`` entry: n when s = n, since s <= C <= n,
+    otherwise the engine's value."""
+    if run("sensitivity").local.global_value == f.arity:
+        return f.arity, "s = n"
+    return run("C"), "engine"
 
 
 def _engine_entries(f: TruthTable, key: str, run, methods: dict) -> dict[str, dict]:
@@ -149,7 +158,11 @@ def _engine_entries(f: TruthTable, key: str, run, methods: dict) -> dict[str, di
         return {"certificates": _certificates(f, run)}
     if key == "bs":  # s <= bs <= C (Nisan)
         s = run("sensitivity").local.global_value
-        value, methods[key] = (s, "s = C") if s == run("C") else (run("bs"), "engine")
+        c = _certificate_complexity(f, run)[0]
+        value, methods[key] = (s, "s = C") if s == c else (run("bs"), "engine")
+        return {key: _exact(value)}
+    if key == "C":
+        value, methods[key] = _certificate_complexity(f, run)
         return {key: _exact(value)}
     if key == "D":  # deg <= D <= n
         n = f.arity
@@ -162,19 +175,19 @@ def measure(
     f: TruthTable, names
 ) -> tuple[dict[str, dict], dict[str, float], dict[str, str]]:
     """The measures ``names`` of one function, in that order, the
-    seconds each engine call took, and how ``bs`` and ``D`` were
+    seconds each engine call took, and how ``bs``, ``C`` and ``D`` were
     obtained (a ``METHODS`` entry per measured name).
 
     Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
     reason}`` above the measure's ``MEASURE_CAPS`` arity.  The name
     ``"certificates"`` gives the adversary certificate block instead.
     Every engine runs at most once per call: ``lambda`` and the
-    certificates read one ``Spectrum``, and ``bs`` and ``D`` read s, C
-    and deg from the same memo as the entries of those names.  ``bs``
-    is s when s = C and ``D`` is n when deg = n, since ``s <= bs <= C``
-    and ``deg <= D <= n``; only where the bounds differ does the
-    exhaustive engine run.  An engine error is re-raised with the
-    measure and table prefixed to its text.
+    certificates read one ``Spectrum``, and ``bs``, ``C`` and ``D`` read
+    s, C and deg from the same memo as the entries of those names.
+    ``bs`` is s when s = C, ``C`` is n when s = n and ``D`` is n when
+    deg = n, since ``s <= bs <= C <= n`` and ``deg <= D <= n``; only
+    where the bounds differ does the exhaustive engine run.  An engine
+    error is re-raised with the measure and table prefixed to its text.
     """
     got: dict[str, dict] = {}
     timing: dict[str, float] = {}
@@ -207,11 +220,13 @@ def measure_report(
     ``{"skipped": reason}`` instead of failing the whole report.
     Certificates (optional) cover the adversary forms, are built from
     the ``Spectrum`` behind ``lambda`` and carry their own verifier
-    verdicts.  The volatile ``diagnostics`` block names how ``bs`` and
-    ``D`` were obtained (``measure``'s methods).
+    verdicts.  The volatile ``diagnostics`` block names how ``bs``, ``C``
+    and ``D`` were obtained (``measure``'s methods) and gives the LPs of
+    ``adeg``: how many were solved and the pivots each took, by degree.
     """
     names = MEASURE_NAMES + ("certificates",) if include_certificates else MEASURE_NAMES
-    measures, timing, methods = measure(f, names)
+    with lp_solve_log() as solves:
+        measures, timing, methods = measure(f, names)
     certificates = measures.pop("certificates", None)
     body = {
         "function": {
@@ -224,7 +239,10 @@ def measure_report(
     if include_certificates:
         body["certificates"] = certificates
     body["timing"] = timing
-    body["diagnostics"] = {"methods": methods}
+    body["diagnostics"] = {
+        "methods": methods,
+        "adeg_lp": {"solves": len(solves), "pivots": {str(d): p for d, p in solves}},
+    }
     return body
 
 

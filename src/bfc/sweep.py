@@ -71,7 +71,7 @@ FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4", "lambda/adeg"))
 
 def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> tuple[dict, dict]:
     """The measures ``names`` of one table, keyed by their report names,
-    and how ``bs`` and ``D`` were obtained."""
+    and how ``bs``, ``C`` and ``D`` were obtained."""
     entries, _, methods = measure(TruthTable(n, table), names)
     return {name: entry["value"] for name, entry in entries.items()}, methods
 

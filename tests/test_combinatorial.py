@@ -286,8 +286,22 @@ def without_top_monomial(f, rng):
 
 
 # The engines below are exhaustive; report.measure reaches them only
-# where a sandwich stays open (s < C for bs, deg < n for D), so these
-# tests pin them on exactly such tables.
+# where a sandwich stays open (s < C for bs, s < n for C, deg < n for
+# D), so these tests pin them on exactly such tables.
+def test_certificate_engine_where_s_is_below_n():
+    below = [
+        TruthTable(4, t)
+        for t in np.unique(npn_canonical_array(4)).tolist()
+        if sensitivity(TruthTable(4, t)).local.global_value < 4
+    ]
+    assert len(below) == 97
+    below += [f for f in seeded_tables(6, 10) if sensitivity(f).local.global_value < 6]
+    assert len(below) == 100
+    for f in below:
+        per = [naive_certificate(f, x) for x in range(f.size)]
+        assert list(certificate_complexity(f).per_input) == per, f
+
+
 def test_block_sensitivity_engine_where_s_is_below_c():
     open_classes = []
     for t in np.unique(npn_canonical_array(4)).tolist():

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 import bfc.lp as lp_module
-from bfc.algebraic import approximate_degree
+from bfc.algebraic import approximate_degree, approximation_problem
 from bfc.lp import (
     LpProblem,
     solve_lp,
@@ -10,7 +12,7 @@ from bfc.lp import (
     verify_point,
 )
 from bfc.sweep import npn_canonical_array
-from bfc.tables import TruthTable
+from bfc.tables import TruthTable, named_family
 
 
 def lp(rows):
@@ -148,6 +150,39 @@ def test_bland_path_gives_the_same_adeg_on_every_arity_4_class(monkeypatch):
     (default, default_pivots), (bland, bland_pivots) = runs.values()
     assert default == bland
     assert default_pivots != bland_pivots  # the two rules took different paths
+
+
+@pytest.mark.parametrize(
+    "family, n", [("OR", 4), ("PARITY", 6), ("EXACT1", 7), ("AND-OR", (4, 2)), ("random", 8)]
+)
+def test_full_degree_lp_is_feasible_at_the_start(family, n):
+    # every monomial is a column, so the lattice is square and invertible:
+    # the least-squares fit of the row midpoints meets every row exactly
+    if family == "random":
+        f = TruthTable(n, random.Random(800).getrandbits(1 << n))
+    else:
+        f = named_family(family, n)
+    p = approximation_problem(f, f.arity, 1 / 3)
+    r = solve_lp(p)
+    assert (r.status, r.iterations) == ("optimal", 0)
+    assert verify_point(p, r.point)
+
+
+def test_arity_4_classes_take_few_pivots(monkeypatch):
+    # a start at x = 0 takes 4,940 pivots over these 437 LPs
+    real = lp_module.solve_lp
+    solves = []
+
+    def counting(problem):
+        result = real(problem)
+        solves.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting)
+    for rep in np.unique(npn_canonical_array(4)).tolist():
+        approximate_degree(TruthTable(4, rep))
+    assert len(solves) == 437
+    assert sum(solves) <= 2000
 
 
 def test_canonical_interleaves_each_rows_two_sides():

@@ -4,14 +4,20 @@ import pytest
 
 from bfc import report, spectral
 from bfc.adversary import sdp_primal_certificate
-from bfc.algebraic import approximate_degree, degree
+from bfc.algebraic import (
+    APPROX_DEGREE_MAX_ARITY,
+    DEFAULT_EPSILON,
+    approximate_degree,
+    approximation_problem,
+    degree,
+)
 from bfc.combinatorial import (
     block_sensitivity,
     certificate_complexity,
     deterministic_query_complexity,
     sensitivity,
 )
-from bfc.lp import LpNumericalError
+from bfc.lp import LpNumericalError, solve_lp
 from bfc.report import MEASURE_CAPS, measure, measure_report, report_hash
 from bfc.spectral import SensitivityGraph, spectral_sensitivity
 from bfc.sweep import run_sweep, sample_tables
@@ -105,18 +111,22 @@ SANDWICH_NAMES = ("s", "s0", "bs", "C", "D", "deg")
 @pytest.mark.parametrize("table", ["OR_8", "random_8"])
 def test_bs_and_d_skip_their_engines_when_the_bounds_meet(monkeypatch, table, order):
     f = named_family("OR", 8) if table == "OR_8" else TruthTable(8, sample_tables(8, 1, 7)[0])
-    s = sensitivity(f).local.global_value
-    assert s == certificate_complexity(f).global_value and degree(f) == 8
-    want = {"bs": block_sensitivity(f).global_value, "D": deterministic_query_complexity(f)}
+    assert sensitivity(f).local.global_value == 8 and degree(f) == 8
+    want = {
+        "bs": block_sensitivity(f).global_value,
+        "C": certificate_complexity(f).global_value,
+        "D": deterministic_query_complexity(f),
+    }
     calls = _count_engine_calls(monkeypatch)
     entries, _, methods = measure(f, SANDWICH_NAMES[::order])
-    assert {name: entries[name]["value"] for name in want} == want == {"bs": s, "D": 8}
-    assert methods == {"bs": "s = C", "D": "deg = n"}
-    # s, C and deg feed both their own entries and the sandwiches, once each
+    assert {name: entries[name]["value"] for name in want} == want == {"bs": 8, "C": 8, "D": 8}
+    assert methods == {"bs": "s = C", "C": "s = n", "D": "deg = n"}
+    # s and deg feed both their own entries and the sandwiches, once each;
+    # s = n closes C's sandwich, so no exhaustive engine runs
     assert calls == {
         "sensitivity": 1,
         "block_sensitivity": 0,
-        "certificate_complexity": 1,
+        "certificate_complexity": 0,
         "deterministic_query_complexity": 0,
         "degree": 1,
     }
@@ -126,18 +136,26 @@ def test_bs_and_d_skip_their_engines_when_the_bounds_meet(monkeypatch, table, or
     "spec, engines, expected",
     [
         # the dictator x1: s = C = 1, but deg = 1 < 3
-        ("3:AA", {"deterministic_query_complexity": 1}, {"bs": "s = C", "D": "engine"}),
+        (
+            "3:AA",
+            {"deterministic_query_complexity": 1},
+            {"bs": "s = C", "C": "engine", "D": "engine"},
+        ),
         # s = 2 < bs = C = 3 and deg = 2 < D = 3
         (
             "4:1BD8",
             {"block_sensitivity": 1, "deterministic_query_complexity": 1},
-            {"bs": "engine", "D": "engine"},
+            {"bs": "engine", "C": "engine", "D": "engine"},
         ),
     ],
 )
 def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expected):
     f = parse_table(spec)
-    want = {"bs": block_sensitivity(f).global_value, "D": deterministic_query_complexity(f)}
+    want = {
+        "bs": block_sensitivity(f).global_value,
+        "C": certificate_complexity(f).global_value,
+        "D": deterministic_query_complexity(f),
+    }
     calls = _count_engine_calls(monkeypatch)
     entries, _, methods = measure(f, ("D", "bs", "deg", "C", "s"))
     assert {name: entries[name]["value"] for name in want} == want
@@ -154,12 +172,32 @@ def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expec
 
 def test_measures_diagnostics_name_the_methods_and_stay_out_of_the_hash():
     body = measure_report(parse_table("3:AA"))
-    assert body["diagnostics"] == {"methods": {"bs": "s = C", "D": "engine"}}
+    # deg = 1, so adeg solves one LP, at degree 0; the start decides it
+    assert body["diagnostics"] == {
+        "methods": {"bs": "s = C", "C": "engine", "D": "engine"},
+        "adeg_lp": {"solves": 1, "pivots": {"0": 0}},
+    }
     digest = report_hash(body)
     body["diagnostics"] = {"methods": {"bs": "engine", "D": "deg = n"}}
     assert report_hash(body) == digest
     del body["diagnostics"]
     assert report_hash(body) == digest
+
+
+@pytest.mark.parametrize("family, n", [("OR", 8), ("OR", 9), ("PARITY", 5)])
+def test_measures_diagnostics_give_the_pivots_of_each_adeg_lp(family, n):
+    f = named_family(family, n)
+    lps = measure_report(f)["diagnostics"]["adeg_lp"]
+    if n > APPROX_DEGREE_MAX_ARITY:
+        assert lps == {"solves": 0, "pivots": {}}
+        return
+    # the walk solves from deg - 1 down to the first infeasible degree
+    top, adeg = degree(f), approximate_degree(f)
+    walk = range(top - 1, max(adeg - 2, -1), -1)
+    assert list(lps["pivots"]) == [str(d) for d in walk] and lps["solves"] == len(walk)
+    for d in walk:
+        got = solve_lp(approximation_problem(f, d, DEFAULT_EPSILON)).iterations
+        assert lps["pivots"][str(d)] == got
 
 
 def test_report_hash_takes_computed_sweep_floats_on_the_grid():

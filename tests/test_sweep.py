@@ -340,16 +340,24 @@ def test_constants_are_never_check_witnesses():
 
 
 def test_sweep_diagnostics_block():
-    # no arity-3 table has s < C; 6 of the 14 classes have deg < 3
+    # no arity-3 table has s < C; 7 of the 14 classes have s < 3 and 6 deg < 3
     assert run_sweep(max_n=3).diagnostics == {
         "evaluated_functions": 14,
         "method": "npn-quotient",
-        "measure_methods": {"bs": {"s = C": 14, "engine": 0}, "D": {"deg = n": 8, "engine": 6}},
+        "measure_methods": {
+            "bs": {"s = C": 14, "engine": 0},
+            "C": {"s = n": 7, "engine": 7},
+            "D": {"deg = n": 8, "engine": 6},
+        },
     }
     assert run_sweep(max_n=3, sample=7, seed=1).diagnostics == {
         "evaluated_functions": 7,
         "method": "per-table",
-        "measure_methods": {"bs": {"s = C": 7, "engine": 0}, "D": {"deg = n": 5, "engine": 2}},
+        "measure_methods": {
+            "bs": {"s = C": 7, "engine": 0},
+            "C": {"s = n": 6, "engine": 1},
+            "D": {"deg = n": 5, "engine": 2},
+        },
     }
 
 
@@ -359,7 +367,11 @@ def test_hash_ignores_diagnostics():
     assert body["diagnostics"] == {
         "evaluated_functions": 4,
         "method": "npn-quotient",
-        "measure_methods": {"bs": {"s = C": 4, "engine": 0}, "D": {"deg = n": 2, "engine": 2}},
+        "measure_methods": {
+            "bs": {"s = C": 4, "engine": 0},
+            "C": {"s = n": 2, "engine": 2},
+            "D": {"deg = n": 2, "engine": 2},
+        },
     }
     assert report_hash(body) == r.report_hash
     body["diagnostics"] = {"evaluated_functions": 16, "method": "per-table"}
