@@ -30,7 +30,7 @@ from .combinatorial import (
     deterministic_query_complexity,
     sensitivity,
 )
-from .spectral import spectral_sensitivity
+from .spectral import perron_solve_log, spectral_sensitivity
 from .tables import TruthTable, format_table
 
 SPECTRAL_TAG = "tolerance(1e-09)"
@@ -221,11 +221,13 @@ def measure_report(
     Certificates (optional) cover the adversary forms, are built from
     the ``Spectrum`` behind ``lambda`` and carry their own verifier
     verdicts.  The volatile ``diagnostics`` block names how ``bs``, ``C``
-    and ``D`` were obtained (``measure``'s methods) and gives the LPs of
-    ``adeg``: how many were solved and the pivots each took, by degree.
+    and ``D`` were obtained (``measure``'s methods), gives the LPs of
+    ``adeg`` (how many were solved and the pivots each took, by degree)
+    and each component solve behind ``lambda`` and the certificates
+    (its vertices, smaller parity side, method and Lanczos steps).
     """
     names = MEASURE_NAMES + ("certificates",) if include_certificates else MEASURE_NAMES
-    with lp_solve_log() as solves:
+    with lp_solve_log() as solves, perron_solve_log() as perrons:
         measures, timing, methods = measure(f, names)
     certificates = measures.pop("certificates", None)
     body = {
@@ -242,6 +244,9 @@ def measure_report(
     body["diagnostics"] = {
         "methods": methods,
         "adeg_lp": {"solves": len(solves), "pivots": {str(d): p for d, p in solves}},
+        "lambda_solves": [
+            {"vertices": v, "side": side, "method": m, "steps": k} for v, side, m, k in perrons
+        ],
     }
     return body
 

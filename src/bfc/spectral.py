@@ -13,13 +13,16 @@ by input parity into two sides with every edge between them; lambda is
 the top singular value of the block B from the smaller side to the
 other, and its square the top eigenvalue of the Gram matrix B B^T on
 the smaller side: a dense ``eigh`` up to DENSE_MAX_VERTICES component
-vertices, a Lanczos iteration on the matrix-free ``matvec`` above that.
+vertices, above that a Lanczos iteration whose products B^T u and B w
+are gathers through per-side neighbour indices, never 2^n wide.
 The signed hypercube's +sqrt(n) eigenspace is taken in closed form,
 with no eigendecomposition.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -34,6 +37,12 @@ SIGNED_HYPERCUBE_MAX_N = 12
 LANCZOS_MAX_STEPS = 500
 RITZ_TOL = 1e-12
 WITNESS_SLACK = 1e-9
+GATHER_CHUNK = 1 << 14  # columns per block of a neighbour index build or gather
+# (vertices, side, method, steps) of each component that _perron solves,
+# appended while a ``perron_solve_log`` block is open in this context
+_PERRON_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "perron_log", default=None
+)
 
 
 class SpectralConvergenceError(RuntimeError):
@@ -176,8 +185,9 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     singular value of B: its square and u are the top eigenpair of the
     |S| x |S| Gram matrix B B^T, from a dense ``eigh`` up to
     DENSE_MAX_VERTICES component vertices and a Lanczos iteration on
-    two ``graph.matvec`` products above that.  The T half of the vector
-    is B^T u / value.  The vector is nonnegative, unit and indexed like
+    ``u -> B (B^T u)`` above that, each product one gather through a
+    ``_side_neighbours`` index.  The T half of the vector is
+    B^T u / value.  The vector is nonnegative, unit and indexed like
     ``comp``; the residual ||A v - value v|| is recomputed from it.
     """
     small = bits.popcount_array(comp) & 1 == 1
@@ -191,6 +201,7 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
         b[rows, np.searchsorted(t, s[rows] ^ (1 << bit))] = 1.0
         w, vecs = np.linalg.eigh(b @ b.T)
         square, u = float(w[-1]), vecs[:, -1]
+        method, steps = "dense", 0
         lift = b.T.dot
 
         def apply(v: np.ndarray) -> np.ndarray:  # A v, indexed like comp
@@ -199,27 +210,69 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
             return av
 
     else:
-        full = np.zeros(graph.values.size)
+        nb_s, nb_t = _side_neighbours(graph, s, t)
+        method, steps = "lanczos", 0
 
         def lift(u: np.ndarray) -> np.ndarray:  # B^T u, indexed like t
-            full[s] = u
-            return graph.matvec(full)[t]
+            return _gather(nb_t, u)
 
         def gram(u: np.ndarray) -> np.ndarray:  # B B^T u
-            full[s] = u
-            return graph.matvec(graph.matvec(full))[s]
+            nonlocal steps
+            steps += 1
+            return _gather(nb_s, lift(u))
 
         def apply(v: np.ndarray) -> np.ndarray:
-            full[comp] = v  # every entry lift or gram wrote lies in comp
-            return graph.matvec(full)[comp]
+            av = np.empty_like(v)
+            av[small], av[~small] = _gather(nb_s, v[~small]), lift(v[small])
+            return av
 
         square, u = _lanczos(gram, s.size)
+    log = _PERRON_LOG.get()
+    if log is not None:
+        log.append((comp.size, s.size, method, steps))
     value = math.sqrt(square)
     u = np.abs(u)
     v = np.empty(comp.size)
     v[small], v[~small] = u, lift(u) / value
     v /= np.linalg.norm(v)
     return SpectralResult(value, v, float(np.linalg.norm(apply(v) - value * v)))
+
+
+def _side_neighbours(
+    graph: SensitivityGraph, s: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(nb_s, nb_t) for the parity sides s and t of one component.
+
+    ``nb_s[i, j]`` is the position in t of s[j] ^ 2^i when that pair is
+    an edge and t.size, the zero pad of ``_gather``, otherwise;
+    ``nb_t`` is the same from t into s.
+    """
+    pos = np.empty(graph.values.size, dtype=np.intp)
+    pos[s], pos[t] = np.arange(s.size), np.arange(t.size)
+    flips = (1 << np.arange(graph.arity))[:, None]
+
+    def index(side: np.ndarray, other: np.ndarray) -> np.ndarray:
+        nb = np.empty((graph.arity, side.size), dtype=np.intp)
+        for lo in range(0, side.size, GATHER_CHUNK):
+            cols = side[lo : lo + GATHER_CHUNK]
+            hit = graph.edges[:, cols]
+            nb[:, lo : lo + GATHER_CHUNK] = np.where(hit, pos[cols ^ flips], other.size)
+        return nb
+
+    return index(s, t), index(t, s)
+
+
+def _gather(nb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i x[nb[i, j]] for every column j, with index x.size reading 0.
+
+    The terms add in bit order, as ``SensitivityGraph.matvec`` adds
+    them, and over column chunks of GATHER_CHUNK so that the gathered
+    (arity, chunk) block stays small."""
+    pad = np.append(x, 0.0)
+    out = np.empty(nb.shape[1])
+    for lo in range(0, nb.shape[1], GATHER_CHUNK):
+        pad[nb[:, lo : lo + GATHER_CHUNK]].sum(axis=0, out=out[lo : lo + GATHER_CHUNK])
+    return out
 
 
 def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
@@ -244,6 +297,20 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
         betas.append(beta)
         basis[k] = w / beta
     raise SpectralConvergenceError(value, ritz)
+
+
+@contextlib.contextmanager
+def perron_solve_log():
+    """Yield a list that collects ``(vertices, side, method, steps)`` for
+    every component that ``_perron`` solves inside the block, in solve
+    order: its vertex count, the size of its smaller parity side, and
+    ``"dense"`` with 0 steps or ``"lanczos"`` with its Gram products."""
+    log: list[tuple[int, int, str, int]] = []
+    token = _PERRON_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _PERRON_LOG.reset(token)
 
 
 class Spectrum:

@@ -173,9 +173,11 @@ def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expec
 def test_measures_diagnostics_name_the_methods_and_stay_out_of_the_hash():
     body = measure_report(parse_table("3:AA"))
     # deg = 1, so adeg solves one LP, at degree 0; the start decides it
+    # G_f is four disjoint edges; the first solve gives 1 = every degree
     assert body["diagnostics"] == {
         "methods": {"bs": "s = C", "C": "engine", "D": "engine"},
         "adeg_lp": {"solves": 1, "pivots": {"0": 0}},
+        "lambda_solves": [{"vertices": 2, "side": 1, "method": "dense", "steps": 0}],
     }
     digest = report_hash(body)
     body["diagnostics"] = {"methods": {"bs": "engine", "D": "deg = n"}}

@@ -26,6 +26,7 @@ from bfc.spectral import (
     _perron,
     build_signed_hypercube,
     full_degree_witness,
+    perron_solve_log,
     restrict_to_top_monomial,
     spectral_sensitivity,
     vector_to_csv,
@@ -157,6 +158,88 @@ def test_gram_solve_matches_full_adjacency_eigh(f, branch, monkeypatch):
         smaller = min(odd, comp.size - odd)
         assert sizes == ([] if branch == "dense" else [smaller])
         sizes.clear()
+
+
+def _matvec_perron(g, comp):
+    # the Lanczos branch on the 2^n-wide matrix-free product
+    small = np.bitwise_count(comp) & 1 == 1
+    if 2 * np.count_nonzero(small) > comp.size:
+        small = ~small
+    s, t = comp[small], comp[~small]
+    full = np.zeros(g.values.size)
+
+    def gram(u):
+        full[s] = u
+        return g.matvec(g.matvec(full))[s]
+
+    square, u = spectral._lanczos(gram, s.size)
+    value = math.sqrt(square)
+    u = np.abs(u)
+    full[s] = u
+    v = np.empty(comp.size)
+    v[small], v[~small] = u, g.matvec(full)[t] / value
+    v /= np.linalg.norm(v)
+    full[comp] = v
+    return value, v, float(np.linalg.norm(g.matvec(full)[comp] - value * v))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_random_table(10, 2), _random_table(11, 5), _partial_with_holes(7, 3)],
+    ids=["random_10", "random_11", "partial_7"],
+)
+def test_neighbour_gathers_match_the_matvec_product_bit_for_bit(f, monkeypatch):
+    # the gathers add each sum in the bit order of matvec, and the
+    # undefined inputs of partial_7 leave sentinel entries in the index
+    g = SensitivityGraph(f)
+    for comp in g.components():
+        monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size - 1)
+        res = _perron(g, comp)
+        value, vector, residual = _matvec_perron(g, comp)
+        assert res.value == value and res.residual == residual
+        assert np.array_equal(res.vector, vector)
+
+
+def test_lanczos_products_never_touch_the_whole_cube(monkeypatch):
+    f = _random_table(10, 2)
+    value = spectral_sensitivity(f).value
+
+    def refuse(self, u):
+        raise AssertionError("2^n-wide product in the solver")
+
+    monkeypatch.setattr(SensitivityGraph, "matvec", refuse)
+    assert spectral_sensitivity(f).value == value
+
+
+def test_perron_solve_log_names_each_component_solve(monkeypatch):
+    steps = []
+    lanczos = spectral._lanczos
+
+    def recording(apply, size):
+        calls = []
+
+        def counted(u):
+            calls.append(None)
+            return apply(u)
+
+        out = lanczos(counted, size)
+        steps.append(len(calls))
+        return out
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    f = _random_table(10, 2)
+    with perron_solve_log() as log:
+        g = spectral_sensitivity(f).graph
+    assert [(v, m) for v, _, m, _ in log] == [(c.size, "lanczos") for c in g.components()]
+    assert [k for *_, k in log] == steps and len(steps) == 2
+    for (_, side, _, _), comp in zip(log, g.components()):
+        odd = int(np.count_nonzero(np.bitwise_count(comp) & 1))
+        assert side == min(odd, comp.size - odd)
+    with perron_solve_log() as log:
+        spectral_sensitivity(named_family("OR", 6))
+    assert log == [(7, 1, "dense", 0)] and len(steps) == 2
+    spectral_sensitivity(f)  # no block open: nothing is collected
+    assert len(log) == 1
 
 
 def test_lambda_is_the_largest_component_value():
