@@ -98,14 +98,9 @@ def _sdp_graph(spec: Spectrum, what: str) -> SensitivityGraph:
 def bipartite_block(f: TruthTable | PartialTruthTable) -> BipartiteBlock:
     g = SensitivityGraph(f)
     zeros, ones = g.sides()
-    side_pos = np.zeros(g.values.size, dtype=np.int64)
-    side_pos[zeros] = np.arange(len(zeros))
-    side_pos[ones] = np.arange(len(ones))
-    xs, ys, _ = g.pairs()
-    x_is_zero = ~g.values[xs]
-    q = np.zeros((len(zeros), len(ones)))
-    q[side_pos[np.where(x_is_zero, xs, ys)], side_pos[np.where(x_is_zero, ys, xs)]] = 1.0
-    return BipartiteBlock(tuple(zeros), tuple(ones), q)
+    q = np.zeros((len(zeros) + 1, len(ones)))  # the last row takes the pad
+    q[g.neighbours(ones, zeros), np.arange(len(ones))] = 1.0
+    return BipartiteBlock(tuple(zeros), tuple(ones), q[:-1])
 
 
 def bipartite_block_value(f: TruthTable | PartialTruthTable) -> float:
@@ -183,9 +178,9 @@ def optimal_vertex_scheme(spec: Spectrum) -> tuple[VertexBitWeightScheme, float]
                 "component eigenvector has a zero entry; cannot form weight ratios"
             )
         # every neighbour of a component vertex lies in the component
-        rows, bit = np.nonzero(g.edges[:, comp].T)
-        cols = np.searchsorted(comp, comp[rows] ^ (1 << bit))
-        ratios = v[cols] / v[rows]
+        nb = g.neighbours(comp, comp)
+        rows, bit = np.nonzero(nb.T < comp.size)
+        ratios = v[nb[bit, rows]] / v[rows]
         entries.extend(zip(comp[rows].tolist(), bit.tolist(), ratios.tolist()))
     scheme = VertexBitWeightScheme(
         g.arity, tuple(entries), note="per-component principal-eigenvector ratios"
@@ -203,6 +198,11 @@ def vertex_scheme_value(scheme: VertexBitWeightScheme) -> float:
     for x, _i, w in scheme.weights:
         sums[x] = sums.get(x, 0.0) + w
     return max(sums.values(), default=0.0)
+
+
+def _are_ids(*ids) -> bool:
+    """Whether every id is an integer: a float is refused, not truncated."""
+    return all(isinstance(i, (int, np.integer)) for i in ids)
 
 
 def _columns(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,8 +240,8 @@ def verify_vertex_scheme(
     g: SensitivityGraph, scheme: VertexBitWeightScheme
 ) -> tuple[bool, tuple[int, int] | None]:
     """Feasibility: the scheme has g's arity, every weight is finite,
-    nonnegative and on an input and bit of g, and w(x, i) w(y, i) >= 1
-    on every sensitive pair (y = x^i).
+    nonnegative and on an integer input and bit of g, and
+    w(x, i) w(y, i) >= 1 on every sensitive pair (y = x^i).
 
     Returns (ok, first offending (x, bit)): a bad weight (every weight
     is bad under another arity), else the lower input of a violated pair.
@@ -249,6 +249,7 @@ def verify_vertex_scheme(
     xs, bit, w = _columns(scheme.weights)
     good = np.isfinite(w) & (w >= 0.0) & (xs >= 0) & (xs < g.values.size)
     good &= (bit >= 0) & (bit < g.arity) & (scheme.arity == g.arity)
+    good &= np.array([_are_ids(x, i) for x, i, _ in scheme.weights], dtype=bool)
     if not good.all():
         x, i, _ = scheme.weights[int(np.argmin(good))]
         return False, (x, i)
@@ -262,9 +263,10 @@ def verify_edge_scheme(
     g: SensitivityGraph, scheme: EdgeWeightScheme
 ) -> tuple[bool, tuple[int, int] | None]:
     """Support check: the scheme has g's arity, and every weight is
-    finite, nonnegative and on a sensitive distance-1 pair."""
+    finite, nonnegative and on a sensitive pair of integer inputs."""
     for x, y, w in scheme.weights:
-        if scheme.arity != g.arity or not (math.isfinite(w) and w >= 0.0) or not g.is_edge(x, y):
+        weight_ok = scheme.arity == g.arity and math.isfinite(w) and w >= 0.0
+        if not (weight_ok and _are_ids(x, y) and g.is_edge(x, y)):
             return False, (x, y)
     return True, None
 

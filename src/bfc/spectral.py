@@ -87,24 +87,27 @@ class SensitivityGraph:
     ``edges[i, x]`` is True when (x, x ^ 2^i) is an edge, ``degrees[x]``
     counts the edges at x, and ``values`` / ``defined`` unpack the table
     and the domain.  Every other view (pairs, components, adjacency,
-    matvec) is read off these arrays.
+    matvec) is read off these arrays, every neighbour position off
+    ``neighbours``.
     """
 
     def __init__(self, f: TruthTable | PartialTruthTable):
         self.arity, table, domain = _domain_parts(f)
         self.values = bits.to_bit_array(table, self.arity).astype(bool)
         self.defined = bits.to_bit_array(domain, self.arity).astype(bool)
-        flip = np.arange(1 << self.arity) ^ (1 << np.arange(self.arity))[:, None]
+        self._flips = (1 << np.arange(self.arity))[:, None]  # 2^i in row i
+        flip = np.arange(1 << self.arity) ^ self._flips
         self.edges = (self.values != self.values[flip]) & self.defined & self.defined[flip]
         self.degrees = self.edges.sum(axis=0)
         self.domain_inputs = np.flatnonzero(self.defined).tolist()
 
     def is_edge(self, x: int, y: int) -> bool:
+        """Whether (x, y) is an edge, for Python or numpy integers."""
         d = x ^ y
         size = self.values.size
         if not (0 <= x < size and 0 <= y < size) or d == 0 or d & (d - 1):
             return False
-        return bool(self.edges[d.bit_length() - 1, x])
+        return bool(self.edges[int(d).bit_length() - 1, x])
 
     def degree_of(self, x: int) -> int:
         return int(self.degrees[x])
@@ -146,6 +149,26 @@ class SensitivityGraph:
         cuts = np.flatnonzero(np.diff(label[order])) + 1
         return np.split(order, cuts) if order.size else []
 
+    def neighbours(self, rows: list[int] | np.ndarray, cols: list[int] | np.ndarray) -> np.ndarray:
+        """The (arity, len(rows)) intp index whose entry [i, j] is the
+        position in the vertices ``cols`` of rows[j] ^ 2^i when that pair
+        is an edge, and len(cols), the zero pad of ``_gather``, when it is
+        not or when that neighbour lies outside ``cols``."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        pos = np.empty(self.values.size, dtype=np.intp)
+        pos.fill(cols.size)
+        pos[cols] = np.arange(cols.size)
+
+        def index(part: np.ndarray) -> np.ndarray:
+            return np.where(self.edges[:, part], pos[part ^ self._flips], cols.size)
+
+        if rows.size <= GATHER_CHUNK:  # one block: skip the copy into nb
+            return index(rows)
+        nb = np.empty((self.arity, rows.size), dtype=np.intp)
+        for lo in range(0, rows.size, GATHER_CHUNK):
+            nb[:, lo : lo + GATHER_CHUNK] = index(rows[lo : lo + GATHER_CHUNK])
+        return nb
+
     def adjacency(self, vertices: list[int] | np.ndarray | None = None) -> np.ndarray:
         """Dense adjacency over ``vertices`` (ascending; default: every
         defined input)."""
@@ -153,15 +176,7 @@ class SensitivityGraph:
             vertices = self.domain_inputs
             if len(vertices) > DENSE_MAX_VERTICES:
                 raise ValueError(f"dense adjacency capped at {DENSE_MAX_VERTICES} vertices")
-        vs = np.asarray(vertices, dtype=np.int64)
-        pos = np.full(self.values.size, -1)
-        pos[vs] = np.arange(vs.size)
-        a = np.zeros((vs.size, vs.size))
-        for i, row in enumerate(self.edges):
-            cols = pos[vs ^ (1 << i)]
-            hit = row[vs] & (cols >= 0)
-            a[np.flatnonzero(hit), cols[hit]] = 1.0
-        return a
+        return _zero_one(self.neighbours(vertices, vertices), len(vertices))
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """A u for u indexed by all 2^n inputs (zero outside the domain)."""
@@ -176,6 +191,13 @@ def _axis_swap(u: np.ndarray, axis: int) -> np.ndarray:
     return u.reshape(-1, 2, 1 << axis)[:, ::-1, :].reshape(u.shape)
 
 
+def _zero_one(nb: np.ndarray, height: int) -> np.ndarray:
+    """The C-contiguous (height, nb.shape[1]) 0/1 matrix with a 1 at each non-pad [nb[i, j], j]."""
+    m = np.zeros((height + 1, nb.shape[1]))  # the last row takes the pad
+    m[nb, np.arange(nb.shape[1])] = 1.0
+    return m[:height]
+
+
 def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     """The top eigenpair of the component ``comp`` of ``graph``.
 
@@ -183,22 +205,20 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     parity and its adjacency is [[0, B], [B^T, 0]] with B running from
     the smaller side S to the other side T.  The value is the top
     singular value of B: its square and u are the top eigenpair of the
-    |S| x |S| Gram matrix B B^T, from a dense ``eigh`` up to
-    DENSE_MAX_VERTICES component vertices and a Lanczos iteration on
-    ``u -> B (B^T u)`` above that, each product one gather through a
-    ``_side_neighbours`` index.  The T half of the vector is
-    B^T u / value.  The vector is nonnegative, unit and indexed like
+    |S| x |S| Gram matrix B B^T, read off ``graph.neighbours(T, S)``:
+    a dense ``eigh`` up to DENSE_MAX_VERTICES component vertices, above
+    that a Lanczos iteration on ``u -> B (B^T u)``, each product one
+    gather through that index or its mirror from S into T.  The T half
+    of the vector is B^T u / value.  The vector is nonnegative, unit and indexed like
     ``comp``; the residual ||A v - value v|| is recomputed from it.
     """
     small = bits.popcount_array(comp) & 1 == 1
     if 2 * np.count_nonzero(small) > comp.size:
         small = ~small
     s, t = comp[small], comp[~small]
+    nb_t = graph.neighbours(t, s)  # B^T as an index
     if comp.size <= DENSE_MAX_VERTICES:
-        # every neighbour of an S vertex lies in T
-        rows, bit = np.nonzero(graph.edges[:, s].T)
-        b = np.zeros((s.size, t.size))
-        b[rows, np.searchsorted(t, s[rows] ^ (1 << bit))] = 1.0
+        b = _zero_one(nb_t, s.size)
         w, vecs = np.linalg.eigh(b @ b.T)
         square, u = float(w[-1]), vecs[:, -1]
         method, steps = "dense", 0
@@ -210,7 +230,7 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
             return av
 
     else:
-        nb_s, nb_t = _side_neighbours(graph, s, t)
+        nb_s = graph.neighbours(s, t)
         method, steps = "lanczos", 0
 
         def lift(u: np.ndarray) -> np.ndarray:  # B^T u, indexed like t
@@ -234,32 +254,9 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     u = np.abs(u)
     v = np.empty(comp.size)
     v[small], v[~small] = u, lift(u) / value
-    v /= np.linalg.norm(v)
-    return SpectralResult(value, v, float(np.linalg.norm(apply(v) - value * v)))
-
-
-def _side_neighbours(
-    graph: SensitivityGraph, s: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(nb_s, nb_t) for the parity sides s and t of one component.
-
-    ``nb_s[i, j]`` is the position in t of s[j] ^ 2^i when that pair is
-    an edge and t.size, the zero pad of ``_gather``, otherwise;
-    ``nb_t`` is the same from t into s.
-    """
-    pos = np.empty(graph.values.size, dtype=np.intp)
-    pos[s], pos[t] = np.arange(s.size), np.arange(t.size)
-    flips = (1 << np.arange(graph.arity))[:, None]
-
-    def index(side: np.ndarray, other: np.ndarray) -> np.ndarray:
-        nb = np.empty((graph.arity, side.size), dtype=np.intp)
-        for lo in range(0, side.size, GATHER_CHUNK):
-            cols = side[lo : lo + GATHER_CHUNK]
-            hit = graph.edges[:, cols]
-            nb[:, lo : lo + GATHER_CHUNK] = np.where(hit, pos[cols ^ flips], other.size)
-        return nb
-
-    return index(s, t), index(t, s)
+    v /= math.sqrt(v.dot(v))  # np.linalg.norm's own sum, without its wrapper
+    r = apply(v) - value * v
+    return SpectralResult(value, v, math.sqrt(r.dot(r)))
 
 
 def _gather(nb: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -333,6 +333,23 @@ def test_edge_scheme_verifier_rejects_nonfinite_weight():
         assert verify_edge_scheme(spec.graph, tampered) == (False, (x, y))
 
 
+def test_edge_verifiers_take_numpy_integer_ids_and_refuse_float_ids():
+    spec = spectral_sensitivity(named_family("OR", 3))
+    g = spec.graph
+    scheme, _ = edge_scheme_from_eigenvector(spec)
+    primal = sdp_primal_certificate(spec)
+    for cast in (np.int64, np.int32):
+        ids = tuple((cast(x), cast(y), w) for x, y, w in scheme.weights)
+        assert verify_edge_scheme(g, EdgeWeightScheme(3, ids)) == (True, None)
+        assert verify_sdp_primal(g, dataclasses.replace(primal, z=ids))
+    x, y, w = scheme.weights[0]
+    for bad in ((float(x), y, w), (x, y + 0.0, w)):
+        floats = (bad,) + scheme.weights[1:]
+        assert verify_edge_scheme(g, EdgeWeightScheme(3, floats)) == (False, bad[:2])
+        assert not verify_sdp_primal(g, dataclasses.replace(primal, z=floats))
+        assert certificate_json(g, EdgeWeightScheme(3, floats))["verdict"] is False
+
+
 def test_sdp_verifiers_reject_wrong_size_certificate():
     or2 = spectral_sensitivity(named_family("OR", 2))
     or3 = SensitivityGraph(named_family("OR", 3))
@@ -470,6 +487,18 @@ def test_scheme_verifiers_reject_another_arity_and_weights_off_the_cube():
     assert vertex_scheme_value(off) == 50.0
     blob = certificate_json(g, off)
     assert (blob["verdict"], blob["claimed_value"], blob["violated_pair"]) == (False, None, [99, 0])
+    # a float id is refused, not truncated onto input 0 or onto the bit below it
+    spec2 = spectral_sensitivity(named_family("OR", 2))
+    scheme2, _ = optimal_vertex_scheme(spec2)
+    assert verify_vertex_scheme(spec2.graph, scheme2) == (True, None)
+    halved = tuple((0.5 if x == 0 else x, i, w) for x, i, w in scheme2.weights)
+    raised = tuple((x, i + 0.9, w) for x, i, w in scheme2.weights)
+    for weights, first in ((halved, (0.5, 0)), (raised, (0, 0.9))):
+        bad = dataclasses.replace(scheme2, weights=weights)
+        assert verify_vertex_scheme(spec2.graph, bad) == (False, first)
+        blob = certificate_json(spec2.graph, bad)
+        assert (blob["verdict"], blob["claimed_value"]) == (False, None)
+        assert blob["violated_pair"] == list(first)
 
 
 def test_equivalences_build_one_graph_and_solve_each_component_once(monkeypatch):

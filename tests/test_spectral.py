@@ -18,7 +18,7 @@ import pytest
 
 from bfc import spectral
 from bfc.algebraic import degree
-from bfc.bits import from_bit_array
+from bfc.bits import from_bit_array, popcount_array
 from bfc.spectral import (
     SensitivityGraph,
     SpectralConvergenceError,
@@ -319,6 +319,9 @@ def test_sensitivity_graph_structure():
     assert g.is_edge(0, 1) and g.is_edge(0, 2) and g.is_edge(0, 4)
     assert not g.is_edge(1, 2)  # both map to 1
     assert not g.is_edge(0, 3)  # distance 2
+    assert g.is_edge(np.int64(0), np.int32(4)) and not g.is_edge(np.int64(1), np.uint8(2))
+    with pytest.raises(TypeError):
+        g.is_edge(0.0, 1)
     zeros, ones = g.sides()
     assert zeros == [0]
     assert len(ones) == 7
@@ -487,6 +490,62 @@ def _graph_tables():
             dom = (rng.random(1 << n) < 0.75).astype(np.uint8)
             val = rng.integers(0, 2, size=1 << n, dtype=np.uint8) & dom
             yield PartialTruthTable(n, from_bit_array(val), from_bit_array(dom))
+
+
+def _brute_neighbours(f, rows, cols):
+    """neighbours(rows, cols) from the definition: one loop per entry."""
+    size = 1 << f.arity
+    dom = getattr(f, "domain", (1 << size) - 1)
+    want = [[len(cols)] * len(rows) for _ in range(f.arity)]
+    for j, x in enumerate(rows):
+        for i in range(f.arity):
+            y = x ^ (1 << i)
+            both = (dom >> x) & 1 and (dom >> y) & 1
+            if both and (f.table >> x) & 1 != (f.table >> y) & 1 and y in cols:
+                want[i][j] = list(cols).index(y)
+    return want
+
+
+def _neighbour_cases():
+    rng = np.random.default_rng(31)
+    dom = (rng.random(64) < 0.7).astype(np.uint8)
+    val = rng.integers(0, 2, 64, dtype=np.uint8) & dom
+    yield _random_table(6, seed=5)
+    yield PartialTruthTable(6, from_bit_array(val), from_bit_array(dom))
+    yield TruthTable(0, 0)
+    yield TruthTable(0, 1)
+    yield TruthTable(1, 0b10)  # x1: one edge
+    yield named_family("OR", 3)
+
+
+@pytest.mark.parametrize(
+    "f", list(_neighbour_cases()), ids=["random_6", "partial_6", "zero_0", "one_0", "x1", "OR_3"]
+)
+@pytest.mark.parametrize("chunk", [spectral.GATHER_CHUNK, 3])
+def test_neighbours_match_a_brute_force_loop(f, chunk, monkeypatch):
+    # every pairing of whole, domain, component, side and random vertex
+    # sets, most of which G_f's edges leave; chunk 3 runs the blocked build
+    monkeypatch.setattr(spectral, "GATHER_CHUNK", chunk)
+    g = SensitivityGraph(f)
+    size = 1 << f.arity
+    rng = np.random.default_rng(size)
+    sets = [list(range(size)), g.domain_inputs, [], [size - 1]]
+    sets += [sorted(rng.choice(size, k, replace=False).tolist()) for k in (1, size // 2)]
+    for comp in g.components():
+        odd = popcount_array(comp) & 1 == 1
+        sets += [comp.tolist(), comp[odd].tolist(), comp[~odd].tolist()]
+    for rows in sets:
+        for cols in sets:
+            nb = g.neighbours(rows, cols)
+            assert nb.dtype == np.intp and nb.shape == (f.arity, len(rows))
+            assert nb.tolist() == _brute_neighbours(f, rows, cols)
+
+
+def test_adjacency_of_a_set_that_the_edges_leave_is_zero():
+    # every edge of OR_3 runs from 0, so none joins two of 1, 3, 5, 7
+    g = SensitivityGraph(named_family("OR", 3))
+    assert np.array_equal(g.adjacency([1, 3, 5, 7]), np.zeros((4, 4)))
+    assert np.array_equal(g.adjacency([0, 3, 4]), [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 
 
 def test_graph_core_matches_definition():

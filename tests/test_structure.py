@@ -4,10 +4,12 @@ Vertex relabelings and variable permutations both come from
 ``bits.relabel_maps``; a second module enumerating permutations would
 be a second, hand-rolled map builder.  Likewise every eigensolver call
 sits on the one spectral path, every Perron pair is solved behind one
-``Spectrum``, and no table is built by a Python loop over all 2^m
-inputs.
+``Spectrum``, every neighbour position comes from
+``SensitivityGraph.neighbours``, and no table is built by a Python loop
+over all 2^m inputs.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -37,6 +39,26 @@ def test_perron_is_named_only_in_spectral():
     # ``Spectrum.perron``, which solves it at most once
     users = sorted(p.name for p in SRC.glob("*.py") if "_perron" in p.read_text())
     assert users == ["spectral.py"]
+
+
+def test_neighbour_positions_are_looked_up_only_in_spectral():
+    # "where in this vertex set does x ^ 2^i sit?" has one answer,
+    # ``SensitivityGraph.neighbours``.  A bit flip in another module's code
+    # (bits.py's docstring names one) or a ``searchsorted`` into a
+    # component would be a second, hand-rolled lookup.  The two searches
+    # left find degree widths (algebraic.py) and the top component's place
+    # in the domain (spectral.py).
+    flip = re.compile(r"\^\s*\(?\s*1\s*<<")
+    flips, searches = [], {}
+    for p in sorted(SRC.glob("*.py")):
+        text = p.read_text()
+        code = text.replace(ast.get_docstring(ast.parse(text), clean=False) or "", "")
+        if flip.search(code):
+            flips.append(p.name)
+        if text.count("searchsorted("):
+            searches[p.name] = text.count("searchsorted(")
+    assert flips == ["spectral.py"]
+    assert searches == {"algebraic.py": 1, "spectral.py": 1}
 
 
 def test_no_python_loop_over_every_mask():
