@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SensitivityGraph, Spectrum
+from .spectral import SensitivityGraph, Spectrum, _zero_one
 from .tables import PartialTruthTable, TruthTable
 
 SUPPORT_EPS = 1e-12
@@ -98,9 +98,8 @@ def _sdp_graph(spec: Spectrum, what: str) -> SensitivityGraph:
 def bipartite_block(f: TruthTable | PartialTruthTable) -> BipartiteBlock:
     g = SensitivityGraph(f)
     zeros, ones = g.sides()
-    q = np.zeros((len(zeros) + 1, len(ones)))  # the last row takes the pad
-    q[g.neighbours(ones, zeros), np.arange(len(ones))] = 1.0
-    return BipartiteBlock(tuple(zeros), tuple(ones), q[:-1])
+    q = _zero_one(g.neighbours(ones, zeros), len(zeros))
+    return BipartiteBlock(tuple(zeros), tuple(ones), q)
 
 
 def bipartite_block_value(f: TruthTable | PartialTruthTable) -> float:
@@ -177,8 +176,7 @@ def optimal_vertex_scheme(spec: Spectrum) -> tuple[VertexBitWeightScheme, float]
             raise ArithmeticError(
                 "component eigenvector has a zero entry; cannot form weight ratios"
             )
-        # every neighbour of a component vertex lies in the component
-        nb = g.neighbours(comp, comp)
+        nb = g.neighbours(comp, comp)  # a component vertex's neighbours all lie in it
         rows, bit = np.nonzero(nb.T < comp.size)
         ratios = v[nb[bit, rows]] / v[rows]
         entries.extend(zip(comp[rows].tolist(), bit.tolist(), ratios.tolist()))
@@ -304,7 +302,8 @@ def verify_sdp_primal(g: SensitivityGraph, cert: SdpPrimal) -> bool:
     z^2 <= delta_x delta_y on every pair.
     """
     delta = np.asarray(cert.delta, dtype=float)
-    if cert.domain != tuple(g.domain_inputs) or delta.shape != (len(cert.domain),):
+    domain_ok = _are_ids(*cert.domain) and cert.domain == tuple(g.domain_inputs)
+    if not domain_ok or delta.shape != (len(cert.domain),):
         return False
     if not verify_edge_scheme(g, EdgeWeightScheme(g.arity, cert.z))[0]:
         return False
@@ -349,7 +348,8 @@ def verify_sdp_dual(g: SensitivityGraph, cert: SdpDual) -> bool:
     cover r_i(x) r_i(x^i) >= 1.
     """
     r = np.asarray(cert.r, dtype=float)
-    if cert.domain != tuple(g.domain_inputs) or r.shape != (g.arity, len(cert.domain)):
+    domain_ok = _are_ids(*cert.domain) and cert.domain == tuple(g.domain_inputs)
+    if not domain_ok or r.shape != (g.arity, len(cert.domain)):
         return False
     if not (math.isfinite(cert.alpha) and np.isfinite(r).all() and (r >= 0.0).all()):
         return False

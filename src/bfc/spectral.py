@@ -100,6 +100,7 @@ class SensitivityGraph:
         self.edges = (self.values != self.values[flip]) & self.defined & self.defined[flip]
         self.degrees = self.edges.sum(axis=0)
         self.domain_inputs = np.flatnonzero(self.defined).tolist()
+        self._positions = np.zeros(self.values.size, dtype=np.intp)  # 0 between neighbours calls
 
     def is_edge(self, x: int, y: int) -> bool:
         """Whether (x, y) is an edge, for Python or numpy integers."""
@@ -153,20 +154,19 @@ class SensitivityGraph:
         """The (arity, len(rows)) intp index whose entry [i, j] is the
         position in the vertices ``cols`` of rows[j] ^ 2^i when that pair
         is an edge, and len(cols), the zero pad of ``_gather``, when it is
-        not or when that neighbour lies outside ``cols``."""
+        not or when that neighbour lies outside ``cols``.  It borrows the
+        graph's position map (one graph per thread), so costs no 2^n term."""
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        pos = np.empty(self.values.size, dtype=np.intp)
-        pos.fill(cols.size)
-        pos[cols] = np.arange(cols.size)
-
-        def index(part: np.ndarray) -> np.ndarray:
-            return np.where(self.edges[:, part], pos[part ^ self._flips], cols.size)
-
-        if rows.size <= GATHER_CHUNK:  # one block: skip the copy into nb
-            return index(rows)
-        nb = np.empty((self.arity, rows.size), dtype=np.intp)
-        for lo in range(0, rows.size, GATHER_CHUNK):
-            nb[:, lo : lo + GATHER_CHUNK] = index(rows[lo : lo + GATHER_CHUNK])
+        nb, pos = np.zeros((self.arity, rows.size), dtype=np.intp), self._positions
+        pos[cols] = np.arange(-cols.size, 0)  # position - len(cols); 0 outside cols
+        try:
+            for lo in range(0, rows.size, GATHER_CHUNK):
+                part = rows[lo : lo + GATHER_CHUNK]
+                hit = self.edges[:, part]
+                np.copyto(nb[:, lo : lo + GATHER_CHUNK], pos[part ^ self._flips], where=hit)
+        finally:
+            pos[cols] = 0
+        nb += cols.size
         return nb
 
     def adjacency(self, vertices: list[int] | np.ndarray | None = None) -> np.ndarray:

@@ -362,6 +362,13 @@ def test_sdp_verifiers_reject_wrong_size_certificate():
     assert not verify_sdp_primal(g, dataclasses.replace(primal, delta=primal.delta[:-1]))
     assert not verify_sdp_dual(g, dataclasses.replace(dual, r=dual.r[:-1]))
     assert not verify_sdp_dual(g, dataclasses.replace(dual, r=dual.r[:, :-1]))
+    # the right domain relabelled as floats compares equal, and is refused
+    floats = tuple(float(x) for x in primal.domain)
+    assert not verify_sdp_primal(g, dataclasses.replace(primal, domain=floats))
+    assert not verify_sdp_dual(g, dataclasses.replace(dual, domain=floats))
+    numpy_ids = tuple(np.int64(x) for x in primal.domain)
+    assert verify_sdp_primal(g, dataclasses.replace(primal, domain=numpy_ids))
+    assert verify_sdp_dual(g, dataclasses.replace(dual, domain=numpy_ids))
 
 
 def test_sdp_verifiers_check_the_certificate_domain():

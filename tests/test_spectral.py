@@ -541,6 +541,27 @@ def test_neighbours_match_a_brute_force_loop(f, chunk, monkeypatch):
             assert nb.tolist() == _brute_neighbours(f, rows, cols)
 
 
+def test_neighbours_cost_no_cube_wide_map_and_survive_a_failed_call():
+    # a table with thousands of small components builds one index per
+    # component, so an index over a few vertices must not allocate 2^n
+    import tracemalloc
+
+    f = TruthTable(16, random.Random(16).getrandbits(1 << 16))
+    g = SensitivityGraph(f)
+    comp = g.components()[0][:16].tolist()
+    tracemalloc.start()
+    g.neighbours(comp, comp)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 64 << 10  # a 2^16 position map alone is 512 KiB
+    small = named_family("XOR-OR", 4)
+    g = SensitivityGraph(small)
+    with pytest.raises(IndexError):
+        g.neighbours([0, 99], list(range(16)))
+    for cols in ([0, 1, 2, 3], [5, 9], list(range(16))):
+        assert g.neighbours(range(16), cols).tolist() == _brute_neighbours(small, range(16), cols)
+
+
 def test_adjacency_of_a_set_that_the_edges_leave_is_zero():
     # every edge of OR_3 runs from 0, so none joins two of 1, 3, 5, 7
     g = SensitivityGraph(named_family("OR", 3))
