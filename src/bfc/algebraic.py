@@ -139,6 +139,13 @@ def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
     its Farkas certificate.  Infeasibility at d implies it at every
     lower degree, so the answer carries both proofs.  Each degree's LP
     is a column prefix of one subset-lattice matrix.
+
+    ``lp.solve_lp`` decides most of these LPs at its least-squares
+    start, with no pivot: a feasible degree when the fit of the row
+    midpoints is already an approximation, the infeasible degree when
+    the fit's residual, the midpoints' component above degree d, is a
+    Farkas vector.  The rest are decided by the simplex on a basis
+    refactorised from the lattice.  The re-checks are the same for both.
     """
     if f.arity > APPROX_DEGREE_MAX_ARITY:
         raise ValueError(f"approximate degree supports arity <= {APPROX_DEGREE_MAX_ARITY}")

@@ -4,29 +4,42 @@ A problem is m ranged rows ``lo <= a x <= hi`` over free variables x,
 with finite ranges and no objective: the solver only decides whether a
 point exists.
 
-The solver is a one-phase bounded-variable simplex on a dense tableau,
-sized for this package's problems (hundreds of rows).  Row i gets a
-logical variable s_i = a_i.x whose bounds are the row's range, so a
-ranged row is one tableau row; the structural variables are free and
-never split.  The start is the all-logical basis, so there are no
-artificials, with x at the least-squares fit of the row midpoints
-``(lo + hi) / 2``.  A free nonbasic variable may sit at any value, and
-that point is often feasible already or close to it: on a square
-invertible ``a`` it meets every row exactly.  The simplex minimises the
-sum of the basic variables' infeasibilities.  It prices by Dantzig's
-largest reduced cost with a vectorised Harris ratio test, and after
-``STALL_PIVOTS`` pivots in a row that leave the infeasibility unchanged
-it switches to Bland's rule (smallest eligible column, ties broken by
-smallest basic index), which cannot cycle, until the infeasibility
-moves again.  Every verdict is taken on a basis refactorised from the
-original data (the starting tableau is ``a`` itself, exact for it).
+Every solve starts at x_ls, the least-squares fit of the row midpoints
+``mid = (lo + hi) / 2``, and first tries to decide the problem there,
+with no pivot:
+
+* if ``a x_ls`` meets every row within FEAS_TOL, x_ls is the point (on
+  a square invertible ``a`` it meets every row exactly);
+* otherwise the residual ``mid - a x_ls`` is orthogonal to every column
+  of ``a``, so its weights on the rows combine them to 0 = 0 on x, and
+  ``(a x_ls - mid) . mid = -|mid - a x_ls|^2 < 0``: put on each row's
+  upper side where ``a x_ls`` lies above the midpoint and on its lower
+  side where below, it is a Farkas vector whenever ``|r|^2`` exceeds
+  ``sum_i |r_i| (hi_i - lo_i) / 2`` for that residual r.  It is kept
+  when it passes the Farkas check at VERIFY_TOL.
+
+Only a problem that neither settles goes to the simplex, from the same
+start.  The simplex is a one-phase bounded-variable simplex on a dense
+tableau, sized for this package's problems (hundreds of rows).  Row i
+gets a logical variable s_i = a_i.x whose bounds are the row's range,
+so a ranged row is one tableau row; the structural variables are free
+and never split.  The start is the all-logical basis, so there are no
+artificials, with x at x_ls: a free nonbasic variable may sit at any
+value.  The simplex minimises the sum of the basic variables'
+infeasibilities.  It prices by Dantzig's largest reduced cost with a
+vectorised Harris ratio test, and after ``STALL_PIVOTS`` pivots in a
+row that leave the infeasibility unchanged it switches to Bland's rule
+(smallest eligible column, ties broken by smallest basic index), which
+cannot cycle, until the infeasibility moves again.  Every simplex
+verdict is taken on a basis refactorised from the original data (the
+starting tableau is ``a`` itself, exact for it).
 
 Every outcome can be re-checked from the original data:
 
 * ``optimal`` (a feasible point was found) carries the point,
 * ``infeasible`` carries a Farkas vector y >= 0 with yA = 0 and yb < 0
-  over the canonical ``Ax <= b`` form, built from the simplex
-  multipliers.
+  over the canonical ``Ax <= b`` form, built from the start's residual
+  or from the simplex multipliers.
 """
 
 from __future__ import annotations
@@ -77,6 +90,11 @@ class LpResult:
     iterations: int
 
 
+def _infeasibility(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """+1 above the upper bound, -1 below the lower one, else 0."""
+    return (x > ub + FEAS_TOL).astype(float) - (x < lb - FEAS_TOL)
+
+
 def _farkas(u: np.ndarray) -> np.ndarray:
     """Canonical-row weights for a combination u of the logical variables
     s = A x that vanishes on x: each row's weight goes on its upper side
@@ -91,7 +109,7 @@ class _Simplex:
     """Compact tableau x_B = T x_N over the variables z = (x, s) with
     [A, -I] z = 0; ``basis`` labels rows, ``nonbasic`` labels columns."""
 
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, start: np.ndarray):
         m, nv = problem.a.shape
         self.full = np.hstack([problem.a, -np.eye(m)])
         free = np.full(nv, np.inf)
@@ -100,7 +118,7 @@ class _Simplex:
         self.basis = np.arange(nv, nv + m)
         self.nonbasic = np.arange(nv)
         self.tab = problem.a.copy()
-        self.x_n = np.linalg.lstsq(problem.a, (problem.lo + problem.hi) / 2, rcond=None)[0]
+        self.x_n = start
         self.iterations = 0
         self.fresh = True  # tableau refactorised since the last pivot
 
@@ -131,7 +149,7 @@ class _Simplex:
             tab, x_n = self.tab, self.x_n
             x_b = tab @ x_n
             lb, ub = self.lo[self.basis], self.hi[self.basis]
-            sign = self._infeasibility(x_b, lb, ub)
+            sign = _infeasibility(x_b, lb, ub)
             if not sign.any():
                 if self.fresh:
                     return True
@@ -172,11 +190,6 @@ class _Simplex:
                 self._pivot(r, q)
                 x_n[q] = target
 
-    @staticmethod
-    def _infeasibility(x_b: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        """+1 above the upper bound, -1 below the lower one, else 0."""
-        return (x_b > ub + FEAS_TOL).astype(float) - (x_b < lb - FEAS_TOL)
-
     def _ratio(self, x_b, alpha, target, bland):
         """Ratio test for x_B + t * alpha, t >= 0, each basic variable
         blocking at its ``target``: Harris's two passes (the largest
@@ -211,13 +224,14 @@ class _Simplex:
         the infeasibility sign of each basic variable: y [A, -I] is about
         (0, -y), a combination of the logical variables alone."""
         lb, ub = self.lo[self.basis], self.hi[self.basis]
-        sign = self._infeasibility(self.tab @ self.x_n, lb, ub)
+        sign = _infeasibility(self.tab @ self.x_n, lb, ub)
         y = np.linalg.solve(self.full[:, self.basis].T, sign)
         return _farkas(-y)
 
 
 def solve_lp(problem: LpProblem) -> LpResult:
-    """One-phase bounded-variable simplex; see the module docstring."""
+    """Decide the problem at the least-squares start where it settles it,
+    else by the simplex from there; see the module docstring."""
     inverted = np.flatnonzero(problem.lo > problem.hi)
     if inverted.size:
         # lo > hi on one row: its two canonical rows sum to 0 <= hi - lo < 0
@@ -225,7 +239,16 @@ def solve_lp(problem: LpProblem) -> LpResult:
         y[2 * inverted[0] : 2 * inverted[0] + 2] = 1.0
         return LpResult("infeasible", None, y, 0)
 
-    sx = _Simplex(problem)
+    mid = (problem.lo + problem.hi) / 2
+    start = np.linalg.lstsq(problem.a, mid, rcond=None)[0]
+    fit = problem.a @ start
+    if not _infeasibility(fit, problem.lo, problem.hi).any():
+        return LpResult("optimal", start, None, 0)
+    y = _farkas(fit - mid)
+    if _is_farkas(problem, y, VERIFY_TOL):
+        return LpResult("infeasible", None, y, 0)
+
+    sx = _Simplex(problem, start)
     # the ratio test divides by every entry of the pivot column, zeros too
     with np.errstate(divide="ignore", invalid="ignore"):
         if not sx.run():
@@ -247,11 +270,15 @@ def verify_infeasibility_certificate(
     problem: LpProblem, y: np.ndarray, tol: float = VERIFY_TOL
 ) -> bool:
     """Check a Farkas vector: y >= 0, yA ~ 0, and yb strictly negative."""
-    a_rows, b_vec = problem.canonical
-    if a_rows.shape[0] == 0 or y is None or len(y) != a_rows.shape[0]:
+    if y is None or len(y) != 2 * problem.lo.size:
         return False
-    y = np.asarray(y, dtype=float)
-    scale = np.abs(y).max()
+    return _is_farkas(problem, np.asarray(y, dtype=float), tol)
+
+
+def _is_farkas(problem: LpProblem, y: np.ndarray, tol: float) -> bool:
+    """The Farkas check on a float vector with one weight per canonical row."""
+    a_rows, b_vec = problem.canonical
+    scale = np.abs(y).max(initial=0.0)
     if scale <= 0:
         return False
     y = y / scale

@@ -277,7 +277,9 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
     Lanczos from the uniform vector with full reorthogonalization,
     stopped once the Ritz residual is at most RITZ_TOL * max(1, value)."""
     steps = min(LANCZOS_MAX_STEPS, size)
-    basis = np.empty((steps + 1, size))
+    # solves mostly stop after a few dozen steps, so the basis doubles as
+    # it fills rather than reserving all steps + 1 rows up front
+    basis = np.empty((1, size))
     basis[0] = 1.0 / math.sqrt(size)
     alphas, betas = [], []
     for k in range(1, steps + 1):
@@ -292,6 +294,10 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
         if ritz <= RITZ_TOL * max(1.0, value):
             return value, s[:, -1] @ q
         betas.append(beta)
+        if k == len(basis):
+            grown = np.empty((min(2 * k, steps + 1), size))
+            grown[:k] = basis
+            basis = grown
         basis[k] = w / beta
     raise SpectralConvergenceError(value, ritz)
 

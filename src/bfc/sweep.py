@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits
+from .algebraic import lp_solve_log
 from .report import METHODS, measure, on_grid, report_hash
 from .tables import TruthTable, format_table
 
@@ -121,6 +122,7 @@ def _empty_partial() -> dict:
         "checks": {name: [0, 0, None] for name in CHECK_NAMES},
         "ratios": {name: None for name in RATIO_NAMES},
         "methods": {name: dict.fromkeys(ways, 0) for name, ways in METHODS.items()},
+        "adeg_lp": {"solves": 0, "pivots": 0},
     }
 
 
@@ -154,11 +156,13 @@ def _fold(partial: dict, table: int, m: dict, tolerance: float, weight: int = 1)
 def _sweep_chunk(args: tuple) -> dict:
     n, weighted, names, tolerance = args
     partial = _empty_partial()
-    for table, weight in weighted:
-        values, methods = _values(n, table, names)
-        _fold(partial, table, values, tolerance, weight)
-        for name, way in methods.items():
-            partial["methods"][name][way] += 1
+    with lp_solve_log() as solves:
+        for table, weight in weighted:
+            values, methods = _values(n, table, names)
+            _fold(partial, table, values, tolerance, weight)
+            for name, way in methods.items():
+                partial["methods"][name][way] += 1
+    partial["adeg_lp"] = {"solves": len(solves), "pivots": sum(p for _, p in solves)}
     return partial
 
 
@@ -176,6 +180,8 @@ def _merge(acc: dict, part: dict) -> None:
     for name, ways in part["methods"].items():
         for way, count in ways.items():
             acc["methods"][name][way] += count
+    for key, count in part["adeg_lp"].items():
+        acc["adeg_lp"][key] += count
 
 
 def sample_tables(n: int, count: int, seed: int) -> list[int]:
@@ -414,6 +420,7 @@ def run_sweep(
             "evaluated_functions": len(weighted),
             "method": method,
             "measure_methods": acc["methods"],
+            "adeg_lp": acc["adeg_lp"],
         },
     )
 

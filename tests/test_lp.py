@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bfc.lp as lp_module
-from bfc.algebraic import approximate_degree, approximation_problem
+from bfc.algebraic import LP_CHECK_TOL, approximate_degree, approximation_problem, lp_solve_log
 from bfc.lp import (
     LpProblem,
     solve_lp,
@@ -169,20 +169,55 @@ def test_full_degree_lp_is_feasible_at_the_start(family, n):
 
 
 def test_arity_4_classes_take_few_pivots(monkeypatch):
-    # a start at x = 0 takes 4,940 pivots over these 437 LPs
+    # a start at x = 0 takes 4,940 pivots over these 437 LPs, and the
+    # simplex from the least-squares start 1,361, 1,288 of them on the
+    # 221 infeasible LPs; the start's residual decides those with none
     real = lp_module.solve_lp
     solves = []
 
     def counting(problem):
         result = real(problem)
-        solves.append(result.iterations)
+        solves.append((problem, result))
         return result
 
     monkeypatch.setattr(lp_module, "solve_lp", counting)
     for rep in np.unique(npn_canonical_array(4)).tolist():
         approximate_degree(TruthTable(4, rep))
     assert len(solves) == 437
-    assert sum(solves) <= 2000
+    assert sum(r.iterations for _, r in solves) <= 100
+    infeasible = [(p, r) for p, r in solves if r.status == "infeasible"]
+    assert len(infeasible) == 221
+    for p, r in infeasible:
+        assert r.iterations == 0
+        assert verify_infeasibility_certificate(p, r.certificate, LP_CHECK_TOL)
+
+
+def test_or_8_at_degree_2_is_refuted_by_the_simplex():
+    # among the README's arity-8 examples, the one infeasible LP whose
+    # least-squares residual is no Farkas vector: the simplex decides it
+    # from the same start
+    p = approximation_problem(named_family("OR", 8), 2, 1 / 3)
+    r = solve_lp(p)
+    assert (r.status, r.iterations) == ("infeasible", 64)
+    assert verify_infeasibility_certificate(p, r.certificate, LP_CHECK_TOL)
+
+
+@pytest.mark.parametrize(
+    "f, pivots",
+    [
+        (named_family("OR", 8), [0, 0, 0, 1, 101, 64]),
+        (named_family("EXACT1", 8), [0, 0, 323, 0]),
+        (TruthTable(8, random.Random(800).getrandbits(256)), [0, 0, 195, 0]),
+    ],
+    ids=["OR_8", "EXACT1_8", "random_8"],
+)
+def test_lps_that_reach_the_simplex_take_the_pivots_they_took_before(f, pivots):
+    # the simplex starts at the same least-squares point as before the
+    # start decided LPs on its own; the infeasible LPs of EXACT1_8 and of
+    # the random table took 281 and 274 pivots there
+    with lp_solve_log() as log:
+        approximate_degree(f)
+    assert [p for _, p in log] == pivots
 
 
 def test_canonical_interleaves_each_rows_two_sides():

@@ -200,6 +200,23 @@ def test_neighbour_gathers_match_the_matvec_product_bit_for_bit(f, monkeypatch):
         assert np.array_equal(res.vector, vector)
 
 
+def test_lanczos_basis_holds_only_the_steps_it_takes():
+    # both components of this table have about 4,100 vertices and a
+    # smaller side of about 2,050, and their solves stop after about 32
+    # steps; a basis of LANCZOS_MAX_STEPS + 1 rows up front would alone
+    # be twice the bound
+    import tracemalloc
+
+    f = _random_table(13, 4)
+    tracemalloc.start()
+    with perron_solve_log() as log:
+        spectral.Spectrum(f)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    side = max(s for _, s, method, _ in log if method == "lanczos")
+    assert peak < (spectral.LANCZOS_MAX_STEPS + 1) * side * 8 / 2
+
+
 def test_lanczos_products_never_touch_the_whole_cube(monkeypatch):
     f = _random_table(10, 2)
     value = spectral_sensitivity(f).value

@@ -5,8 +5,8 @@ Vertex relabelings and variable permutations both come from
 be a second, hand-rolled map builder.  Likewise every eigensolver call
 sits on the one spectral path, every Perron pair is solved behind one
 ``Spectrum``, every neighbour position comes from
-``SensitivityGraph.neighbours``, and no table is built by a Python loop
-over all 2^m inputs.
+``SensitivityGraph.neighbours``, every LP starts from one least-squares
+fit, and no table is built by a Python loop over all 2^m inputs.
 """
 
 import ast
@@ -67,3 +67,19 @@ def test_no_python_loop_over_every_mask():
     loop = re.compile(r"\bfor\b[^\n]*\bin\s+range\(\s*1\s*<<")
     users = sorted(p.name for p in SRC.glob("*.py") if loop.search(p.read_text()))
     assert users == []
+
+
+def test_lp_screens_its_start_without_its_public_verifiers():
+    # re-checks at the caller's tolerance belong to the callers; inside
+    # lp.py the start is screened by the private check that
+    # verify_infeasibility_certificate wraps.  One lstsq computes the
+    # start that both the screen and the simplex use.
+    tree = ast.parse((SRC / "lp.py").read_text())
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"verify_point", "verify_infeasibility_certificate"}
+    counts = {p.name: p.read_text().count("lstsq(") for p in SRC.glob("*.py")}
+    assert {name: c for name, c in counts.items() if c} == {"lp.py": 1}

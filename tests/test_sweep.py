@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from bfc import bits, report, sweep
+from bfc import bits, lp, report, sweep
 from bfc.report import report_hash
 from bfc.sweep import (
     CHECK_NAMES,
@@ -349,6 +349,7 @@ def test_sweep_diagnostics_block():
             "C": {"s = n": 7, "engine": 7},
             "D": {"deg = n": 8, "engine": 6},
         },
+        "adeg_lp": {"solves": 21, "pivots": 0},
     }
     assert run_sweep(max_n=3, sample=7, seed=1).diagnostics == {
         "evaluated_functions": 7,
@@ -358,7 +359,25 @@ def test_sweep_diagnostics_block():
             "C": {"s = n": 6, "engine": 1},
             "D": {"deg = n": 5, "engine": 2},
         },
+        "adeg_lp": {"solves": 0, "pivots": 0},
     }
+
+
+def test_sweep_diagnostics_total_the_adeg_lps_over_chunks(monkeypatch):
+    # every arity-3 LP is decided at its start, so take arity 4, where some
+    # reach the simplex; its 222 classes are measured in four chunks
+    real = lp.solve_lp
+    pivots = []
+
+    def counting(problem):
+        result = real(problem)
+        pivots.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    totals = run_sweep(max_n=4).diagnostics["adeg_lp"]
+    assert totals == {"solves": len(pivots), "pivots": sum(pivots)}
+    assert totals["solves"] == 437 and totals["pivots"] > 0
 
 
 def test_hash_ignores_diagnostics():
@@ -372,6 +391,7 @@ def test_hash_ignores_diagnostics():
             "C": {"s = n": 2, "engine": 2},
             "D": {"deg = n": 2, "engine": 2},
         },
+        "adeg_lp": {"solves": 4, "pivots": 0},
     }
     assert report_hash(body) == r.report_hash
     body["diagnostics"] = {"evaluated_functions": 16, "method": "per-table"}
