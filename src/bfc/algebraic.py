@@ -136,9 +136,11 @@ def approximate_degree(f: TruthTable, epsilon: float = DEFAULT_EPSILON) -> int:
     degree d; the answer is d + 1 (0 if every degree is feasible).
     Every verdict is validated before it is trusted: each feasible
     degree by its point re-checked within 1e-7, the infeasible one by
-    its Farkas certificate.  Infeasibility at d implies it at every
-    lower degree, so the answer carries both proofs.  Each degree's LP
-    is a column prefix of one subset-lattice matrix.
+    its Farkas certificate, a dual polynomial: one signed value per
+    input, orthogonal to every monomial of degree <= d.  Infeasibility
+    at d implies it at every lower degree, so the answer carries both
+    proofs.  Each degree's LP is a column prefix of one subset-lattice
+    matrix.
 
     ``lp.solve_lp`` decides most of these LPs at its least-squares
     start, with no pivot: a feasible degree when the fit of the row

@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, help="sample this many tables instead of all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=sweep.DEFAULT_TOLERANCE)
-    p.add_argument("--threads", type=int, default=1, help="0 = one per CPU; BFC_THREADS overrides")
+    threads_help = "0 = one per CPU; BFC_THREADS overrides; exhaustive sweeps ignore it"
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("witness", help="spectral lower-bound vector for the top monomial")

@@ -10,13 +10,11 @@ with no pivot:
 
 * if ``a x_ls`` meets every row within FEAS_TOL, x_ls is the point (on
   a square invertible ``a`` it meets every row exactly);
-* otherwise the residual ``mid - a x_ls`` is orthogonal to every column
-  of ``a``, so its weights on the rows combine them to 0 = 0 on x, and
-  ``(a x_ls - mid) . mid = -|mid - a x_ls|^2 < 0``: put on each row's
-  upper side where ``a x_ls`` lies above the midpoint and on its lower
-  side where below, it is a Farkas vector whenever ``|r|^2`` exceeds
-  ``sum_i |r_i| (hi_i - lo_i) / 2`` for that residual r.  It is kept
-  when it passes the Farkas check at VERIFY_TOL.
+* otherwise the residual ``r = mid - a x_ls`` is orthogonal to every
+  column of ``a``, so the row weights ``u = -r`` combine the rows to
+  0 = 0 on x, with signed bound ``-|r|^2 + sum_i |r_i| (hi_i - lo_i) / 2``
+  (see below): u is a Farkas vector whenever that is negative, and it
+  is kept when it passes the Farkas check at VERIFY_TOL.
 
 Only a problem that neither settles goes to the simplex, from the same
 start.  The simplex is a one-phase bounded-variable simplex on a dense
@@ -37,15 +35,20 @@ starting tableau is ``a`` itself, exact for it).
 Every outcome can be re-checked from the original data:
 
 * ``optimal`` (a feasible point was found) carries the point,
-* ``infeasible`` carries a Farkas vector y >= 0 with yA = 0 and yb < 0
-  over the canonical ``Ax <= b`` form, built from the start's residual
-  or from the simplex multipliers.
+* ``infeasible`` carries a Farkas vector u, one signed weight per row:
+  ``u_i > 0`` weights row i's upper side ``a_i x <= hi_i`` and
+  ``u_i < 0`` its lower side, so ``u a = 0`` and
+  ``sum_{u>0} u hi + sum_{u<0} u lo < 0``.  It is the start's residual
+  or the simplex multipliers; for the approximation LP it is a dual
+  polynomial, one value per input.
+
+A row with ``lo > hi`` has no signed weight, so a problem refuses it,
+as it refuses non-finite data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,23 +66,24 @@ class LpNumericalError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """Find x with ``lo <= a x <= hi``: ``a`` is m x n, ``lo`` and ``hi``
-    hold the m rows' finite ranges, and every variable is free.
-
-    The solver and both verifiers read these arrays, and the canonical
-    rows are expanded at most once per problem.
-    """
+    hold the m rows' ranges, and every variable is free.  ValueError on
+    a misshapen array, a non-finite entry, or a row with ``lo > hi``."""
 
     a: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
-    @cached_property
-    def canonical(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows expanded into A x <= b: row i becomes
-        ``-a_i x <= -lo_i`` and then ``a_i x <= hi_i``."""
-        m, nv = self.a.shape
-        rows = np.stack([-self.a, self.a], axis=1).reshape(2 * m, nv)
-        return rows, np.stack([-self.lo, self.hi], axis=1).reshape(2 * m)
+    def __post_init__(self):
+        if np.ndim(self.a) != 2:
+            raise ValueError(f"a must be 2-D, got shape {np.shape(self.a)}")
+        for name in ("lo", "hi"):
+            if np.shape(getattr(self, name)) != np.shape(self.a)[:1]:
+                raise ValueError(f"{name} must have shape {np.shape(self.a)[:1]}")
+        for name in ("a", "lo", "hi"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry")
+        if (self.lo > self.hi).any():
+            raise ValueError(f"row {np.argmax(self.lo > self.hi)} has lo > hi")
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,11 @@ def _infeasibility(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 
 def _farkas(u: np.ndarray) -> np.ndarray:
-    """Canonical-row weights for a combination u of the logical variables
-    s = A x that vanishes on x: each row's weight goes on its upper side
-    where positive and on its lower side where negative."""
-    y = np.maximum(np.stack([-u, u], axis=1).reshape(-1), 0.0)
-    y = np.where(np.abs(y) < 1e-14, 0.0, y)
-    scale = np.abs(y).max(initial=0.0)
-    return y / scale if scale > 0 else y
+    """A combination u of the logical variables s = A x that vanishes on
+    x, as signed row weights: entries below 1e-14 zeroed, max |u| = 1."""
+    u = np.where(np.abs(u) < 1e-14, 0.0, u)
+    scale = np.abs(u).max(initial=0.0)
+    return u / scale if scale > 0 else u
 
 
 class _Simplex:
@@ -232,21 +234,14 @@ class _Simplex:
 def solve_lp(problem: LpProblem) -> LpResult:
     """Decide the problem at the least-squares start where it settles it,
     else by the simplex from there; see the module docstring."""
-    inverted = np.flatnonzero(problem.lo > problem.hi)
-    if inverted.size:
-        # lo > hi on one row: its two canonical rows sum to 0 <= hi - lo < 0
-        y = np.zeros(2 * problem.lo.size)
-        y[2 * inverted[0] : 2 * inverted[0] + 2] = 1.0
-        return LpResult("infeasible", None, y, 0)
-
     mid = (problem.lo + problem.hi) / 2
     start = np.linalg.lstsq(problem.a, mid, rcond=None)[0]
     fit = problem.a @ start
     if not _infeasibility(fit, problem.lo, problem.hi).any():
         return LpResult("optimal", start, None, 0)
-    y = _farkas(fit - mid)
-    if _is_farkas(problem, y, VERIFY_TOL):
-        return LpResult("infeasible", None, y, 0)
+    u = _farkas(fit - mid)
+    if _is_farkas(problem, u, VERIFY_TOL):
+        return LpResult("infeasible", None, u, 0)
 
     sx = _Simplex(problem, start)
     # the ratio test divides by every entry of the pivot column, zeros too
@@ -257,36 +252,35 @@ def solve_lp(problem: LpProblem) -> LpResult:
 
 
 def verify_point(problem: LpProblem, point: np.ndarray, tol: float = VERIFY_TOL) -> bool:
-    """Check a claimed-feasible point against every canonical row."""
-    a_rows, b_vec = problem.canonical
-    if a_rows.shape[0] == 0:
-        return True
-    lhs = a_rows @ point
-    slack = lhs - b_vec
-    return bool(np.all(slack <= tol * np.maximum(1.0, np.abs(b_vec))))
+    """Check a claimed-feasible point against both sides of every row."""
+    point = np.asarray(point, dtype=float)
+    if point.shape != (problem.a.shape[1],) or not np.isfinite(point).all():
+        return False
+    lhs, lo, hi = problem.a @ point, problem.lo, problem.hi
+    meets_lo = lo - lhs <= tol * np.maximum(1.0, np.abs(lo))
+    meets_hi = lhs - hi <= tol * np.maximum(1.0, np.abs(hi))
+    return bool(np.all(meets_lo & meets_hi))
 
 
 def verify_infeasibility_certificate(
-    problem: LpProblem, y: np.ndarray, tol: float = VERIFY_TOL
+    problem: LpProblem, u: np.ndarray, tol: float = VERIFY_TOL
 ) -> bool:
-    """Check a Farkas vector: y >= 0, yA ~ 0, and yb strictly negative."""
-    if y is None or len(y) != 2 * problem.lo.size:
+    """Check a Farkas vector of one signed weight per row: u a ~ 0 and
+    its signed bound strictly negative."""
+    if np.shape(u) != problem.lo.shape:
         return False
-    return _is_farkas(problem, np.asarray(y, dtype=float), tol)
+    return _is_farkas(problem, np.asarray(u, dtype=float), tol)
 
 
-def _is_farkas(problem: LpProblem, y: np.ndarray, tol: float) -> bool:
-    """The Farkas check on a float vector with one weight per canonical row."""
-    a_rows, b_vec = problem.canonical
-    scale = np.abs(y).max(initial=0.0)
-    if scale <= 0:
+def _is_farkas(problem: LpProblem, u: np.ndarray, tol: float) -> bool:
+    """The Farkas check on a float vector of signed row weights."""
+    scale = np.abs(u).max(initial=0.0)
+    if not (np.isfinite(u).all() and scale > 0):
         return False
-    y = y / scale
-    if y.min() < -tol:
+    u = u / scale
+    # with no variables the rows are empty and only the bound is left to check
+    data_scale = max(1.0, float(np.abs(problem.a).max(initial=0.0)))
+    if np.abs(u @ problem.a).max(initial=0.0) > tol * data_scale:
         return False
-    combo = y @ a_rows
-    # with no variables the rows are empty and only yb < 0 is left to check
-    data_scale = max(1.0, float(np.abs(a_rows).max(initial=0.0)))
-    if np.abs(combo).max(initial=0.0) > tol * data_scale:
-        return False
-    return bool(y @ b_vec < -tol * max(1.0, float(np.abs(b_vec).max())))
+    lo, hi = problem.lo, problem.hi
+    return bool(u @ np.where(u > 0, hi, lo) < -tol * max(1.0, np.abs(lo).max(), np.abs(hi).max()))

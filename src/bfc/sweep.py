@@ -308,10 +308,12 @@ def _universe(
     """The universe block of a sweep, its tables in order, and per table
     the table measured in its place: the least member of its NPN class
     in an exhaustive universe, the table itself in a sampled one.
-    ValueError beyond the arity caps or on a negative or non-finite
-    tolerance."""
+    ValueError beyond the arity caps, on a negative or non-finite
+    tolerance, or on a negative seed."""
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if sample is None:
         if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps support 1 <= max_n <= {EXHAUSTIVE_MAX_N}")

@@ -233,6 +233,21 @@ def test_verify_rejects_bad_tolerance(capsys, monkeypatch, fmt, tolerance):
     assert "tolerance must be finite and >= 0" in err
 
 
+def test_verify_rejects_a_negative_seed(capsys, monkeypatch):
+    from bfc import sweep
+
+    monkeypatch.setattr(sweep, "measure", _no_measuring)
+    rc, out, err = run_cli(capsys, "verify", "--max-n", "2", "--sample", "3", "--seed", "-1")
+    assert (rc, out) == (1, "")
+    assert "seed must be >= 0, got -1" in err
+
+
+def test_verify_help_says_exhaustive_sweeps_ignore_threads(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "exhaustive sweeps ignore it" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_rejects_non_integer_bfc_threads(capsys, monkeypatch, fmt):
     monkeypatch.setenv("BFC_THREADS", "two")

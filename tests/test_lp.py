@@ -6,6 +6,7 @@ import pytest
 import bfc.lp as lp_module
 from bfc.algebraic import LP_CHECK_TOL, approximate_degree, approximation_problem, lp_solve_log
 from bfc.lp import (
+    VERIFY_TOL,
     LpProblem,
     solve_lp,
     verify_infeasibility_certificate,
@@ -23,6 +24,26 @@ def lp(rows):
     return LpProblem(a, lo, hi)
 
 
+def signed_bound(p, u):
+    """sum over u > 0 of u hi plus sum over u < 0 of u lo."""
+    return float(u @ np.where(u > 0, p.hi, p.lo))
+
+
+def canonical_farkas(p, u, tol=VERIFY_TOL):
+    """A reference Farkas check over the A x <= b form, in which row i
+    becomes -a_i x <= -lo_i and then a_i x <= hi_i, with each weight on
+    the side its sign picks."""
+    rows = np.stack([-p.a, p.a], axis=1).reshape(-1, p.a.shape[1])
+    b = np.stack([-p.lo, p.hi], axis=1).reshape(-1)
+    y = np.maximum(np.stack([-u, u], axis=1).reshape(-1), 0.0)
+    if y.max(initial=0.0) <= 0:
+        return False
+    y = y / y.max()
+    if np.abs(y @ rows).max(initial=0.0) > tol * max(1.0, np.abs(rows).max(initial=0.0)):
+        return False
+    return bool(y @ b < -tol * max(1.0, np.abs(b).max()))
+
+
 def test_infeasible_with_farkas_certificate():
     # x in [1, 2] and x in [-1, 0] cannot both hold
     p = lp([([1], 1, 2), ([1], -1, 0)])
@@ -30,11 +51,10 @@ def test_infeasible_with_farkas_certificate():
     assert r.status == "infeasible"
     assert r.certificate is not None
     assert verify_infeasibility_certificate(p, r.certificate)
-    a, b = p.canonical
-    y = r.certificate
-    assert np.all(y >= -1e-9)
-    assert np.allclose(y @ a, 0, atol=1e-7)
-    assert float(y @ b) < 0
+    u = r.certificate
+    assert u.shape == (2,)
+    assert np.allclose(u @ p.a, 0, atol=1e-7)
+    assert signed_bound(p, u) < 0
 
 
 def test_infeasible_three_way():
@@ -97,6 +117,7 @@ def test_larger_random_lps_agree_with_scipy():
             assert verify_point(p, r.point), f"trial {trial}"
         else:
             assert verify_infeasibility_certificate(p, r.certificate), f"trial {trial}"
+            assert canonical_farkas(p, r.certificate), f"trial {trial}"
     assert statuses == {"optimal", "infeasible"}
 
 
@@ -220,14 +241,6 @@ def test_lps_that_reach_the_simplex_take_the_pivots_they_took_before(f, pivots):
     assert [p for _, p in log] == pivots
 
 
-def test_canonical_interleaves_each_rows_two_sides():
-    a = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 4.0]])
-    p = LpProblem(a, np.array([0.5, -2.0]), np.array([3.0, -1.0]))
-    rows, rhs = p.canonical
-    assert np.array_equal(rows, [[-1, -2, 0], [1, 2, 0], [0, 1, -4], [0, -1, 4]])
-    assert np.array_equal(rhs, [-0.5, 3.0, 2.0, -1.0])
-
-
 def test_infeasible_ranged_system_has_certificate():
     # x + y in [0, 1], x - y in [3, 4], y in [0, 2] and x in [-9, 2]: x - y <= 2
     p = lp([([1, 1], 0, 1), ([1, -1], 3, 4), ([0, 1], 0, 2), ([1, 0], -9, 2)])
@@ -236,18 +249,16 @@ def test_infeasible_ranged_system_has_certificate():
     assert verify_infeasibility_certificate(p, r.certificate)
 
 
-def test_inverted_row_range_has_certificate():
-    p = lp([([1, 0], 0, 5), ([1, 1], 2, 1)])
-    r = solve_lp(p)
-    assert r.status == "infeasible"
-    assert r.iterations == 0
-    assert verify_infeasibility_certificate(p, r.certificate)
+def test_inverted_row_range_is_refused():
+    # lo > hi leaves a row no side for a signed weight to pick
+    with pytest.raises(ValueError, match=r"^row 1 has lo > hi$"):
+        lp([([1, 0], 0, 5), ([1, 1], 2, 1)])
 
 
 def test_ranged_free_lps_agree_with_scipy():
     scipy = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(5)
-    statuses = set()
+    statuses = []
     for trial in range(60):
         n, m = int(rng.integers(2, 6)), int(rng.integers(3, 9))
         a = rng.normal(size=(m, n)).round(2)
@@ -256,6 +267,11 @@ def test_ranged_free_lps_agree_with_scipy():
         # x0 in [-5, 5] as one more row
         a = np.vstack([a, np.eye(n)[0]])
         lo, hi = np.append(lo, -5.0), np.append(hi, 5.0)
+        if np.any(lo > hi):
+            with pytest.raises(ValueError, match="has lo > hi"):
+                LpProblem(a, lo, hi)
+            statuses.append("refused")
+            continue
         p = LpProblem(a, lo, hi)
         r = solve_lp(p)
         ref = scipy.linprog(
@@ -267,16 +283,18 @@ def test_ranged_free_lps_agree_with_scipy():
         )
         expected = {0: "optimal", 2: "infeasible"}[ref.status]
         assert r.status == expected, f"trial {trial}"
-        statuses.add(r.status)
+        statuses.append(r.status)
         if r.status == "optimal":
             assert verify_point(p, r.point), f"trial {trial}"
         else:
             assert verify_infeasibility_certificate(p, r.certificate), f"trial {trial}"
-    assert statuses == {"optimal", "infeasible"}
+            assert canonical_farkas(p, r.certificate), f"trial {trial}"
+    counts = {s: statuses.count(s) for s in set(statuses)}
+    assert counts == {"refused": 29, "infeasible": 23, "optimal": 8}
 
 
 def test_problem_with_no_variables_gets_a_verified_verdict():
-    # 0 in [1, 2] over no variables: the canonical rows are 0 <= -1, 0 <= 2
+    # 0 in [1, 2] over no variables: the row's lower side reads 1 <= 0
     p = lp([((), 1, 2)])
     r = solve_lp(p)
     assert r.status == "infeasible"
@@ -284,6 +302,94 @@ def test_problem_with_no_variables_gets_a_verified_verdict():
     assert verify_point(lp([((), -1, 1)]), np.zeros(0))
 
 
-def test_canonical_rows_are_expanded_once_per_problem():
-    p = lp([([1, 2], 0, 3)])
-    assert p.canonical is p.canonical
+def test_signed_check_agrees_with_the_canonical_form_on_arity_4_lps(monkeypatch):
+    # every certificate, and every LP's start residual, feasible LPs'
+    # included, gets one verdict from both checks
+    real = lp_module.solve_lp
+    solves = []
+
+    def counting(problem):
+        result = real(problem)
+        solves.append((problem, result))
+        return result
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting)
+    for rep in np.unique(npn_canonical_array(4)).tolist():
+        approximate_degree(TruthTable(4, rep))
+    verdicts = []
+    for p, r in solves:
+        if r.status == "infeasible":
+            assert canonical_farkas(p, r.certificate)
+        mid = (p.lo + p.hi) / 2
+        residual = mid - p.a @ np.linalg.lstsq(p.a, mid, rcond=None)[0]
+        verdict = canonical_farkas(p, -residual)
+        assert verify_infeasibility_certificate(p, -residual) == verdict
+        verdicts.append(verdict)
+    assert len(verdicts) == 437 and 0 < sum(verdicts) < 437
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        named_family("OR", 4),
+        named_family("PARITY", 4),
+        named_family("AND-OR", (2, 2)),
+        named_family("EXACT1", 6),
+        TruthTable(6, random.Random(6).getrandbits(64)),
+    ],
+    ids=["OR_4", "PARITY_4", "AND-OR_2_2", "EXACT1_6", "random_6"],
+)
+def test_adeg_certificate_is_a_dual_polynomial(f):
+    # one value per input, orthogonal to every monomial of degree
+    # < adeg, with a negative signed bound
+    d = approximate_degree(f)
+    p = approximation_problem(f, d - 1, 1 / 3)
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    u = r.certificate
+    assert u.shape == (1 << f.arity,)
+    inputs = np.arange(1 << f.arity)
+    for mask in range(1 << f.arity):
+        if bin(mask).count("1") <= d - 1:
+            monomial = ((inputs & mask) == mask).astype(float)
+            assert abs(u @ monomial) <= 1e-9, mask
+    assert signed_bound(p, u) < 0
+
+
+def test_verifiers_refuse_malformed_input():
+    p = lp([([1], 1, 2), ([1], -1, 0)])
+    u = solve_lp(p).certificate
+    assert verify_infeasibility_certificate(p, u)
+    two_sided = np.maximum(np.stack([-u, u], axis=1).reshape(-1), 0.0)
+    assert not verify_infeasibility_certificate(p, two_sided)
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not verify_infeasibility_certificate(p, np.array([bad, -1.0]))
+    assert not verify_infeasibility_certificate(p, np.zeros(2))
+    assert not verify_infeasibility_certificate(p, None)
+    q = lp([([1], 0, 1)])
+    assert verify_point(q, np.array([0.5]))
+    assert not verify_point(q, np.array([np.nan]))
+    assert not verify_point(q, np.array([0.5, 0.5]))
+
+
+def test_problem_refuses_an_array_that_is_not_2_d():
+    with pytest.raises(ValueError, match=r"^a must be 2-D, got shape \(2,\)$"):
+        LpProblem(np.ones(2), np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize("name", ["lo", "hi"])
+def test_problem_refuses_a_range_of_the_wrong_shape(name):
+    ranges = {"lo": np.zeros(2), "hi": np.ones(2)}
+    ranges[name] = ranges[name][:1]
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \(2,\)$"):
+        LpProblem(np.eye(2), ranges["lo"], ranges["hi"])
+
+
+@pytest.mark.parametrize("name", ["a", "lo", "hi"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_problem_refuses_a_non_finite_entry(name, bad):
+    data = {"a": np.eye(2), "lo": np.zeros(2), "hi": np.ones(2)}
+    data[name] = data[name].copy()
+    data[name].flat[1] = bad
+    with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
+        LpProblem(**data)
