@@ -4,26 +4,15 @@ A problem is m ranged rows ``lo <= a x <= hi`` over free variables x,
 with finite ranges and no objective: the solver only decides whether a
 point exists.
 
-Every solve starts at x_ls, the least-squares fit of the row midpoints
-``mid = (lo + hi) / 2``, and first tries to decide the problem there,
-with no pivot:
-
-* if ``a x_ls`` meets every row within FEAS_TOL, x_ls is the point (on
-  a square invertible ``a`` it meets every row exactly);
-* otherwise the residual ``r = mid - a x_ls`` is orthogonal to every
-  column of ``a``, so the row weights ``u = -r`` combine the rows to
-  0 = 0 on x, with signed bound ``-|r|^2 + sum_i |r_i| (hi_i - lo_i) / 2``
-  (see below): u is a Farkas vector whenever that is negative, and it
-  is kept when it passes the Farkas check at VERIFY_TOL.
-
-Only a problem that neither settles goes to the simplex, from the same
-start.  The simplex is a one-phase bounded-variable simplex on a dense
+The solver is a one-phase bounded-variable simplex on a dense
 tableau, sized for this package's problems (hundreds of rows).  Row i
 gets a logical variable s_i = a_i.x whose bounds are the row's range,
 so a ranged row is one tableau row; the structural variables are free
 and never split.  The start is the all-logical basis, so there are no
-artificials, with x at x_ls: a free nonbasic variable may sit at any
-value.  The simplex minimises the sum of the basic variables'
+artificials, with x at x_ls, the least-squares fit of the row
+midpoints ``(lo + hi) / 2``: a free nonbasic variable may sit at any
+value, and an x_ls that meets every row within FEAS_TOL is the point,
+with no pivot.  The simplex minimises the sum of the basic variables'
 infeasibilities.  It prices by Dantzig's largest reduced cost with a
 vectorised Harris ratio test, and after ``STALL_PIVOTS`` pivots in a
 row that leave the infeasibility unchanged it switches to Bland's rule
@@ -38,9 +27,9 @@ Every outcome can be re-checked from the original data:
 * ``infeasible`` carries a Farkas vector u, one signed weight per row:
   ``u_i > 0`` weights row i's upper side ``a_i x <= hi_i`` and
   ``u_i < 0`` its lower side, so ``u a = 0`` and
-  ``sum_{u>0} u hi + sum_{u<0} u lo < 0``.  It is the start's residual
-  or the simplex multipliers; for the approximation LP it is a dual
-  polynomial, one value per input.
+  ``sum_{u>0} u hi + sum_{u<0} u lo < 0``.  It comes from the simplex
+  multipliers; for the approximation LP it is a dual polynomial, one
+  value per input.
 
 A row with ``lo > hi`` has no signed weight, so a problem refuses it,
 as it refuses non-finite data.
@@ -232,18 +221,10 @@ class _Simplex:
 
 
 def solve_lp(problem: LpProblem) -> LpResult:
-    """Decide the problem at the least-squares start where it settles it,
-    else by the simplex from there; see the module docstring."""
+    """Decide the problem by the simplex from the least-squares start;
+    see the module docstring."""
     mid = (problem.lo + problem.hi) / 2
-    start = np.linalg.lstsq(problem.a, mid, rcond=None)[0]
-    fit = problem.a @ start
-    if not _infeasibility(fit, problem.lo, problem.hi).any():
-        return LpResult("optimal", start, None, 0)
-    u = _farkas(fit - mid)
-    if _is_farkas(problem, u, VERIFY_TOL):
-        return LpResult("infeasible", None, u, 0)
-
-    sx = _Simplex(problem, start)
+    sx = _Simplex(problem, np.linalg.lstsq(problem.a, mid, rcond=None)[0])
     # the ratio test divides by every entry of the pivot column, zeros too
     with np.errstate(divide="ignore", invalid="ignore"):
         if not sx.run():
@@ -269,11 +250,7 @@ def verify_infeasibility_certificate(
     its signed bound strictly negative."""
     if np.shape(u) != problem.lo.shape:
         return False
-    return _is_farkas(problem, np.asarray(u, dtype=float), tol)
-
-
-def _is_farkas(problem: LpProblem, u: np.ndarray, tol: float) -> bool:
-    """The Farkas check on a float vector of signed row weights."""
+    u = np.asarray(u, dtype=float)
     scale = np.abs(u).max(initial=0.0)
     if not (np.isfinite(u).all() and scale > 0):
         return False

@@ -221,8 +221,9 @@ def measure_report(
     Certificates (optional) cover the adversary forms, are built from
     the ``Spectrum`` behind ``lambda`` and carry their own verifier
     verdicts.  The volatile ``diagnostics`` block names how ``bs``, ``C``
-    and ``D`` were obtained (``measure``'s methods), gives the LPs of
-    ``adeg`` (how many were solved and the pivots each took, by degree)
+    and ``D`` were obtained (``measure``'s methods), gives the degrees
+    that ``adeg`` decided (how many, how many of them in exact integers,
+    and the simplex pivots each took, by degree; 0 for an integer one)
     and each component solve behind ``lambda`` and the certificates
     (its vertices, smaller parity side, method and Lanczos steps).
     """
@@ -243,7 +244,11 @@ def measure_report(
     body["timing"] = timing
     body["diagnostics"] = {
         "methods": methods,
-        "adeg_lp": {"solves": len(solves), "pivots": {str(d): p for d, p in solves}},
+        "adeg_lp": {
+            "solves": len(solves),
+            "exact": solves.exact,
+            "pivots": {str(d): p for d, p in solves},
+        },
         "lambda_solves": [
             {"vertices": v, "side": side, "method": m, "steps": k} for v, side, m, k in perrons
         ],

@@ -122,7 +122,7 @@ def _empty_partial() -> dict:
         "checks": {name: [0, 0, None] for name in CHECK_NAMES},
         "ratios": {name: None for name in RATIO_NAMES},
         "methods": {name: dict.fromkeys(ways, 0) for name, ways in METHODS.items()},
-        "adeg_lp": {"solves": 0, "pivots": 0},
+        "adeg_lp": {"solves": 0, "exact": 0, "pivots": 0},
     }
 
 
@@ -162,7 +162,11 @@ def _sweep_chunk(args: tuple) -> dict:
             _fold(partial, table, values, tolerance, weight)
             for name, way in methods.items():
                 partial["methods"][name][way] += 1
-    partial["adeg_lp"] = {"solves": len(solves), "pivots": sum(p for _, p in solves)}
+    partial["adeg_lp"] = {
+        "solves": len(solves),
+        "exact": solves.exact,
+        "pivots": sum(p for _, p in solves),
+    }
     return partial
 
 

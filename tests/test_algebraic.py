@@ -1,12 +1,15 @@
 """Degree engines against inclusion-exclusion and hand-built oracles."""
 
+import collections
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bfc import lp
+from bfc import algebraic, lp
 from bfc.algebraic import (
     DEFAULT_EPSILON,
     LP_CHECK_TOL,
@@ -15,6 +18,7 @@ from bfc.algebraic import (
     degree,
     degree_gf2,
     gf2_coefficients,
+    lp_solve_log,
     mobius_coefficients,
     multilinear_expansion,
 )
@@ -174,46 +178,65 @@ def test_mobius_degree_matches_brute_force_fit():
         assert np.allclose(coeffs, got, atol=1e-8)
 
 
-def _degree_of(problem, n):
-    """The degree cap of an arity-n approximation LP, read off its
-    column count (one column per monomial of degree <= cap)."""
+def _degree_of(columns, n):
+    """The degree cap of arity-n lattice columns (an approximation LP's
+    ``a``), read off their count: one per monomial of degree <= cap."""
     widths = list(itertools.accumulate(math.comb(n, j) for j in range(n + 1)))
-    return widths.index(problem.a.shape[1])
+    return widths.index(columns.shape[1])
 
 
-def _adeg_up_walk(f):
+def _adeg_up_walk(f, epsilon=DEFAULT_EPSILON):
     """adeg(f) as the least degree whose LP is feasible, searched upward
     from 0 with the bare solver verdicts."""
     for d in range(f.arity + 1):
-        if lp.solve_lp(approximation_problem(f, d, DEFAULT_EPSILON)).status == "optimal":
+        if lp.solve_lp(approximation_problem(f, d, epsilon)).status == "optimal":
             return d
     raise AssertionError("no feasible degree")
 
 
-def _adeg_with_rechecks(monkeypatch, f):
-    """adeg(f), asserting that every verdict went through its re-check at
-    1e-7 and passed, that the last point re-check is at adeg, and that a
-    Farkas certificate was re-checked at adeg - 1 when adeg > 0."""
+# the checks behind approximate_degree's verdicts: (module, name, kind);
+# the exact ones take the lattice columns, the float ones the LP
+RECHECKS = [
+    (algebraic, "verify_exact_fit", "point"),
+    (algebraic, "verify_exact_dual", "farkas"),
+    (lp, "verify_point", "point"),
+    (lp, "verify_infeasibility_certificate", "farkas"),
+]
+
+
+def _spied_adeg(monkeypatch, f):
+    """adeg(f) and every re-check behind it, in call order, as
+    (kind, degree, exact, tol, passed); tol is None for an exact check."""
     checks = []
 
-    def spy(name):
-        real = getattr(lp, name)
+    def spy(module, name, kind):
+        real = getattr(module, name)
+        exact = module is algebraic
 
-        def wrapped(problem, vector, tol):
-            ok = real(problem, vector, tol)
-            checks.append((name, _degree_of(problem, f.arity), tol, ok))
+        def wrapped(*args):
+            ok = real(*args)
+            columns, tol = (args[0], None) if exact else (args[0].a, args[2])
+            checks.append((kind, _degree_of(columns, f.arity), exact, tol, ok))
             return ok
 
         return wrapped
 
     with monkeypatch.context() as patch:
-        for name in ("verify_point", "verify_infeasibility_certificate"):
-            patch.setattr(lp, name, spy(name))
+        for module, name, kind in RECHECKS:
+            patch.setattr(module, name, spy(module, name, kind))
         d = approximate_degree(f)
+    return d, checks
+
+
+def _adeg_with_rechecks(monkeypatch, f):
+    """adeg(f), asserting that every verdict passed its re-check, exact
+    or at 1e-7, that the last point check is at adeg, and that a Farkas
+    check ran at adeg - 1 when adeg > 0."""
+    d, checks = _spied_adeg(monkeypatch, f)
     assert checks
-    assert all(tol == LP_CHECK_TOL and ok for _, _, tol, ok in checks)
-    points = [deg for name, deg, _, _ in checks if name == "verify_point"]
-    farkas = [deg for name, deg, _, _ in checks if name == "verify_infeasibility_certificate"]
+    assert all(ok and (exact or tol == LP_CHECK_TOL) for _, _, exact, tol, ok in checks)
+    points = [deg for kind, deg, _, _, _ in checks if kind == "point"]
+    farkas = [deg for kind, deg, _, _, _ in checks if kind == "farkas"]
     assert points[-1] == d
     if d > 0:
         assert d - 1 in farkas
@@ -253,7 +276,7 @@ def test_adeg_names_the_degree_of_a_solver_failure(monkeypatch):
     real = lp.solve_lp
 
     def failing(problem):
-        if _degree_of(problem, 4) == 2:
+        if _degree_of(problem.a, 4) == 2:
             raise lp.LpNumericalError("iteration cap 50000 exceeded")
         return real(problem)
 
@@ -262,3 +285,117 @@ def test_adeg_names_the_degree_of_a_solver_failure(monkeypatch):
         lp.LpNumericalError, match=r"^iteration cap 50000 exceeded at degree 2$"
     ):
         approximate_degree(named_family("OR", 4))
+
+
+def test_default_epsilon_is_exactly_one_third():
+    # 4:0006 is x1 xor x2 where x3 = x4 = 0; its best error at degree 2 is
+    # exactly 1/3, and the double nearest 1/3 lies a little below it
+    f = TruthTable(4, 6)
+    assert DEFAULT_EPSILON == Fraction(1, 3)
+    assert approximate_degree(f) == 2
+    assert approximate_degree(f, Fraction(1, 3)) == 2
+    assert approximate_degree(f, epsilon=1 / 3) == 3
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.25, 0.3, 0.45])
+def test_integer_walk_matches_the_lp_walk_at_other_epsilons(epsilon):
+    # a float epsilon is read as its binary value p / 2^k, so p and q reach
+    # 2^54 here; they meet the spectrum only in Python integers
+    for rep in np.unique(npn_canonical_array(4)).tolist():
+        f = TruthTable(4, rep)
+        assert approximate_degree(f, epsilon) == _adeg_up_walk(f, epsilon), format_table(f)
+
+
+def _float_start_verdict(f, d):
+    """What the least-squares fit of the row midpoints settles at degree
+    d, in floats: "feasible" when the fit passes ``verify_point``,
+    "infeasible" when minus its residual passes
+    ``verify_infeasibility_certificate``, else None."""
+    p = approximation_problem(f, d, DEFAULT_EPSILON)
+    mid = (p.lo + p.hi) / 2
+    fit = np.linalg.lstsq(p.a, mid, rcond=None)[0]
+    if lp.verify_point(p, fit, LP_CHECK_TOL):
+        return "feasible"
+    if lp.verify_infeasibility_certificate(p, p.a @ fit - mid, LP_CHECK_TOL):
+        return "infeasible"
+    return None
+
+
+def _integer_verdicts(monkeypatch, f):
+    """{degree: "feasible" | "infeasible" | None} over the degrees that
+    approximate_degree decides: its integer verdict, None where the
+    simplex decided."""
+    with lp_solve_log() as log:
+        _, checks = _spied_adeg(monkeypatch, f)
+    verdict = {"point": "feasible", "farkas": "infeasible"}
+    exact = {deg: verdict[kind] for kind, deg, is_exact, _, _ in checks if is_exact}
+    assert len(exact) == log.exact + 1  # and the top degree's own check
+    return {d: exact.get(d) for d, _ in log}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        named_family("OR", 8),
+        named_family("PARITY", 8),
+        named_family("EXACT1", 7),
+        named_family("EXACT1", 8),
+        named_family("AND-OR", (4, 2)),
+        parse_table(RANDOM_ARITY_8),
+        TruthTable(8, random.Random(800).getrandbits(256)),
+    ],
+    ids=["OR_8", "PARITY_8", "EXACT1_7", "EXACT1_8", "AND-OR_4_2", "random-8", "random-800"],
+)
+def test_integer_verdicts_agree_with_the_float_start_at_arity_7_and_8(monkeypatch, f):
+    for d, verdict in _integer_verdicts(monkeypatch, f).items():
+        assert verdict == _float_start_verdict(f, d), d
+
+
+def test_integer_verdicts_agree_with_the_float_start_on_every_arity_4_lp(monkeypatch):
+    # the integer tests decide the same 406 of the 437 LPs that the float
+    # least-squares checks decide, the same way
+    counts = collections.Counter()
+    for rep in np.unique(npn_canonical_array(4)).tolist():
+        f = TruthTable(4, rep)
+        for d, verdict in _integer_verdicts(monkeypatch, f).items():
+            assert verdict == _float_start_verdict(f, d), (format_table(f), d)
+            counts[verdict] += 1
+    assert counts == {"feasible": 185, "infeasible": 221, None: 31}
+
+
+def test_exact_checks_hold_to_the_last_integer(monkeypatch):
+    # OR_4 (adeg 2) has its degree-3 fit and its degree-1 dual polynomial
+    # decided in integers; degree 2 goes to the simplex
+    calls = {}
+    for name in ("verify_exact_fit", "verify_exact_dual"):
+        real = getattr(algebraic, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name, _degree_of(args[0], 4)] = args
+            return real(*args)
+
+        monkeypatch.setattr(algebraic, name, spy)
+    assert approximate_degree(named_family("OR", 4)) == 2
+    monkeypatch.undo()
+    assert set(calls) == {
+        ("verify_exact_fit", 4),
+        ("verify_exact_fit", 3),
+        ("verify_exact_dual", 1),
+    }
+    # the fit's coefficients c are scaled by 2^n, and every row allows
+    # |a c - 2^n f| <= 4 at eps = 1/3; this fit misses by 1 everywhere, so
+    # its constant may move by 3 either way, and not by 4
+    columns, values, fit, eps = calls["verify_exact_fit", 3]
+    constant = np.arange(fit.size) == 0
+    for step, ok in ((3, True), (-3, True), (4, False), (-4, False)):
+        assert algebraic.verify_exact_fit(columns, values, fit + step * constant, eps) is ok
+    # the dual polynomial's signed bound is 29 eps - 11 (times q), so it
+    # certifies every eps below 11/29 and none from there up
+    columns, values, u, eps = calls["verify_exact_dual", 1]
+    assert algebraic.verify_exact_dual(columns, values, u, eps)
+    assert algebraic.verify_exact_dual(columns, values, u, Fraction(11, 29) - Fraction(1, 10**30))
+    assert not algebraic.verify_exact_dual(columns, values, u, Fraction(11, 29))
+    assert not algebraic.verify_exact_dual(columns, values, -u, eps)
+    nudged = u.copy()
+    nudged[0] += 1  # no longer orthogonal to the constant monomial
+    assert not algebraic.verify_exact_dual(columns, values, nudged, eps)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import bfc.lp as lp_module
-from bfc.algebraic import LP_CHECK_TOL, approximate_degree, approximation_problem, lp_solve_log
+from bfc.algebraic import (
+    LP_CHECK_TOL,
+    approximate_degree,
+    approximation_problem,
+    degree,
+    lp_solve_log,
+)
 from bfc.lp import (
     VERIFY_TOL,
     LpProblem,
@@ -192,7 +198,8 @@ def test_full_degree_lp_is_feasible_at_the_start(family, n):
 def test_arity_4_classes_take_few_pivots(monkeypatch):
     # a start at x = 0 takes 4,940 pivots over these 437 LPs, and the
     # simplex from the least-squares start 1,361, 1,288 of them on the
-    # 221 infeasible LPs; the start's residual decides those with none
+    # 221 infeasible LPs; integer Walsh arithmetic decides 406 of them
+    # with none, and the 31 feasible LPs left reach the simplex
     real = lp_module.solve_lp
     solves = []
 
@@ -202,15 +209,15 @@ def test_arity_4_classes_take_few_pivots(monkeypatch):
         return result
 
     monkeypatch.setattr(lp_module, "solve_lp", counting)
-    for rep in np.unique(npn_canonical_array(4)).tolist():
-        approximate_degree(TruthTable(4, rep))
-    assert len(solves) == 437
-    assert sum(r.iterations for _, r in solves) <= 100
-    infeasible = [(p, r) for p, r in solves if r.status == "infeasible"]
-    assert len(infeasible) == 221
-    for p, r in infeasible:
-        assert r.iterations == 0
-        assert verify_infeasibility_certificate(p, r.certificate, LP_CHECK_TOL)
+    with lp_solve_log() as log:
+        for rep in np.unique(npn_canonical_array(4)).tolist():
+            approximate_degree(TruthTable(4, rep))
+    assert (len(log), log.exact) == (437, 406)
+    assert len(solves) == 31
+    assert sum(r.iterations for _, r in solves) == 73
+    for p, r in solves:
+        assert r.status == "optimal"
+        assert verify_point(p, r.point, LP_CHECK_TOL)
 
 
 def test_or_8_at_degree_2_is_refuted_by_the_simplex():
@@ -302,30 +309,27 @@ def test_problem_with_no_variables_gets_a_verified_verdict():
     assert verify_point(lp([((), -1, 1)]), np.zeros(0))
 
 
-def test_signed_check_agrees_with_the_canonical_form_on_arity_4_lps(monkeypatch):
+def test_signed_check_agrees_with_the_canonical_form_on_arity_4_lps():
     # every certificate, and every LP's start residual, feasible LPs'
-    # included, gets one verdict from both checks
-    real = lp_module.solve_lp
-    solves = []
-
-    def counting(problem):
-        result = real(problem)
-        solves.append((problem, result))
-        return result
-
-    monkeypatch.setattr(lp_module, "solve_lp", counting)
+    # included, gets one verdict from both checks; the LPs are those of
+    # approximate_degree's walks, from deg - 1 down to adeg - 1
+    problems = []
     for rep in np.unique(npn_canonical_array(4)).tolist():
-        approximate_degree(TruthTable(4, rep))
+        f = TruthTable(4, rep)
+        for d in range(degree(f) - 1, max(approximate_degree(f) - 2, -1), -1):
+            problems.append(approximation_problem(f, d, 1 / 3))
     verdicts = []
-    for p, r in solves:
+    for p in problems:
+        r = solve_lp(p)
         if r.status == "infeasible":
             assert canonical_farkas(p, r.certificate)
+            assert verify_infeasibility_certificate(p, r.certificate)
         mid = (p.lo + p.hi) / 2
         residual = mid - p.a @ np.linalg.lstsq(p.a, mid, rcond=None)[0]
         verdict = canonical_farkas(p, -residual)
         assert verify_infeasibility_certificate(p, -residual) == verdict
         verdicts.append(verdict)
-    assert len(verdicts) == 437 and 0 < sum(verdicts) < 437
+    assert len(verdicts) == 437 and sum(verdicts) == 221
 
 
 @pytest.mark.parametrize(

@@ -172,11 +172,11 @@ def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expec
 
 def test_measures_diagnostics_name_the_methods_and_stay_out_of_the_hash():
     body = measure_report(parse_table("3:AA"))
-    # deg = 1, so adeg solves one LP, at degree 0; the start decides it
+    # deg = 1, so adeg decides one degree, 0, in integers
     # G_f is four disjoint edges; the first solve gives 1 = every degree
     assert body["diagnostics"] == {
         "methods": {"bs": "s = C", "C": "engine", "D": "engine"},
-        "adeg_lp": {"solves": 1, "pivots": {"0": 0}},
+        "adeg_lp": {"solves": 1, "exact": 1, "pivots": {"0": 0}},
         "lambda_solves": [{"vertices": 2, "side": 1, "method": "dense", "steps": 0}],
     }
     digest = report_hash(body)
@@ -191,7 +191,7 @@ def test_measures_diagnostics_give_the_pivots_of_each_adeg_lp(family, n):
     f = named_family(family, n)
     lps = measure_report(f)["diagnostics"]["adeg_lp"]
     if n > APPROX_DEGREE_MAX_ARITY:
-        assert lps == {"solves": 0, "pivots": {}}
+        assert lps == {"solves": 0, "exact": 0, "pivots": {}}
         return
     # the walk solves from deg - 1 down to the first infeasible degree
     top, adeg = degree(f), approximate_degree(f)

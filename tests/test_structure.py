@@ -69,11 +69,9 @@ def test_no_python_loop_over_every_mask():
     assert users == []
 
 
-def test_lp_screens_its_start_without_its_public_verifiers():
-    # re-checks at the caller's tolerance belong to the callers; inside
-    # lp.py the start is screened by the private check that
-    # verify_infeasibility_certificate wraps.  One lstsq computes the
-    # start that both the screen and the simplex use.
+def test_lp_starts_from_one_lstsq_and_leaves_re_checks_to_callers():
+    # re-checks at the caller's tolerance belong to the callers, so lp.py
+    # calls neither public verifier; one lstsq computes the simplex's start
     tree = ast.parse((SRC / "lp.py").read_text())
     called = {
         node.func.id

@@ -349,7 +349,7 @@ def test_sweep_diagnostics_block():
             "C": {"s = n": 7, "engine": 7},
             "D": {"deg = n": 8, "engine": 6},
         },
-        "adeg_lp": {"solves": 21, "pivots": 0},
+        "adeg_lp": {"solves": 21, "exact": 21, "pivots": 0},
     }
     assert run_sweep(max_n=3, sample=7, seed=1).diagnostics == {
         "evaluated_functions": 7,
@@ -359,13 +359,14 @@ def test_sweep_diagnostics_block():
             "C": {"s = n": 6, "engine": 1},
             "D": {"deg = n": 5, "engine": 2},
         },
-        "adeg_lp": {"solves": 0, "pivots": 0},
+        "adeg_lp": {"solves": 0, "exact": 0, "pivots": 0},
     }
 
 
 def test_sweep_diagnostics_total_the_adeg_lps_over_chunks(monkeypatch):
-    # every arity-3 LP is decided at its start, so take arity 4, where some
-    # reach the simplex; its 222 classes are measured in four chunks
+    # every arity-3 degree is decided in integers, so take arity 4, where
+    # 31 of the 437 reach the simplex; its 222 classes are measured in
+    # four chunks
     real = lp.solve_lp
     pivots = []
 
@@ -376,8 +377,8 @@ def test_sweep_diagnostics_total_the_adeg_lps_over_chunks(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", counting)
     totals = run_sweep(max_n=4).diagnostics["adeg_lp"]
-    assert totals == {"solves": len(pivots), "pivots": sum(pivots)}
-    assert totals["solves"] == 437 and totals["pivots"] > 0
+    assert totals == {"solves": 437, "exact": 437 - len(pivots), "pivots": sum(pivots)}
+    assert (len(pivots), totals["pivots"]) == (31, 73)
 
 
 def test_hash_ignores_diagnostics():
@@ -391,7 +392,7 @@ def test_hash_ignores_diagnostics():
             "C": {"s = n": 2, "engine": 2},
             "D": {"deg = n": 2, "engine": 2},
         },
-        "adeg_lp": {"solves": 4, "pivots": 0},
+        "adeg_lp": {"solves": 4, "exact": 4, "pivots": 0},
     }
     assert report_hash(body) == r.report_hash
     body["diagnostics"] = {"evaluated_functions": 16, "method": "per-table"}
