@@ -8,13 +8,17 @@ certify deg(f) <= lambda(f)^2, and extracts those certifying vectors.
 
 lambda is the largest top eigenvalue over the components of G_f; one
 ``Spectrum`` per function solves each component at most once by
-``_perron``.  G_f is a subgraph of the hypercube, so a component splits
-by input parity into two sides with every edge between them; lambda is
-the top singular value of the block B from the smaller side to the
-other, and its square the top eigenvalue of the Gram matrix B B^T on
-the smaller side: a dense ``eigh`` up to DENSE_MAX_VERTICES component
-vertices, above that a Lanczos iteration whose products B^T u and B w
-are gathers through per-side neighbour indices, never 2^n wide.
+``_perron``, in descending order of a free bound on its norm, and skips
+a component that cannot win: by its largest degree, or by a
+Collatz–Wielandt bound that falls below lambda^2 by a relative margin
+far wider than any rounding, so the result is bit for bit that of
+solving them all.  G_f is a subgraph of the hypercube, so a component
+splits by input parity into two sides with every edge between them;
+lambda is the top singular value of the block B from the smaller side
+to the other, and its square the top eigenvalue of the Gram matrix
+B B^T on the smaller side: a dense ``eigh`` up to DENSE_MAX_VERTICES
+component vertices, above that a Lanczos iteration whose products B^T u
+and B w are gathers through per-side neighbour indices, never 2^n wide.
 The signed hypercube's +sqrt(n) eigenspace is taken in closed form,
 with no eigendecomposition.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,8 @@ LANCZOS_MAX_STEPS = 500
 RITZ_TOL = 1e-12
 WITNESS_SLACK = 1e-9
 GATHER_CHUNK = 1 << 14  # columns per block of a neighbour index build or gather
+CW_STEPS = 8  # power steps of a component's Collatz–Wielandt bound
+BOUND_MARGIN = 1e-9  # a bound must fall this far below lambda^2 to skip a component
 # (vertices, side, method, steps) of each component that _perron solves,
 # appended while a ``perron_solve_log`` block is open in this context
 _PERRON_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar(
@@ -128,27 +135,40 @@ class SensitivityGraph:
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every edge once as arrays (x, y, bit) with x < y = x ^ 2^bit,
         ordered by x, then bit."""
-        idx = np.arange(self.values.size)
-        bit_clear = (idx >> np.arange(self.arity)[:, None]) & 1 == 0
-        xs, bit = np.nonzero((self.edges & bit_clear).T)
-        return xs, xs ^ (1 << bit), bit
+        up = self.edges.T.copy()  # up[x, i]: (x, x ^ 2^i) is an edge
+        for i in range(self.arity):
+            up.reshape(-1, 2, 1 << i, self.arity)[:, 1, :, i] = False  # keep x < x ^ 2^i
+        xs, bit = np.divmod(np.flatnonzero(up), self.arity)
+        ys = np.left_shift(1, bit)
+        return xs, np.bitwise_xor(xs, ys, out=ys), bit
 
-    def components(self) -> list[np.ndarray]:
+    def components(self, pairs: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
         """Vertex sets of the components with at least one edge, each
-        ascending, ordered by least member."""
-        label = np.arange(self.values.size)
+        ascending, ordered by least member.  ``pairs`` is ``self.pairs()``
+        when the caller has it already.
+
+        Every vertex starts as its own label.  A round hooks the larger
+        label of each edge's two ends onto the smaller (``np.minimum.at``),
+        then jumps pointers (label <- label[label]) until no label
+        changes, and rounds repeat until every edge's ends share a label
+        (two rounds on random tables).  A label only ever moves to a
+        smaller vertex of the same component, so each component ends
+        labelled by its least vertex.
+        """
+        xs, ys = (self.pairs() if pairs is None else pairs)[:2]
+        label = np.arange(self.values.size, dtype=np.int32)  # MAX_ARITY keeps inputs below 2^31
         while True:
-            nxt = label.copy()
-            for i, row in enumerate(self.edges):
-                np.minimum(nxt, np.where(row, _axis_swap(label, i), nxt), out=nxt)
-            nxt = nxt[nxt]  # every label is a vertex of the same component
-            if np.array_equal(nxt, label):
+            lx, ly = label[xs], label[ys]
+            if (lx == ly).all():
                 break
-            label = nxt
+            hi = np.maximum(lx, ly)
+            np.minimum.at(label, hi, np.minimum(lx, ly, out=lx))
+            while not ((jumped := label[label]) == label).all():
+                label = jumped
         active = np.flatnonzero(self.degrees)
         order = active[np.argsort(label[active], kind="stable")]
-        cuts = np.flatnonzero(np.diff(label[order])) + 1
-        return np.split(order, cuts) if order.size else []
+        cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), order.size]
+        return [order[a:b] for a, b in zip(cuts, cuts[1:])] if order.size else []
 
     def neighbours(self, rows: list[int] | np.ndarray, cols: list[int] | np.ndarray) -> np.ndarray:
         """The (arity, len(rows)) intp index whose entry [i, j] is the
@@ -198,6 +218,50 @@ def _zero_one(nb: np.ndarray, height: int) -> np.ndarray:
     return m[:height]
 
 
+def _sides(
+    graph: SensitivityGraph, comp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(small, S, T, B^T): the mask of the smaller parity side S of the
+    component ``comp``, its vertices, those of the other side T, and the
+    block B from S to T as the index ``graph.neighbours(T, S)``."""
+    small = bits.popcount_array(comp) & 1 == 1
+    if 2 * np.count_nonzero(small) > comp.size:
+        small = ~small
+    s, t = comp[small], comp[~small]
+    return small, s, t, graph.neighbours(t, s)
+
+
+def _collatz_wielandt(graph: SensitivityGraph, comp: np.ndarray) -> Iterator[float]:
+    """Yield upper bounds on the square of the norm of the component
+    ``comp``, one per power step and at most CW_STEPS of them.
+
+    The square is the top eigenvalue of the Gram matrix G = B B^T that
+    ``_perron`` solves.  G is nonnegative, so for every positive u it is
+    at most max_x (G u)_x / u_x (Collatz–Wielandt).  Step k takes
+    u = G^k 1, which G's positive diagonal (the degrees) keeps positive,
+    through ``_perron``'s dense block or its two neighbour gathers; and
+    G u <= c u gives G (G u) <= c G u, so no bound exceeds the one before.
+    """
+    _, s, t, nb_t = _sides(graph, comp)
+    if comp.size <= DENSE_MAX_VERTICES:
+        b = _zero_one(nb_t, s.size)
+
+        def gram(u: np.ndarray) -> np.ndarray:
+            return b @ (b.T @ u)
+
+    else:
+        nb_s = graph.neighbours(s, t)
+
+        def gram(u: np.ndarray) -> np.ndarray:
+            return _gather(nb_s, _gather(nb_t, u))
+
+    u = np.ones(s.size)
+    for _ in range(CW_STEPS):
+        w = gram(u)
+        yield float((w / u).max())
+        u = w
+
+
 def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     """The top eigenpair of the component ``comp`` of ``graph``.
 
@@ -212,11 +276,7 @@ def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
     of the vector is B^T u / value.  The vector is nonnegative, unit and indexed like
     ``comp``; the residual ||A v - value v|| is recomputed from it.
     """
-    small = bits.popcount_array(comp) & 1 == 1
-    if 2 * np.count_nonzero(small) > comp.size:
-        small = ~small
-    s, t = comp[small], comp[~small]
-    nb_t = graph.neighbours(t, s)  # B^T as an index
+    small, s, t, nb_t = _sides(graph, comp)
     if comp.size <= DENSE_MAX_VERTICES:
         b = _zero_one(nb_t, s.size)
         w, vecs = np.linalg.eigh(b @ b.T)
@@ -319,26 +379,47 @@ def perron_solve_log():
 class Spectrum:
     """lambda(f) = ||A_{G_f}|| with a certifying eigenvector, read off one
     G_f (``graph``) and its ``components``; ``perron(k)`` solves
-    component k at most once.
+    component k at most once, also a component that lambda skipped.
 
     ``value`` is the largest component value (ties go to the first
     component), ``vector`` that component's Perron vector (indexed by
     the domain, zero elsewhere) and ``residual`` its residual.  A graph
     with no edges gives 0 and the uniform vector.
+
+    Components are solved in descending order of their largest row sum
+    of A^2, sum over y ~ x of deg(y), a bound on the norm squared read
+    off the one ``pairs()`` that also gives the components; ties keep
+    index order.  Once one is solved, a component is skipped when
+    - its index is above the current top's and its largest degree, which
+      bounds its norm, is at most ``value`` (ties stay with the top), or
+    - its row-sum bound or one of its ``_collatz_wielandt`` bounds falls
+      below value^2 (1 - BOUND_MARGIN).
+    Both bounds hold for the exact norm.  Bounds and solves round by
+    about 1e-12 relative, a thousandth of the margin, so a skipped
+    component's ``_perron`` value would fall below ``value``: the result
+    is bit for bit the largest ``_perron`` value over all components,
+    ties to the lowest index, with that component's residual and vector.
     """
 
     def __init__(self, f: TruthTable | PartialTruthTable):
-        self.graph = SensitivityGraph(f)
-        self.components = self.graph.components()
+        self.graph = graph = SensitivityGraph(f)
+        self.components, bounds = _components_and_bounds(graph)
         self._solved: dict[int, SpectralResult] = {}
         self.value, self.residual, top = 0.0, 0.0, None
-        for k, comp in enumerate(self.components):
-            if self.graph.degrees[comp].max() <= self.value:
-                continue  # its norm is at most its largest degree: it cannot win
+        for k in sorted(range(len(bounds)), key=lambda k: -bounds[k]):
+            floor = self.value * self.value * (1 - BOUND_MARGIN)
+            if bounds[k] < floor:
+                break  # and so does every later bound
+            comp = self.components[k]
+            if top is not None:
+                if k > top and graph.degrees[comp].max() <= self.value:
+                    continue
+                if any(bound < floor for bound in _collatz_wielandt(graph, comp)):
+                    continue
             res = self.perron(k)
-            if res.value > self.value:
+            if top is None or (res.value, -k) > (self.value, -top):
                 self.value, self.residual, top = res.value, res.residual, k
-        domain = np.asarray(self.graph.domain_inputs, dtype=np.int64)
+        domain = np.asarray(graph.domain_inputs, dtype=np.int64)
         if top is None:
             self.vector = np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
         else:
@@ -350,6 +431,16 @@ class Spectrum:
         if k not in self._solved:
             self._solved[k] = _perron(self.graph, self.components[k])
         return self._solved[k]
+
+
+def _components_and_bounds(graph: SensitivityGraph) -> tuple[list[np.ndarray], list[float]]:
+    """``graph.components()`` and, per component, the largest row sum
+    of A^2 over its vertices, from one ``pairs()`` that is freed on return."""
+    xs, ys = graph.pairs()[:2]
+    comps = graph.components((xs, ys))
+    size = graph.values.size
+    rows = np.bincount(xs, graph.degrees[ys], size) + np.bincount(ys, graph.degrees[xs], size)
+    return comps, [float(rows[c].max()) for c in comps]
 
 
 def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> Spectrum:

@@ -184,9 +184,10 @@ def test_optimal_scheme_above_the_dense_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_perron", recording_perron)
     spec = spectral_sensitivity(f)
     scheme, value = optimal_vertex_scheme(spec)
-    # every component is above the dense cap and took the Lanczos branch
+    # every component is above the dense cap and was solved once, by
+    # Lanczos; lambda solves in the order of its bounds, not by index
     comps = SensitivityGraph(f).components()
-    assert sizes == [c.size for c in comps] and min(sizes) > spectral.DENSE_MAX_VERTICES
+    assert sorted(sizes) == sorted(c.size for c in comps) and min(sizes) > spectral.DENSE_MAX_VERTICES
     assert verify_vertex_scheme(spec.graph, scheme)[0]
     assert abs(value - spec.value) <= 1e-9
 

@@ -19,6 +19,7 @@ import pytest
 from bfc import spectral
 from bfc.algebraic import degree
 from bfc.bits import from_bit_array, popcount_array
+from bfc.graphprops import enumerate_monotone_properties
 from bfc.spectral import (
     SensitivityGraph,
     SpectralConvergenceError,
@@ -32,6 +33,7 @@ from bfc.spectral import (
     vector_to_csv,
     verify_signing,
 )
+from bfc.sweep import npn_canonical_array, sample_tables
 from bfc.tables import PartialTruthTable, TruthTable, named_family, parse_table
 
 
@@ -246,12 +248,15 @@ def test_perron_solve_log_names_each_component_solve(monkeypatch):
     monkeypatch.setattr(spectral, "_lanczos", recording)
     f = _random_table(10, 2)
     with perron_solve_log() as log:
-        g = spectral_sensitivity(f).graph
-    assert [(v, m) for v, _, m, _ in log] == [(c.size, "lanczos") for c in g.components()]
-    assert [k for *_, k in log] == steps and len(steps) == 2
-    for (_, side, _, _), comp in zip(log, g.components()):
+        spec = spectral_sensitivity(f)
+        for k in range(len(spec.components)):  # also those that lambda skips
+            spec.perron(k)
+    expected = []
+    for comp in spec.graph.components():
         odd = int(np.count_nonzero(np.bitwise_count(comp) & 1))
-        assert side == min(odd, comp.size - odd)
+        expected.append((comp.size, min(odd, comp.size - odd), "lanczos"))
+    assert sorted(entry[:3] for entry in log) == sorted(expected)
+    assert [k for *_, k in log] == steps and len(steps) == 2
     with perron_solve_log() as log:
         spectral_sensitivity(named_family("OR", 6))
     assert log == [(7, 1, "dense", 0)] and len(steps) == 2
@@ -509,6 +514,37 @@ def _graph_tables():
             yield PartialTruthTable(n, from_bit_array(val), from_bit_array(dom))
 
 
+def _searched_components(f):
+    """The vertex sets of G_f's components with an edge, from the
+    definition: a depth-first search from each input in ascending order
+    over the distance-1 pairs that are both defined and differ in f."""
+    n, size = f.arity, 1 << f.arity
+    dom = getattr(f, "domain", (1 << size) - 1)
+    defined = [(dom >> x) & 1 for x in range(size)]
+    value = [(f.table >> x) & 1 for x in range(size)]
+
+    def neighbours(x):
+        flips = (x ^ (1 << i) for i in range(n))
+        return [y for y in flips if defined[x] and defined[y] and value[x] != value[y]]
+
+    seen: set[int] = set()
+    comps = []
+    for start in range(size):
+        if start in seen or not neighbours(start):
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in neighbours(x):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
 def _brute_neighbours(f, rows, cols):
     """neighbours(rows, cols) from the definition: one loop per entry."""
     size = 1 << f.arity
@@ -611,22 +647,7 @@ def test_graph_core_matches_definition():
         xs, ys, bit = g.pairs()
         assert list(zip(xs.tolist(), ys.tolist(), bit.tolist())) == pairs
 
-        seen: set[int] = set()
-        comps = []
-        for start in defined:
-            if start in seen or degrees[start] == 0:
-                continue
-            comp, stack = [], [start]
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for i in range(n):
-                    y = x ^ (1 << i)
-                    if y not in seen and edge(x, y):
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
+        comps = _searched_components(f)
         assert [c.tolist() for c in g.components()] == comps
 
         a = np.array(
@@ -668,3 +689,102 @@ def test_components_that_cannot_win_are_not_solved(monkeypatch):
     expected = np.zeros(16)
     expected[comps[first]] = solved[first].vector
     assert np.array_equal(res.vector, expected)
+
+
+def _biased_table(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return TruthTable(n, from_bit_array((rng.random(1 << n) < p).astype(np.uint8)))
+
+
+def _cycle_before_tree():
+    """A partial arity-9 table whose components both have norm 2, computed
+    exactly: the 4-cycle x1 XOR x2 on inputs 0..3, and after it the tree
+    D~5 (two adjacent centres with two leaves each) at 0b11 << 7.  The
+    tree's row-sum bound is 5 against the cycle's 4, so lambda solves the
+    tree first, and the cycle, whose largest degree equals that value,
+    must still be solved to win the tie."""
+    c1 = 0b11 << 7
+    c2 = c1 ^ 1 << 2
+    ones = [1, 2, c2, c1 ^ 1 << 3, c1 ^ 1 << 4]
+    zeros = [0, 3, c1, c2 ^ 1 << 5, c2 ^ 1 << 6]
+    return PartialTruthTable(9, sum(1 << x for x in ones), sum(1 << x for x in ones + zeros))
+
+
+def _spectrum_corpus():
+    """The 222 arity-4 NPN classes, the 4-vertex graph properties, seeded
+    random and biased tables at arity 5..12, partial tables, and tables
+    whose dummy variables make isomorphic components."""
+    for rep in np.unique(npn_canonical_array(4)).tolist():
+        yield TruthTable(4, rep)
+    for prop in enumerate_monotone_properties(4):
+        yield prop.table
+    for n in range(5, 13):
+        for p in (0.02, 0.1, 0.3, 0.5):
+            yield _biased_table(n, p, seed=n)
+    yield _partial_with_holes(7, 3)
+    yield _partial_with_holes(9, 4)
+    yield _cycle_before_tree()
+    yield TruthTable(3, 0b10001000)  # x1 AND x2: two copies of one path
+    yield parse_table("3:AA")  # x1: four single edges
+    for seed in range(4):  # a random arity-4 table copied over 3 dummy variables
+        low = np.random.default_rng(seed).integers(0, 2, size=16, dtype=np.uint8)
+        yield TruthTable(7, from_bit_array(np.tile(low, 8)))
+
+
+def test_spectrum_is_the_largest_component_value_bit_for_bit():
+    # lambda solves in bound order and skips components that cannot win;
+    # it must still pick what solving every component picks
+    for f in _spectrum_corpus():
+        g = SensitivityGraph(f)
+        comps = g.components()
+        spec = spectral_sensitivity(f)
+        if not comps:
+            assert spec.value == spec.residual == 0.0
+            continue
+        solved = [_perron(g, c) for c in comps]
+        top = max(range(len(comps)), key=lambda k: (solved[k].value, -k))
+        full = np.zeros(1 << f.arity)
+        full[comps[top]] = solved[top].vector
+        assert spec.value == solved[top].value, f
+        assert spec.residual == solved[top].residual, f
+        assert np.array_equal(spec.vector, full[g.domain_inputs]), f
+
+
+def test_collatz_wielandt_bounds_hold_and_never_increase():
+    for f in _spectrum_corpus():
+        g = SensitivityGraph(f)
+        for comp in g.components():
+            odd = np.bitwise_count(comp) & 1 == 1
+            if 2 * np.count_nonzero(odd) > comp.size:
+                odd = ~odd
+            b = g.adjacency(comp)[np.ix_(odd, ~odd)]
+            square = np.linalg.eigvalsh(b @ b.T)[-1]
+            bounds = list(spectral._collatz_wielandt(g, comp))
+            assert len(bounds) == spectral.CW_STEPS
+            # eigh rounds the exact square of a component with constant
+            # row sums (6 for 4:0666) up by an ulp or two; the skip rule's
+            # BOUND_MARGIN of 1e-9 is far wider than this 1e-13
+            assert min(bounds) * (1 + 1e-13) >= square, f
+            assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:])), f
+
+
+def test_lambda_prunes_components_that_cannot_win():
+    with perron_solve_log() as log:
+        for table in sample_tables(8, 80, 11):
+            spectral_sensitivity(TruthTable(8, table))
+    assert len(log) <= 95  # all 160 components before the bounds
+    for f in (_random_table(10, 2), _random_table(13, 20040)):
+        assert len(SensitivityGraph(f).components()) == 2
+        with perron_solve_log() as log:
+            spectral_sensitivity(f)
+        assert len(log) == 1
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_biased_table(n, p, seed=n) for n, p in ((12, 0.02), (13, 0.05), (14, 0.02), (14, 0.1))]
+    + [_partial_with_holes(12, 5), TruthTable(0, 0), TruthTable(0, 1), TruthTable(1, 0b10)],
+    ids=["biased_12", "biased_13", "biased_14", "biased_14_dense", "partial_12", "zero_0", "one_0", "x1"],
+)
+def test_components_match_a_depth_first_search(f):
+    assert [c.tolist() for c in SensitivityGraph(f).components()] == _searched_components(f)
