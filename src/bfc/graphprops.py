@@ -232,7 +232,9 @@ def named_property(name: str, n_vertices: int, clique_size: int | None = None) -
         cuts = _edge_masks(np.arange(1, (1 << n_vertices) - 1, 2), n_vertices, crossing=True)
         values = np.all((xs & cuts) != 0, axis=1)
     elif name == "contains-clique":
-        if clique_size is None or not 2 <= clique_size <= n_vertices:
+        if clique_size is None:
+            raise ValueError("contains-clique requires a clique size (--clique-size)")
+        if not 2 <= clique_size <= n_vertices:
             raise ValueError("contains-clique needs 2 <= clique_size <= n_vertices")
         sets = np.arange(1 << n_vertices)
         sets = sets[np.bitwise_count(sets) == clique_size]

@@ -13,14 +13,13 @@ a component that cannot win: by its largest degree, or by a
 Collatz–Wielandt bound that falls below lambda^2 by a relative margin
 far wider than any rounding, so the result is bit for bit that of
 solving them all.  G_f is a subgraph of the hypercube, so a component
-splits by input parity into two sides with every edge between them;
+splits by input parity into two sides with every edge between them, and
 lambda is the top singular value of the block B from the smaller side
-to the other, and its square the top eigenvalue of the Gram matrix
-B B^T on the smaller side: a dense ``eigh`` up to DENSE_MAX_VERTICES
-component vertices, above that a Lanczos iteration whose products B^T u
-and B w are gathers through per-side neighbour indices, never 2^n wide.
-The signed hypercube's +sqrt(n) eigenspace is taken in closed form,
-with no eigendecomposition.
+to the other.  One ``_Block`` per component, shared by the bound and
+the solve, holds B's two products: dense up to DENSE_MAX_VERTICES
+component vertices, gathers through neighbour indices above, never 2^n
+wide.  The signed hypercube's +sqrt(n) eigenspace is taken in closed
+form, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import contextvars
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -218,104 +218,86 @@ def _zero_one(nb: np.ndarray, height: int) -> np.ndarray:
     return m[:height]
 
 
-def _sides(
-    graph: SensitivityGraph, comp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(small, S, T, B^T): the mask of the smaller parity side S of the
-    component ``comp``, its vertices, those of the other side T, and the
-    block B from S to T as the index ``graph.neighbours(T, S)``."""
-    small = bits.popcount_array(comp) & 1 == 1
-    if 2 * np.count_nonzero(small) > comp.size:
-        small = ~small
-    s, t = comp[small], comp[~small]
-    return small, s, t, graph.neighbours(t, s)
+class _Block:
+    """The block B of the component ``comp`` of ``graph``.
+
+    Every edge flips one bit, so the component's adjacency is
+    [[0, B], [B^T, 0]], with B running from the smaller parity side S
+    (the vertices ``s``, the mask ``small`` over ``comp``) to the other
+    side T (``t``).  ``down(u) = B^T u`` (indexed like T) and
+    ``up(w) = B w`` (indexed like S) are products of the 0/1 matrix ``b``
+    read off ``graph.neighbours(T, S)`` up to DENSE_MAX_VERTICES
+    component vertices; above that ``b`` is None and they gather through
+    that index and its mirror ``graph.neighbours(S, T)``.
+    """
+
+    def __init__(self, graph: SensitivityGraph, comp: np.ndarray):
+        small = bits.popcount_array(comp) & 1 == 1
+        if 2 * np.count_nonzero(small) > comp.size:
+            small = ~small
+        s, t = comp[small], comp[~small]
+        # kept for the block's life: freed before the solve, they fragment the heap
+        self.comp, self.small, self.s, self.t, self.b = comp, small, s, t, None
+        nb_t = graph.neighbours(t, s)
+        if comp.size <= DENSE_MAX_VERTICES:
+            self.b = b = _zero_one(nb_t, s.size)
+            self.down, self.up = b.T.dot, b.dot
+        else:
+            self.down, self.up = partial(_gather, nb_t), partial(_gather, graph.neighbours(s, t))
+
+    def gram(self, u: np.ndarray) -> np.ndarray:
+        """B B^T u, indexed like S."""
+        return self.up(self.down(u))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A v, indexed like ``comp``."""
+        av = np.empty_like(v)
+        av[self.small], av[~self.small] = self.up(v[~self.small]), self.down(v[self.small])
+        return av
 
 
-def _collatz_wielandt(graph: SensitivityGraph, comp: np.ndarray) -> Iterator[float]:
-    """Yield upper bounds on the square of the norm of the component
-    ``comp``, one per power step and at most CW_STEPS of them.
+def _collatz_wielandt(block: _Block) -> Iterator[float]:
+    """Yield upper bounds on the square of the norm of ``block``'s
+    component, one per power step and at most CW_STEPS of them.
 
     The square is the top eigenvalue of the Gram matrix G = B B^T that
     ``_perron`` solves.  G is nonnegative, so for every positive u it is
     at most max_x (G u)_x / u_x (Collatz–Wielandt).  Step k takes
-    u = G^k 1, which G's positive diagonal (the degrees) keeps positive,
-    through ``_perron``'s dense block or its two neighbour gathers; and
-    G u <= c u gives G (G u) <= c G u, so no bound exceeds the one before.
+    u = G^k 1 through ``block.gram``, which G's positive diagonal (the
+    degrees) keeps positive; and G u <= c u gives G (G u) <= c G u, so
+    no bound exceeds the one before.
     """
-    _, s, t, nb_t = _sides(graph, comp)
-    if comp.size <= DENSE_MAX_VERTICES:
-        b = _zero_one(nb_t, s.size)
-
-        def gram(u: np.ndarray) -> np.ndarray:
-            return b @ (b.T @ u)
-
-    else:
-        nb_s = graph.neighbours(s, t)
-
-        def gram(u: np.ndarray) -> np.ndarray:
-            return _gather(nb_s, _gather(nb_t, u))
-
-    u = np.ones(s.size)
+    u = np.ones(block.s.size)
     for _ in range(CW_STEPS):
-        w = gram(u)
+        w = block.gram(u)
         yield float((w / u).max())
         u = w
 
 
-def _perron(graph: SensitivityGraph, comp: np.ndarray) -> SpectralResult:
-    """The top eigenpair of the component ``comp`` of ``graph``.
+def _perron(block: _Block) -> SpectralResult:
+    """The top eigenpair of ``block``'s component.
 
-    Every edge flips one bit, so the component is bipartite by input
-    parity and its adjacency is [[0, B], [B^T, 0]] with B running from
-    the smaller side S to the other side T.  The value is the top
-    singular value of B: its square and u are the top eigenpair of the
-    |S| x |S| Gram matrix B B^T, read off ``graph.neighbours(T, S)``:
-    a dense ``eigh`` up to DENSE_MAX_VERTICES component vertices, above
-    that a Lanczos iteration on ``u -> B (B^T u)``, each product one
-    gather through that index or its mirror from S into T.  The T half
-    of the vector is B^T u / value.  The vector is nonnegative, unit and indexed like
-    ``comp``; the residual ||A v - value v|| is recomputed from it.
+    Its value is the top singular value of B: the square and u are the
+    top eigenpair of the Gram matrix B B^T, by ``eigh`` of ``b @ b.T``
+    when the block is dense, else by ``_lanczos`` on ``block.gram``.
+    The T half of the vector is B^T u / value.  The vector is
+    nonnegative, unit and indexed like ``block.comp``; the residual
+    ||A v - value v|| is recomputed from it.
     """
-    small, s, t, nb_t = _sides(graph, comp)
-    if comp.size <= DENSE_MAX_VERTICES:
-        b = _zero_one(nb_t, s.size)
-        w, vecs = np.linalg.eigh(b @ b.T)
-        square, u = float(w[-1]), vecs[:, -1]
-        method, steps = "dense", 0
-        lift = b.T.dot
-
-        def apply(v: np.ndarray) -> np.ndarray:  # A v, indexed like comp
-            av = np.empty_like(v)
-            av[small], av[~small] = b @ v[~small], b.T @ v[small]
-            return av
-
+    if block.b is None:
+        (square, u, steps), method = _lanczos(block.gram, block.s.size), "lanczos"
     else:
-        nb_s = graph.neighbours(s, t)
-        method, steps = "lanczos", 0
-
-        def lift(u: np.ndarray) -> np.ndarray:  # B^T u, indexed like t
-            return _gather(nb_t, u)
-
-        def gram(u: np.ndarray) -> np.ndarray:  # B B^T u
-            nonlocal steps
-            steps += 1
-            return _gather(nb_s, lift(u))
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            av = np.empty_like(v)
-            av[small], av[~small] = _gather(nb_s, v[~small]), lift(v[small])
-            return av
-
-        square, u = _lanczos(gram, s.size)
+        w, vecs = np.linalg.eigh(block.b @ block.b.T)
+        square, u, steps, method = float(w[-1]), vecs[:, -1], 0, "dense"
     log = _PERRON_LOG.get()
     if log is not None:
-        log.append((comp.size, s.size, method, steps))
+        log.append((block.comp.size, block.s.size, method, steps))
     value = math.sqrt(square)
     u = np.abs(u)
-    v = np.empty(comp.size)
-    v[small], v[~small] = u, lift(u) / value
+    v = np.empty(block.comp.size)
+    v[block.small], v[~block.small] = u, block.down(u) / value
     v /= math.sqrt(v.dot(v))  # np.linalg.norm's own sum, without its wrapper
-    r = apply(v) - value * v
+    r = block.apply(v) - value * v
     return SpectralResult(value, v, math.sqrt(r.dot(r)))
 
 
@@ -332,17 +314,18 @@ def _gather(nb: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
-    """Top Ritz pair of the symmetric operator ``apply`` on R^size:
+def _lanczos(apply, size: int) -> tuple[float, np.ndarray, int]:
+    """(value, vector, steps): the top Ritz pair of the symmetric operator
+    ``apply`` on R^size and the number of products ``apply`` it took.
     Lanczos from the uniform vector with full reorthogonalization,
     stopped once the Ritz residual is at most RITZ_TOL * max(1, value)."""
-    steps = min(LANCZOS_MAX_STEPS, size)
+    cap = min(LANCZOS_MAX_STEPS, size)
     # solves mostly stop after a few dozen steps, so the basis doubles as
-    # it fills rather than reserving all steps + 1 rows up front
+    # it fills rather than reserving all cap + 1 rows up front
     basis = np.empty((1, size))
     basis[0] = 1.0 / math.sqrt(size)
     alphas, betas = [], []
-    for k in range(1, steps + 1):
+    for k in range(1, cap + 1):
         q = basis[:k]
         w = apply(q[-1])
         alphas.append(float(q[-1] @ w))
@@ -352,10 +335,10 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray]:
         theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         value, ritz = float(theta[-1]), beta * abs(float(s[-1, -1]))
         if ritz <= RITZ_TOL * max(1.0, value):
-            return value, s[:, -1] @ q
+            return value, s[:, -1] @ q, k
         betas.append(beta)
         if k == len(basis):
-            grown = np.empty((min(2 * k, steps + 1), size))
+            grown = np.empty((min(2 * k, cap + 1), size))
             grown[:k] = basis
             basis = grown
         basis[k] = w / beta
@@ -367,7 +350,7 @@ def perron_solve_log():
     """Yield a list that collects ``(vertices, side, method, steps)`` for
     every component that ``_perron`` solves inside the block, in solve
     order: its vertex count, the size of its smaller parity side, and
-    ``"dense"`` with 0 steps or ``"lanczos"`` with its Gram products."""
+    ``"dense"`` with 0 steps or ``"lanczos"`` with the steps of ``_lanczos``."""
     log: list[tuple[int, int, str, int]] = []
     token = _PERRON_LOG.set(log)
     try:
@@ -399,6 +382,8 @@ class Spectrum:
     component's ``_perron`` value would fall below ``value``: the result
     is bit for bit the largest ``_perron`` value over all components,
     ties to the lowest index, with that component's residual and vector.
+    A component that passes the degree test gets one ``_Block`` for its
+    bound and its solve; ``perron(k)`` builds one for a skipped component.
     """
 
     def __init__(self, f: TruthTable | PartialTruthTable):
@@ -411,14 +396,14 @@ class Spectrum:
             if bounds[k] < floor:
                 break  # and so does every later bound
             comp = self.components[k]
-            if top is not None:
-                if k > top and graph.degrees[comp].max() <= self.value:
-                    continue
-                if any(bound < floor for bound in _collatz_wielandt(graph, comp)):
-                    continue
-            res = self.perron(k)
-            if top is None or (res.value, -k) > (self.value, -top):
-                self.value, self.residual, top = res.value, res.residual, k
+            if top is not None and k > top and graph.degrees[comp].max() <= self.value:
+                continue
+            block = _Block(graph, comp)
+            if top is None or not any(bound < floor for bound in _collatz_wielandt(block)):
+                res = self._solved[k] = _perron(block)
+                if top is None or (res.value, -k) > (self.value, -top):
+                    self.value, self.residual, top = res.value, res.residual, k
+            del block  # free its indices before the next component's are built
         domain = np.asarray(graph.domain_inputs, dtype=np.int64)
         if top is None:
             self.vector = np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
@@ -429,7 +414,7 @@ class Spectrum:
     def perron(self, k: int) -> SpectralResult:
         """Component k's Perron pair, indexed like ``components[k]``."""
         if k not in self._solved:
-            self._solved[k] = _perron(self.graph, self.components[k])
+            self._solved[k] = _perron(_Block(self.graph, self.components[k]))
         return self._solved[k]
 
 

@@ -173,11 +173,11 @@ def test_optimal_scheme_above_the_dense_cap(monkeypatch):
         calls.append(size)
         return lanczos(apply, size)
 
-    def recording_perron(g, comp):
+    def recording_perron(block):
         ran = len(calls)
-        res = perron(g, comp)
+        res = perron(block)
         if len(calls) > ran:
-            sizes.append(comp.size)
+            sizes.append(block.comp.size)
         return res
 
     monkeypatch.setattr(spectral, "_lanczos", recording_lanczos)
@@ -517,9 +517,9 @@ def test_equivalences_build_one_graph_and_solve_each_component_once(monkeypatch)
     perron, init = spectral._perron, SensitivityGraph.__init__
     solved, built = [], []
 
-    def counting_perron(g, comp):
-        solved.append(int(comp[0]))
-        return perron(g, comp)
+    def counting_perron(block):
+        solved.append(int(block.comp[0]))
+        return perron(block)
 
     def counting_init(self, table):
         built.append(table)

@@ -368,6 +368,12 @@ def test_graphprops_clique_size_only_with_contains_clique(capsys, name):
     assert "clique size applies only to contains-clique" in err
 
 
+def test_graphprops_contains_clique_asks_for_its_size(capsys):
+    rc, out, err = run_cli(capsys, "graphprops", "--n-vertices", "4", "--name", "contains-clique")
+    assert rc == 1 and out == ""
+    assert "contains-clique requires a clique size (--clique-size)" in err
+
+
 def test_graphprops_enumerate_rejects_clique_size(capsys):
     rc, out, err = run_cli(
         capsys, "graphprops", "--n-vertices", "3", "--enumerate", "--clique-size", "3"

@@ -226,9 +226,9 @@ def test_report_with_certificates_solves_each_component_once(monkeypatch, family
     perron, init = spectral._perron, SensitivityGraph.__init__
     solved, built = [], []
 
-    def counting_perron(g, comp):
-        solved.append(int(comp[0]))
-        return perron(g, comp)
+    def counting_perron(block):
+        solved.append(int(block.comp[0]))
+        return perron(block)
 
     def counting_init(self, table):
         built.append(table)

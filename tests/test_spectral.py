@@ -24,6 +24,7 @@ from bfc.spectral import (
     SensitivityGraph,
     SpectralConvergenceError,
     SignedHypercube,
+    _Block,
     _perron,
     build_signed_hypercube,
     full_degree_witness,
@@ -106,9 +107,9 @@ def test_dense_and_lanczos_branches_agree(f, monkeypatch):
     g = SensitivityGraph(f)
     for comp in g.components():
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size)
-        dense = _perron(g, comp)
+        dense = _perron(_Block(g, comp))
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size - 1)
-        lanczos = _perron(g, comp)
+        lanczos = _perron(_Block(g, comp))
         assert abs(dense.value - lanczos.value) <= 1e-12
         assert np.abs(dense.vector - lanczos.vector).max() <= 1e-9
         for res in (dense, lanczos):
@@ -151,7 +152,7 @@ def test_gram_solve_matches_full_adjacency_eigh(f, branch, monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", cap)
         w, vecs = np.linalg.eigh(g.adjacency(comp))
         oracle = np.abs(vecs[:, -1])
-        res = _perron(g, comp)
+        res = _perron(_Block(g, comp))
         assert abs(res.value - w[-1]) <= 1e-12
         assert np.abs(res.vector - oracle).max() <= 1e-9
         assert res.vector.min() >= 0 and abs(np.linalg.norm(res.vector) - 1) < 1e-12
@@ -174,7 +175,7 @@ def _matvec_perron(g, comp):
         full[s] = u
         return g.matvec(g.matvec(full))[s]
 
-    square, u = spectral._lanczos(gram, s.size)
+    square, u, _ = spectral._lanczos(gram, s.size)
     value = math.sqrt(square)
     u = np.abs(u)
     full[s] = u
@@ -196,7 +197,7 @@ def test_neighbour_gathers_match_the_matvec_product_bit_for_bit(f, monkeypatch):
     g = SensitivityGraph(f)
     for comp in g.components():
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size - 1)
-        res = _perron(g, comp)
+        res = _perron(_Block(g, comp))
         value, vector, residual = _matvec_perron(g, comp)
         assert res.value == value and res.residual == residual
         assert np.array_equal(res.vector, vector)
@@ -270,7 +271,7 @@ def test_lambda_is_the_largest_component_value():
     g = SensitivityGraph(f)
     comps = g.components()
     assert len(comps) == 2 and min(c.size for c in comps) > spectral.DENSE_MAX_VERTICES
-    values = [_perron(g, c).value for c in comps]
+    values = [_perron(_Block(g, c)).value for c in comps]
     res = spectral_sensitivity(f)
     assert res.value == max(values)
     top = comps[int(np.argmax(values))]
@@ -286,7 +287,7 @@ def test_component_ties_go_to_the_first_component():
     f = TruthTable(3, 0b10001000)
     g = SensitivityGraph(f)
     first, second = g.components()
-    assert _perron(g, first).value == _perron(g, second).value
+    assert _perron(_Block(g, first)).value == _perron(_Block(g, second)).value
     res = spectral_sensitivity(f)
     assert np.flatnonzero(res.vector).tolist() == first.tolist()
 
@@ -296,7 +297,7 @@ def test_lanczos_cap_raises(monkeypatch):
     f = _random_table(10, 2)
     g = SensitivityGraph(f)
     with pytest.raises(SpectralConvergenceError) as err:
-        _perron(g, g.components()[0])
+        _perron(_Block(g, g.components()[0]))
     assert err.value.achieved_residual > spectral.RITZ_TOL
 
 
@@ -673,13 +674,13 @@ def test_components_that_cannot_win_are_not_solved(monkeypatch):
     graph = SensitivityGraph(f)
     comps = graph.components()
     assert [c.size for c in comps] == [8, 2, 3]
-    solved = [_perron(graph, c) for c in comps]
+    solved = [_perron(_Block(graph, c)) for c in comps]
     first = max(range(len(comps)), key=lambda k: (solved[k].value, -k))
     calls = []
 
-    def counting(g, comp):
-        calls.append(comp.size)
-        return _perron(g, comp)
+    def counting(block):
+        calls.append(block.comp.size)
+        return _perron(block)
 
     monkeypatch.setattr(spectral, "_perron", counting)
     res = spectral_sensitivity(f)
@@ -741,7 +742,7 @@ def test_spectrum_is_the_largest_component_value_bit_for_bit():
         if not comps:
             assert spec.value == spec.residual == 0.0
             continue
-        solved = [_perron(g, c) for c in comps]
+        solved = [_perron(_Block(g, c)) for c in comps]
         top = max(range(len(comps)), key=lambda k: (solved[k].value, -k))
         full = np.zeros(1 << f.arity)
         full[comps[top]] = solved[top].vector
@@ -759,7 +760,7 @@ def test_collatz_wielandt_bounds_hold_and_never_increase():
                 odd = ~odd
             b = g.adjacency(comp)[np.ix_(odd, ~odd)]
             square = np.linalg.eigvalsh(b @ b.T)[-1]
-            bounds = list(spectral._collatz_wielandt(g, comp))
+            bounds = list(spectral._collatz_wielandt(_Block(g, comp)))
             assert len(bounds) == spectral.CW_STEPS
             # eigh rounds the exact square of a component with constant
             # row sums (6 for 4:0666) up by an ulp or two; the skip rule's
@@ -778,6 +779,26 @@ def test_lambda_prunes_components_that_cannot_win():
         with perron_solve_log() as log:
             spectral_sensitivity(f)
         assert len(log) == 1
+
+
+def test_each_neighbour_index_is_built_once_per_spectrum(monkeypatch):
+    # a random arity-9 table copied over a dummy top variable: G_f has
+    # twin 271-vertex components, so the Collatz-Wielandt bound cannot
+    # skip the second, and the solve must reuse the bound's two indices
+    low = np.random.default_rng(3).integers(0, 2, size=512, dtype=np.uint8)
+    f = TruthTable(10, from_bit_array(np.tile(low, 2)))
+    calls = []
+    neighbours = SensitivityGraph.neighbours
+
+    def recording(self, rows, cols):
+        calls.append((np.asarray(rows).tobytes(), np.asarray(cols).tobytes()))
+        return neighbours(self, rows, cols)
+
+    monkeypatch.setattr(SensitivityGraph, "neighbours", recording)
+    with perron_solve_log() as log:
+        spectral_sensitivity(f)
+    assert [entry[:3] for entry in log] == [(271, 133, "lanczos")] * 2
+    assert len(calls) == len(set(calls)) == 6
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ Vertex relabelings and variable permutations both come from
 be a second, hand-rolled map builder.  Likewise every eigensolver call
 sits on the one spectral path, every Perron pair is solved behind one
 ``Spectrum``, every neighbour position comes from
-``SensitivityGraph.neighbours``, every LP starts from one least-squares
+``SensitivityGraph.neighbours``, one parity block per component makes
+the one dense-or-gather choice, every LP starts from one least-squares
 fit, and no table is built by a Python loop over all 2^m inputs.
 """
 
@@ -59,6 +60,24 @@ def test_neighbour_positions_are_looked_up_only_in_spectral():
             searches[p.name] = text.count("searchsorted(")
     assert flips == ["spectral.py"]
     assert searches == {"algebraic.py": 1, "spectral.py": 1}
+
+
+def test_one_block_chooses_between_dense_and_gather_products():
+    # ``_Block`` tests the component size against DENSE_MAX_VERTICES once,
+    # and the bound and the solve both take its products; the other test
+    # is ``adjacency``'s cap on a whole-domain matrix
+    tests = []
+    for outer in ast.parse((SRC / "spectral.py").read_text()).body:
+        for inner in outer.body if isinstance(outer, ast.ClassDef) else [outer]:
+            if not isinstance(inner, ast.FunctionDef):
+                continue
+            name = inner.name if inner is outer else f"{outer.name}.{inner.name}"
+            tests += [
+                name
+                for node in ast.walk(inner)
+                if isinstance(node, ast.Compare) and "DENSE_MAX_VERTICES" in ast.unparse(node)
+            ]
+    assert sorted(tests) == ["SensitivityGraph.adjacency", "_Block.__init__"]
 
 
 def test_no_python_loop_over_every_mask():
