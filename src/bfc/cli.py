@@ -118,7 +118,11 @@ def _cmd_verify(args) -> int:
     if args.format == "csv":
         ok = True
         for row in sweep.iter_csv_rows(
-            args.max_n, sample=args.sample, seed=args.seed, tolerance=args.tolerance
+            args.max_n,
+            sample=args.sample,
+            seed=args.seed,
+            tolerance=args.tolerance,
+            threads=threads,
         ):
             print(row)
             ok = ok and not row.endswith(",false")

@@ -117,15 +117,6 @@ class SensitivityGraph:
             return False
         return bool(self.edges[int(d).bit_length() - 1, x])
 
-    def degree_of(self, x: int) -> int:
-        return int(self.degrees[x])
-
-    def max_degree(self) -> int:
-        return int(self.degrees.max())
-
-    def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
-
     def sides(self) -> tuple[list[int], list[int]]:
         """Defined inputs split by function value (zeros, ones)."""
         zeros = np.flatnonzero(self.defined & ~self.values).tolist()

@@ -22,8 +22,9 @@ weighted fold reports exactly what a per-table fold would.  Constant
 tables are counted but named as a check's witness only when the universe
 holds nothing else.
 
-Aggregation is associative and commutative with deterministic
-tie-breaks, so results are independent of chunking and thread count.
+One function, ``_measure_all``, measures each distinct table once, in
+process or on a fork pool; the JSON sweep folds its measurements once,
+in this process, and the CSV sweep writes its rows from them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import glob
 import math
 import os
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -117,21 +119,12 @@ def _ratio_entries(m: dict) -> list[tuple[str, float, float, float]]:
     return out
 
 
-def _empty_partial() -> dict:
-    return {
-        "checks": {name: [0, 0, None] for name in CHECK_NAMES},
-        "ratios": {name: None for name in RATIO_NAMES},
-        "methods": {name: dict.fromkeys(ways, 0) for name, ways in METHODS.items()},
-        "adeg_lp": {"solves": 0, "exact": 0, "pivots": 0},
-    }
-
-
 def _passes(name: str, margin: float, tolerance: float) -> bool:
     return margin >= (-tolerance if name in FLOAT_CHECKS else 0)
 
 
-def _fold(partial: dict, table: int, m: dict, tolerance: float, weight: int = 1) -> None:
-    """Fold the measures ``m`` of ``table`` into ``partial``, counted as
+def _fold(totals: dict, table: int, m: dict, tolerance: float, weight: int = 1) -> None:
+    """Fold the measures ``m`` of ``table`` into ``totals``, counted as
     ``weight`` tables that share them.
 
     Witness keys put constant tables (all margins 0) last, then rank by
@@ -139,53 +132,30 @@ def _fold(partial: dict, table: int, m: dict, tolerance: float, weight: int = 1)
     chosen table's own values.
     """
     for name, margin, lhs, rhs in _check_margins(m):
-        slot = partial["checks"][name]
+        slot = totals["checks"][name]
         slot[0 if _passes(name, margin, tolerance) else 1] += weight
         rank = on_grid(margin) if name in FLOAT_CHECKS else margin
         key = (m["deg"] == 0, rank, table, margin, lhs, rhs)
         if slot[2] is None or key < slot[2]:
             slot[2] = key
     for name, ratio, num, den in _ratio_entries(m):
-        cur = partial["ratios"][name]
+        cur = totals["ratios"][name]
         rank = on_grid(ratio) if name in FLOAT_RATIOS else ratio
         key = (-rank, table, ratio, num, den)
         if cur is None or key < cur:
-            partial["ratios"][name] = key
+            totals["ratios"][name] = key
 
 
-def _sweep_chunk(args: tuple) -> dict:
-    n, weighted, names, tolerance = args
-    partial = _empty_partial()
-    with lp_solve_log() as solves:
-        for table, weight in weighted:
+def _measure_chunk(args: tuple) -> list[tuple]:
+    """Per table of one chunk: its measures, how ``bs``, ``C`` and ``D``
+    were obtained, and its ``adeg`` LP solves, exact ones and pivots."""
+    n, tables, names = args
+    out = []
+    for table in tables:
+        with lp_solve_log() as solves:
             values, methods = _values(n, table, names)
-            _fold(partial, table, values, tolerance, weight)
-            for name, way in methods.items():
-                partial["methods"][name][way] += 1
-    partial["adeg_lp"] = {
-        "solves": len(solves),
-        "exact": solves.exact,
-        "pivots": sum(p for _, p in solves),
-    }
-    return partial
-
-
-def _merge(acc: dict, part: dict) -> None:
-    for name, slot in part["checks"].items():
-        dst = acc["checks"][name]
-        dst[0] += slot[0]
-        dst[1] += slot[1]
-        if slot[2] is not None and (dst[2] is None or slot[2] < dst[2]):
-            dst[2] = slot[2]
-    for name, key in part["ratios"].items():
-        cur = acc["ratios"][name]
-        if key is not None and (cur is None or key < cur):
-            acc["ratios"][name] = key
-    for name, ways in part["methods"].items():
-        for way, count in ways.items():
-            acc["methods"][name][way] += count
-    for key, count in part["adeg_lp"].items():
-        acc["adeg_lp"][key] += count
+        out.append((values, methods, len(solves), solves.exact, sum(p for _, p in solves)))
+    return out
 
 
 def sample_tables(n: int, count: int, seed: int) -> list[int]:
@@ -334,6 +304,23 @@ def _universe(
     return block, tables, np.array(tables, dtype=object)
 
 
+def _measure_all(universe: dict, tables: list, names: tuple, threads: int) -> Iterable[tuple]:
+    """``_measure_chunk``'s tuple for each of ``tables``, in order.
+
+    A sampled universe uses up to ``threads`` workers, never more than
+    there are chunks or CPUs (a fork pool starts them all up front).  An
+    exhaustive one stays in this process, where each chunk is measured
+    as the caller reaches it: on its few cheap NPN classes a pool cuts
+    wall time but adds CPU time."""
+    specs = _chunks(tables, max(1, threads))
+    jobs = [(universe["arity"], spec, names) for spec in specs]
+    workers = 1 if universe["mode"] == "exhaustive" else min(threads, len(specs), _usable_cpus())
+    if workers <= 1:
+        return (m for chunk in map(_measure_chunk, jobs) for m in chunk)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+        return [m for chunk in pool.map(_measure_chunk, jobs) for m in chunk]
+
+
 def run_sweep(
     max_n: int = 3,
     sample: int | None = None,
@@ -345,32 +332,30 @@ def run_sweep(
 
     ``sample=None`` checks all 2^(2^max_n) tables of arity ``max_n``
     (max_n <= 4), measuring one representative per NPN class, ``adeg``
-    included, in one process; otherwise ``sample`` seeded random tables
-    of that arity (max_n <= 8), each distinct draw measured once, on up
-    to ``threads`` worker processes.  Both fold the same weighted table
-    list.  The ``lambda/adeg`` ratio is reported only for exhaustive
-    universes, the only ones that measure ``adeg``.
+    included; otherwise ``sample`` seeded random tables of that arity
+    (max_n <= 8), each distinct draw measured once.  ``_measure_all``
+    measures them, and each measurement is folded once here, weighted by
+    the universe tables it stands for.  Only exhaustive universes
+    measure ``adeg`` and report the ``lambda/adeg`` ratio.
     """
     started = time.perf_counter()
     universe, _, measured = _universe(max_n, sample, seed, tolerance)
     reps, counts = np.unique(measured, return_counts=True)
-    weighted = list(zip(reps.tolist(), counts.tolist()))
+    reps = reps.tolist()
     names = SWEEP_MEASURES + ("adeg",) if sample is None else SWEEP_MEASURES
-    specs = _chunks(weighted, max(1, threads))
-    # a fork pool starts every worker up front, so never ask for more
-    # than there are chunks or CPUs to run them.  Exhaustive universes
-    # stay in this process: on their few cheap NPN classes a pool cuts
-    # wall time but adds CPU time.
-    workers = 1 if sample is None else min(threads, len(specs), _usable_cpus())
-    jobs = [(max_n, spec, names, tolerance) for spec in specs]
-    if workers <= 1:
-        partials = map(_sweep_chunk, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-            partials = list(pool.map(_sweep_chunk, jobs))
-    acc = _empty_partial()
-    for partial in partials:
-        _merge(acc, partial)
+    acc = {
+        "checks": {name: [0, 0, None] for name in CHECK_NAMES},
+        "ratios": {name: None for name in RATIO_NAMES},
+        "methods": {name: dict.fromkeys(ways, 0) for name, ways in METHODS.items()},
+        "adeg_lp": {"solves": 0, "exact": 0, "pivots": 0},
+    }
+    measurements = _measure_all(universe, reps, names, threads)
+    for (values, methods, *lp), table, weight in zip(measurements, reps, counts.tolist()):
+        _fold(acc, table, values, tolerance, weight)
+        for name, way in methods.items():
+            acc["methods"][name][way] += 1
+        for key, count in zip(("solves", "exact", "pivots"), lp):
+            acc["adeg_lp"][key] += count
 
     checks = []
     for name in CHECK_NAMES:
@@ -401,7 +386,7 @@ def run_sweep(
             "denominator": den,
         }
         if name == "lambda/adeg":
-            entry["class_count"] = len(weighted)
+            entry["class_count"] = len(reps)
             entry["note"] = "evaluated on equivalence-class representatives"
         ratios.append(entry)
 
@@ -423,7 +408,7 @@ def run_sweep(
         report_hash=report_hash(body),
         elapsed_seconds=time.perf_counter() - started,
         diagnostics={
-            "evaluated_functions": len(weighted),
+            "evaluated_functions": len(reps),
             "method": method,
             "measure_methods": acc["methods"],
             "adeg_lp": acc["adeg_lp"],
@@ -445,22 +430,25 @@ def iter_csv_rows(
     sample: int | None = None,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
+    threads: int = 1,
 ):
     """One CSV row per (function, inequality), streamed in table order.
 
-    Each table's cells come from the table measured in its place, once
-    per measured table, as ``run_sweep`` folds them, so the ``pass``
-    column agrees with the JSON counts.
+    Each table's cells come from the table measured in its place, by
+    ``_measure_all`` as in ``run_sweep`` (without ``adeg``), so the
+    ``pass`` column agrees with the JSON counts.
     """
-    _, tables, measured = _universe(max_n, sample, seed, tolerance)
+    universe, tables, measured = _universe(max_n, sample, seed, tolerance)
+    reps, place = np.unique(measured, return_inverse=True)
+    cells = [
+        [
+            f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
+            for name, margin, lhs, rhs in _check_margins(values)
+        ]
+        for values, *_ in _measure_all(universe, reps.tolist(), SWEEP_MEASURES, threads)
+    ]
     yield "n,table,check,lhs,rhs,margin,pass"
-    memo: dict[int, list[str]] = {}
-    for table, rep in zip(tables, measured.tolist()):
-        if rep not in memo:
-            memo[rep] = [
-                f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
-                for name, margin, lhs, rhs in _check_margins(_values(max_n, rep)[0])
-            ]
+    for table, i in zip(tables, place.tolist()):
         spec = format_table(TruthTable(max_n, table))
-        for cell in memo[rep]:
+        for cell in cells[i]:
             yield f"{max_n},{spec},{cell}"

@@ -98,9 +98,6 @@ class PartialTruthTable:
             raise ValueError(f"input {x} is outside the domain")
         return (self.table >> x) & 1
 
-    def domain_inputs(self) -> list[int]:
-        return [x for x in range(self.size) if (self.domain >> x) & 1]
-
 
 @dataclass(frozen=True)
 class Restriction:

@@ -7,7 +7,8 @@ sits on the one spectral path, every Perron pair is solved behind one
 ``Spectrum``, every neighbour position comes from
 ``SensitivityGraph.neighbours``, one parity block per component makes
 the one dense-or-gather choice, every LP starts from one least-squares
-fit, and no table is built by a Python loop over all 2^m inputs.
+fit, every sweep table is measured on one path, and no table is built by
+a Python loop over all 2^m inputs.
 """
 
 import ast
@@ -81,11 +82,25 @@ def test_one_block_chooses_between_dense_and_gather_products():
 
 
 def test_no_python_loop_over_every_mask():
-    # ``for x in range(1 << m)`` runs the interpreter once per table
-    # entry; tables are built as numpy reductions over ``np.arange``.
-    loop = re.compile(r"\bfor\b[^\n]*\bin\s+range\(\s*1\s*<<")
+    # ``for x in range(1 << m)`` or ``range(f.size)`` runs the interpreter
+    # once per table entry; tables are built as numpy reductions over
+    # ``np.arange``.
+    loop = re.compile(r"\bfor\b[^\n]*\bin\s+range\(\s*(?:1\s*<<|\w+\.size\s*\))")
     users = sorted(p.name for p in SRC.glob("*.py") if loop.search(p.read_text()))
     assert users == []
+
+
+def test_sweep_tables_are_measured_on_one_path():
+    # the JSON and the CSV sweep both measure through ``_measure_all``,
+    # whose chunks call ``_values`` and whose one pool runs them
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    called = [
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert called.count("_values") == 1
+    assert called.count("ProcessPoolExecutor") == 1
 
 
 def test_lp_starts_from_one_lstsq_and_leaves_re_checks_to_callers():

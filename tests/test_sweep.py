@@ -407,15 +407,15 @@ def test_report_hash_thread_invariant_sampled():
     assert a.report_hash == b.report_hash
 
 
-def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
-    sizes, initializers = [], []
+@pytest.fixture
+def pools(monkeypatch):
+    """(max_workers, initializer) of each pool the sweep opens; the pool
+    maps in this process and forks nothing."""
+    opened = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size, forks nothing."""
-
         def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
-            initializers.append(initializer)
+            opened.append((max_workers, initializer))
 
         def __enter__(self):
             return self
@@ -427,6 +427,10 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return opened
+
+
+def test_pool_clamped_to_chunks_and_cpus(monkeypatch, pools):
     huge = 10**6
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
     clamped = run_sweep(max_n=3, sample=8, seed=1, threads=huge)
@@ -434,9 +438,16 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch):
     run_sweep(max_n=3, sample=8, seed=1, threads=huge)  # 8 distinct tables make 8 chunks
     run_sweep(max_n=3, sample=8, seed=1, threads=2)
     run_sweep(max_n=2, threads=huge)  # exhaustive sweeps never use the pool
-    assert sizes == [3, 8, 2]
-    assert initializers == [sweep._pin_blas] * 3
+    assert pools == [(3, sweep._pin_blas), (8, sweep._pin_blas), (2, sweep._pin_blas)]
     assert clamped.report_hash == run_sweep(max_n=3, sample=8, seed=1).report_hash
+
+
+def test_csv_rows_are_measured_on_the_pool(monkeypatch, pools):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 4)
+    pooled = list(iter_csv_rows(5, sample=10, seed=3, threads=2))
+    assert pooled == list(iter_csv_rows(5, sample=10, seed=3, threads=1))
+    list(iter_csv_rows(2, threads=2))  # exhaustive sweeps never use the pool
+    assert pools == [(2, sweep._pin_blas)]
 
 
 def test_repeated_samples_are_measured_once_and_counted_per_draw(monkeypatch):
