@@ -73,17 +73,6 @@ def orbit_min(keys: int | np.ndarray, maps: Iterable[Sequence[int]]) -> int | np
     return best
 
 
-def restrict_axis(t: int, n: int, axis: int, value: int) -> int:
-    """Fix input bit `axis` to `value`; result is a table on n-1 variables.
-
-    Surviving variables keep their relative order and are renumbered to
-    close the gap.
-    """
-    bits = to_bit_array(t, n)
-    kept = bits.reshape(-1, 2, 1 << axis)[:, value, :].reshape(-1)
-    return from_bit_array(kept)
-
-
 def to_bit_array(t: int, n: int) -> np.ndarray:
     """Unpack a table int into a uint8 array of length 2^n."""
     size = 1 << n

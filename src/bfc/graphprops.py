@@ -11,14 +11,14 @@ edge mask over all n! relabelings (``bits.orbit_min`` over
 ``bits.relabel_maps``), enumerates every nontrivial monotone property
 as an upward-closed set of isomorphism classes, and computes the
 measure chain (parity degree, degree, spectral sensitivity, decision
-depth) that underlies query lower bounds for such properties.
+depth) that underlies query lower bounds for such properties, judged
+by the sweep's own check rows.
 Invariance is checked on two generators of the relabelings, the
 transposition (0 1) and the n-cycle, not on all n! of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,11 +26,11 @@ import numpy as np
 
 from . import bits
 from .report import cap_reason, measure
+from .sweep import check_holds
 from .tables import TruthTable, format_table
 
 ENUMERATION_MAX_VERTICES = 5
 TABLE_MAX_VERTICES = 6
-CHAIN_SLACK = 1e-6
 CHAIN_MEASURES = ("deg2", "deg", "lambda", "D")
 
 CSV_HEADER = "n_vertices,property,deg2,deg,lambda,depth,chain_ok"
@@ -132,66 +132,46 @@ class GraphProperty:
         return self.name or format_table(self.table)
 
 
-def _class_poset(n_vertices: int) -> tuple[list[int], list[list[int]], np.ndarray]:
-    """Classes in topological order, cover-predecessor lists, class map."""
-    cls = _class_array(n_vertices)
-    classes = sorted({int(c) for c in cls}, key=lambda c: (c.bit_count(), c))
-    idx = {c: i for i, c in enumerate(classes)}
-    m = edge_arity(n_vertices)
-    preds: list[list[int]] = [[] for _ in classes]
-    for c in classes:
-        for j in range(m):
-            if not (c >> j) & 1:
-                d = int(cls[c | (1 << j)])
-                if d != c and idx[c] not in preds[idx[d]]:
-                    preds[idx[d]].append(idx[c])
-    return classes, preds, cls
+def _class_poset(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge mask, the index of its isomorphism class, classes taken in
+    topological order (by edge count, then by least member); and per
+    class, a boolean row marking the classes one edge below it."""
+    classes, inverse = np.unique(_class_array(n_vertices), return_inverse=True)
+    order = np.lexsort((classes, bits.popcount_array(classes)))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    topo, reps = position[inverse], classes[order]
+    below = np.zeros((len(reps), len(reps)), dtype=bool)
+    for j in range(edge_arity(n_vertices)):
+        lower = np.flatnonzero((reps >> j) & 1 == 0)
+        below[topo[reps[lower] | (1 << j)], lower] = True
+    return topo, below
 
 
 def enumerate_monotone_properties(n_vertices: int) -> list[GraphProperty]:
     """Every nontrivial monotone graph property on ``n_vertices`` vertices.
 
-    Walks the isomorphism-class poset in ascending edge-count order,
-    branching on membership wherever no already-included class forces
-    inclusion; each accepted up-set is materialized as a truth table.
-    Trivial all-0 and all-1 properties are excluded.
+    Extends a list of up-sets of the isomorphism-class poset one class at
+    a time, in topological order: a class with a class one edge below it
+    in the up-set is forced in; any other class is first left out, then
+    put in.  Every up-set but the empty one (all-0) and the full one
+    (all-1, the one holding the empty graph) becomes a truth table.
     """
     if not 2 <= n_vertices <= ENUMERATION_MAX_VERTICES:
-        raise ValueError(
-            f"enumeration supports 2 <= n_vertices <= {ENUMERATION_MAX_VERTICES}"
-        )
-    classes, preds, cls = _class_poset(n_vertices)
-    k = len(classes)
-    idx = {c: i for i, c in enumerate(classes)}
-    topo_index = np.array([idx[int(c)] for c in cls])  # per mask: class position
-
-    member = np.zeros(k, dtype=bool)
-    out: list[GraphProperty] = []
-
-    def emit() -> None:
-        if not member.any() or member[0]:
-            return  # all-0, or contains the empty graph hence all-1
-        table_bits = member[topo_index].astype(np.uint8)
-        table = TruthTable(edge_arity(n_vertices), bits.from_bit_array(table_bits))
-        out.append(GraphProperty(n_vertices, table))
-
-    def walk(i: int) -> None:
-        if i == k:
-            emit()
-            return
-        if any(member[p] for p in preds[i]):
-            member[i] = True
-            walk(i + 1)
-            member[i] = False
-        else:
-            member[i] = False
-            walk(i + 1)
-            member[i] = True
-            walk(i + 1)
-            member[i] = False
-
-    walk(0)
-    return out
+        raise ValueError(f"enumeration supports 2 <= n_vertices <= {ENUMERATION_MAX_VERTICES}")
+    topo, below = _class_poset(n_vertices)
+    upsets = np.zeros((1, len(below)), dtype=bool)
+    for i, under in enumerate(below):
+        free = ~(upsets & under).any(axis=1)
+        copies = 1 + free
+        upsets = np.repeat(upsets, copies, axis=0)
+        upsets[:, i] = True
+        upsets[(np.cumsum(copies) - copies)[free], i] = False
+    upsets = upsets[upsets.any(axis=1) & ~upsets[:, 0]]
+    return [
+        GraphProperty(n_vertices, TruthTable(edge_arity(n_vertices), bits.from_bit_array(row)))
+        for row in upsets[:, topo]
+    ]
 
 
 def _edge_masks(sets: np.ndarray, n_vertices: int, crossing: bool) -> np.ndarray:
@@ -277,10 +257,11 @@ class PropertyChainReport:
 
 
 def property_chain_report(p: GraphProperty) -> PropertyChainReport:
-    """deg2 <= deg and sqrt(deg) <= lambda for a monotone graph property.
+    """deg2 <= deg and deg <= lambda^2 for a monotone graph property.
 
-    ``lambda >= sqrt(deg)`` (Huang) is checked with a 1e-6 slack;
-    ``deg2 <= deg`` is an exact integer comparison.  D is reported but
+    Both are the sweep's check rows, decided by its pass rule at
+    ``sweep.DEFAULT_TOLERANCE``: ``deg2<=deg`` exactly, and Huang's
+    ``deg<=lambda^2`` within 1e-6 on ``lambda^2``.  D is reported but
     not compared with ``lambda^2``: that inequality fails in general
     (PARITY has ``lambda^2 = n^2 > D = n``).  Above the decision-depth
     cap (arity 10, i.e. 5 vertices) it raises ValueError before
@@ -290,15 +271,14 @@ def property_chain_report(p: GraphProperty) -> PropertyChainReport:
     reason = cap_reason("D", f.arity)
     if reason is not None:
         raise ValueError(f"D of property {p.property_id}: {reason}")
-    m, _, _ = measure(f, CHAIN_MEASURES)
-    d2, dg, lam, depth = (m[name]["value"] for name in CHAIN_MEASURES)
-    chain_ok = lam >= math.sqrt(dg) - CHAIN_SLACK and dg >= d2
+    entries, _, _ = measure(f, CHAIN_MEASURES)
+    m = {name: entry["value"] for name, entry in entries.items()}
     return PropertyChainReport(
         n_vertices=p.n_vertices,
         property_id=p.property_id,
-        deg2=d2,
-        deg=dg,
-        spectral=lam,
-        depth=depth,
-        chain_ok=chain_ok,
+        deg2=m["deg2"],
+        deg=m["deg"],
+        spectral=m["lambda"],
+        depth=m["D"],
+        chain_ok=check_holds("deg2<=deg", m) and check_holds("deg<=lambda^2", m),
     )

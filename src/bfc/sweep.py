@@ -24,7 +24,9 @@ holds nothing else.
 
 One function, ``_measure_all``, measures each distinct table once, in
 process or on a fork pool; the JSON sweep folds its measurements once,
-in this process, and the CSV sweep writes its rows from them.
+in this process, and the CSV sweep writes its rows from them.  Each
+check and ratio is written once, as one row of ``CHECKS`` or ``RATIOS``;
+both sweeps and ``graphprops.property_chain_report`` read those rows.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,26 +53,35 @@ SAMPLED_MAX_N = 8
 DEFAULT_TOLERANCE = 1e-6
 SWEEP_MEASURES = ("s", "s0", "s1", "avg_s", "bs", "C", "D", "deg", "deg2", "lambda")
 
-CHECK_NAMES = (
-    "deg<=lambda^2",
-    "s<=lambda^2",
-    "lambda<=s",
-    "lambda<=sqrt(s0*s1)",
-    "avg_s<=lambda",
-    "deg<=s0*s1",
-    "deg2<=deg",
-    "s<=bs",
-    "bs<=C",
-    "C<=bs*s",
-    "D<=bs*C",
-    "D<=bs*deg",
-    "deg<=D",
+# Each check lhs <= rhs (margin rhs - lhs) and each reported ratio
+# num / den (skipped where den is 0) is one row: its name, both sides as
+# functions of a measure dict, and whether a side is a float (a float
+# row passes within the tolerance and ranks on the grid).
+CHECKS = (
+    ("deg<=lambda^2", itemgetter("deg"), lambda m: m["lambda"] * m["lambda"], True),
+    ("s<=lambda^2", itemgetter("s"), lambda m: m["lambda"] * m["lambda"], True),
+    ("lambda<=s", itemgetter("lambda"), itemgetter("s"), True),
+    ("lambda<=sqrt(s0*s1)", itemgetter("lambda"), lambda m: math.sqrt(m["s0"] * m["s1"]), True),
+    ("avg_s<=lambda", itemgetter("avg_s"), itemgetter("lambda"), True),
+    ("deg<=s0*s1", itemgetter("deg"), lambda m: m["s0"] * m["s1"], False),
+    ("deg2<=deg", itemgetter("deg2"), itemgetter("deg"), False),
+    ("s<=bs", itemgetter("s"), itemgetter("bs"), False),
+    ("bs<=C", itemgetter("bs"), itemgetter("C"), False),
+    ("C<=bs*s", itemgetter("C"), lambda m: m["bs"] * m["s"], False),
+    ("D<=bs*C", itemgetter("D"), lambda m: m["bs"] * m["C"], False),
+    ("D<=bs*deg", itemgetter("D"), lambda m: m["bs"] * m["deg"], False),
+    ("deg<=D", itemgetter("deg"), itemgetter("D"), False),
 )
-FLOAT_CHECKS = frozenset(
-    ("deg<=lambda^2", "s<=lambda^2", "lambda<=s", "lambda<=sqrt(s0*s1)", "avg_s<=lambda")
+RATIOS = (
+    ("lambda/deg", itemgetter("lambda"), itemgetter("deg"), True),
+    ("D/bs^2", itemgetter("D"), lambda m: m["bs"] ** 2, False),
+    ("D/lambda^4", itemgetter("D"), lambda m: m["lambda"] ** 4, True),
+    ("lambda/adeg", itemgetter("lambda"), lambda m: m.get("adeg", 0), True),
 )
-RATIO_NAMES = ("lambda/deg", "D/bs^2", "D/lambda^4", "lambda/adeg")
-FLOAT_RATIOS = frozenset(("lambda/deg", "D/lambda^4", "lambda/adeg"))
+CHECK_NAMES = tuple(name for name, *_ in CHECKS)
+FLOAT_CHECKS = frozenset(name for name, *_, is_float in CHECKS if is_float)
+RATIO_NAMES = tuple(name for name, *_ in RATIOS)
+FLOAT_RATIOS = frozenset(name for name, *_, is_float in RATIOS if is_float)
 
 
 def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> tuple[dict, dict]:
@@ -79,48 +91,31 @@ def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> tupl
     return {name: entry["value"] for name, entry in entries.items()}, methods
 
 
-def _check_margins(m: dict) -> list[tuple[str, float, float, float]]:
-    """(name, margin, lhs, rhs) per inequality; margin >= 0 means satisfied."""
-    lam = m["lambda"]
-    lam2 = lam * lam
-    s0s1 = m["s0"] * m["s1"]
-    root = math.sqrt(s0s1)
-    return [
-        ("deg<=lambda^2", lam2 - m["deg"], m["deg"], lam2),
-        ("s<=lambda^2", lam2 - m["s"], m["s"], lam2),
-        ("lambda<=s", m["s"] - lam, lam, m["s"]),
-        ("lambda<=sqrt(s0*s1)", root - lam, lam, root),
-        ("avg_s<=lambda", lam - m["avg_s"], m["avg_s"], lam),
-        ("deg<=s0*s1", s0s1 - m["deg"], m["deg"], s0s1),
-        ("deg2<=deg", m["deg"] - m["deg2"], m["deg2"], m["deg"]),
-        ("s<=bs", m["bs"] - m["s"], m["s"], m["bs"]),
-        ("bs<=C", m["C"] - m["bs"], m["bs"], m["C"]),
-        ("C<=bs*s", m["bs"] * m["s"] - m["C"], m["C"], m["bs"] * m["s"]),
-        ("D<=bs*C", m["bs"] * m["C"] - m["D"], m["D"], m["bs"] * m["C"]),
-        ("D<=bs*deg", m["bs"] * m["deg"] - m["D"], m["D"], m["bs"] * m["deg"]),
-        ("deg<=D", m["D"] - m["deg"], m["deg"], m["D"]),
-    ]
+def _sides(rows: tuple, m: dict) -> Iterable[tuple[str, float, float]]:
+    """(name, left side, right side) of each check or ratio row on ``m``."""
+    return ((name, left(m), right(m)) for name, left, right, _ in rows)
+
+
+def _check_margins(m: dict, rows: tuple = CHECKS) -> list[tuple[str, float, float, float]]:
+    """(name, margin, lhs, rhs) per check row; margin >= 0 means satisfied."""
+    return [(name, rhs - lhs, lhs, rhs) for name, lhs, rhs in _sides(rows, m)]
 
 
 def _ratio_entries(m: dict) -> list[tuple[str, float, float, float]]:
-    """(name, ratio, numerator, denominator); constants contribute
-    nothing, and ``lambda/adeg`` comes only where ``m`` carries ``adeg``."""
-    out = []
-    if m["deg"] > 0:
-        out.append(("lambda/deg", m["lambda"] / m["deg"], m["lambda"], float(m["deg"])))
-    if m["bs"] > 0:
-        bs2 = m["bs"] ** 2
-        out.append(("D/bs^2", m["D"] / bs2, float(m["D"]), float(bs2)))
-    if m["lambda"] > 0:
-        lam4 = m["lambda"] ** 4
-        out.append(("D/lambda^4", m["D"] / lam4, float(m["D"]), lam4))
-    if m.get("adeg"):
-        out.append(("lambda/adeg", m["lambda"] / m["adeg"], m["lambda"], float(m["adeg"])))
-    return out
+    """(name, ratio, numerator, denominator) per row with a nonzero denominator."""
+    return [
+        (name, num / den, float(num), float(den)) for name, num, den in _sides(RATIOS, m) if den
+    ]
 
 
 def _passes(name: str, margin: float, tolerance: float) -> bool:
     return margin >= (-tolerance if name in FLOAT_CHECKS else 0)
+
+
+def check_holds(name: str, m: dict) -> bool:
+    """Whether ``m`` passes the check row ``name`` by ``_passes`` at ``DEFAULT_TOLERANCE``."""
+    [(_, margin, _, _)] = _check_margins(m, tuple(row for row in CHECKS if row[0] == name))
+    return _passes(name, margin, DEFAULT_TOLERANCE)
 
 
 def _fold(totals: dict, table: int, m: dict, tolerance: float, weight: int = 1) -> None:
@@ -139,10 +134,9 @@ def _fold(totals: dict, table: int, m: dict, tolerance: float, weight: int = 1) 
         if slot[2] is None or key < slot[2]:
             slot[2] = key
     for name, ratio, num, den in _ratio_entries(m):
-        cur = totals["ratios"][name]
         rank = on_grid(ratio) if name in FLOAT_RATIOS else ratio
         key = (-rank, table, ratio, num, den)
-        if cur is None or key < cur:
+        if totals["ratios"][name] is None or key < totals["ratios"][name]:
             totals["ratios"][name] = key
 
 
@@ -207,21 +201,25 @@ class SweepResult:
     checks: list[dict]
     ratios: list[dict]
     violation_count: int
-    report_hash: str
     elapsed_seconds: float
     diagnostics: dict
 
+    @property
+    def report_hash(self) -> str:
+        return self.to_dict()["report_hash"]
+
     def to_dict(self) -> dict:
-        return {
+        """The report body and its hash, which skips ``timing`` and ``diagnostics``."""
+        body = {
             "universe": self.universe,
             "tolerance": self.tolerance,
             "checks": self.checks,
             "ratios": self.ratios,
             "violation_count": self.violation_count,
-            "report_hash": self.report_hash,
             "diagnostics": self.diagnostics,
             "timing": {"elapsed_seconds": self.elapsed_seconds},
         }
+        return {**body, "report_hash": report_hash(body)}
 
 
 def _usable_cpus() -> int:
@@ -357,59 +355,42 @@ def run_sweep(
         for key, count in zip(("solves", "exact", "pivots"), lp):
             acc["adeg_lp"][key] += count
 
-    checks = []
-    for name in CHECK_NAMES:
-        passes, failures, worst = acc["checks"][name]
-        *_, table, margin, lhs, rhs = worst
-        checks.append(
-            {
-                "name": name,
-                "passes": passes,
-                "failures": failures,
-                "min_margin": margin,
-                "witness": format_table(TruthTable(max_n, table)),
-                "witness_lhs": lhs,
-                "witness_rhs": rhs,
-            }
-        )
-    ratios = []
-    for name in RATIO_NAMES:
-        key = acc["ratios"][name]
-        if key is None:
-            continue
-        _, table, ratio, num, den = key
-        entry = {
+    checks = [
+        {
+            "name": name,
+            "passes": passes,
+            "failures": failures,
+            "min_margin": margin,
+            "witness": format_table(TruthTable(max_n, table)),
+            "witness_lhs": lhs,
+            "witness_rhs": rhs,
+        }
+        for name, (passes, failures, (*_, table, margin, lhs, rhs)) in acc["checks"].items()
+    ]
+    found = {name: key for name, key in acc["ratios"].items() if key is not None}
+    extra = {"class_count": len(reps), "note": "evaluated on equivalence-class representatives"}
+    ratios = [
+        {
             "name": name,
             "max_ratio": ratio,
             "witness": format_table(TruthTable(max_n, table)),
             "numerator": num,
             "denominator": den,
+            **(extra if name == "lambda/adeg" else {}),
         }
-        if name == "lambda/adeg":
-            entry["class_count"] = len(reps)
-            entry["note"] = "evaluated on equivalence-class representatives"
-        ratios.append(entry)
+        for name, (_, table, ratio, num, den) in found.items()
+    ]
 
-    violation_count = sum(c["failures"] for c in checks)
-    body = {
-        "universe": universe,
-        "tolerance": tolerance,
-        "checks": checks,
-        "ratios": ratios,
-        "violation_count": violation_count,
-    }
-    method = "npn-quotient" if sample is None else "per-table"
     return SweepResult(
         universe=universe,
         tolerance=tolerance,
         checks=checks,
         ratios=ratios,
-        violation_count=violation_count,
-        report_hash=report_hash(body),
+        violation_count=sum(c["failures"] for c in checks),
         elapsed_seconds=time.perf_counter() - started,
         diagnostics={
             "evaluated_functions": len(reps),
-            "method": method,
+            "method": "npn-quotient" if sample is None else "per-table",
             "measure_methods": acc["methods"],
             "adeg_lp": acc["adeg_lp"],
         },

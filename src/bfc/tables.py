@@ -133,16 +133,16 @@ def evaluate(f: TruthTable, x: int) -> int:
 
 
 def restrict(f: TruthTable, restriction: Restriction) -> TruthTable:
-    """Fix the restricted variables; surviving variables are renumbered."""
+    """Fix the restricted variables; survivors keep their order, renumbered."""
     fixed = restriction.as_dict()
-    for var in fixed:
-        if var > f.arity:
-            raise ValueError(f"restriction names variable {var} beyond arity {f.arity}")
-    t, n = f.table, f.arity
-    for var in sorted(fixed, reverse=True):
-        t = bits.restrict_axis(t, n, var - 1, fixed[var])
-        n -= 1
-    return TruthTable(n, t)
+    n = f.arity
+    index = [slice(None)] * n
+    for var, val in fixed.items():
+        if var > n:
+            raise ValueError(f"restriction names variable {var} beyond arity {n}")
+        index[n - var] = val  # in the (2,) * n view, axis 0 is variable n
+    kept = f.to_bit_array().reshape((2,) * n)[tuple(index)]
+    return TruthTable(n - len(fixed), bits.from_bit_array(kept.reshape(-1)))
 
 
 def compose(f: TruthTable, g: TruthTable) -> TruthTable:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bfc import bits
+from bfc import bits, graphprops
 from bfc.combinatorial import deterministic_query_complexity
 from bfc.graphprops import (
     _class_array,
@@ -300,6 +300,41 @@ def test_chain_report_above_depth_cap_raises():
     p = named_property("has-edge", 6)  # arity 15
     with pytest.raises(ValueError, match="above cap 10"):
         property_chain_report(p)
+
+
+@pytest.mark.parametrize("gap, ok", [(2e-6, False), (5e-7, True)])
+def test_chain_reads_the_sweeps_huang_row_on_lambda_squared(monkeypatch, gap, ok):
+    # deg = 4 and lambda^2 = 4 - gap: the sweep's deg<=lambda^2 row allows
+    # 1e-6 on lambda^2, so 2e-6 fails although lambda is within 1e-6 of 2
+    values = {"deg2": 4, "deg": 4, "lambda": math.sqrt(4 - gap), "D": 4}
+    entries = {name: {"value": value} for name, value in values.items()}
+    monkeypatch.setattr(graphprops, "measure", lambda *args, **kwargs: (entries, {}, {}))
+    assert property_chain_report(named_property("has-edge", 3)).chain_ok is ok
+
+
+class _NoIteration(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("the per-mask class array was walked in Python")
+
+
+def test_enumeration_never_walks_the_class_array_in_python(monkeypatch):
+    class_array = graphprops._class_array
+    monkeypatch.setattr(
+        graphprops, "_class_array", lambda n: class_array(n).view(_NoIteration)
+    )
+    assert len(enumerate_monotone_properties(5)) == 860
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_enumeration_order_leaves_each_class_out_before_putting_it_in(n):
+    # classes by edge count, then least member; the up-sets come in the
+    # order of their membership vectors, a class left out before it is in
+    classes = sorted(set(_class_array(n).tolist()), key=lambda c: (c.bit_count(), c))
+    vectors = [
+        tuple(p.table.value(c) for c in classes) for p in enumerate_monotone_properties(n)
+    ]
+    assert vectors == sorted(vectors)
+    assert len(set(vectors)) == len(vectors)
 
 
 def test_enumeration_rejects_large_n():

@@ -7,8 +7,10 @@ sits on the one spectral path, every Perron pair is solved behind one
 ``Spectrum``, every neighbour position comes from
 ``SensitivityGraph.neighbours``, one parity block per component makes
 the one dense-or-gather choice, every LP starts from one least-squares
-fit, every sweep table is measured on one path, and no table is built by
-a Python loop over all 2^m inputs.
+fit, every sweep table is measured on one path, each inequality is
+written once, as one row of the sweep's check table that the graph
+property chain reads too, and no table is built by a Python loop over
+all 2^m inputs.
 """
 
 import ast
@@ -101,6 +103,24 @@ def test_sweep_tables_are_measured_on_one_path():
     ]
     assert called.count("_values") == 1
     assert called.count("ProcessPoolExecutor") == 1
+
+
+def test_each_inequality_is_written_once():
+    # a check's name sits in its one row of ``sweep.CHECKS`` beside its
+    # formula; graphprops reads the rows and keeps no Huang comparison or
+    # slack of its own
+    from bfc.sweep import CHECK_NAMES
+
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    literals = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert {name: literals.count(name) for name in CHECK_NAMES} == dict.fromkeys(CHECK_NAMES, 1)
+    text = (SRC / "graphprops.py").read_text()
+    assert "sqrt(" not in text
+    assert "_SLACK" not in text
 
 
 def test_lp_starts_from_one_lstsq_and_leaves_re_checks_to_callers():
