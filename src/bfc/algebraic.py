@@ -23,7 +23,6 @@ import numpy as np
 from . import bits, lp
 from .tables import TruthTable
 
-DEGREE_MAX_ARITY = 20
 APPROX_DEGREE_MAX_ARITY = 8
 # exact: a float 1/3 is a little below it, and moves the ties whose
 # best error is exactly 1/3
@@ -44,8 +43,6 @@ class MultilinearExpansion:
 
 def mobius_coefficients(f: TruthTable) -> np.ndarray:
     """All 2^n multilinear coefficients as exact int64 values."""
-    if f.arity > DEGREE_MAX_ARITY:
-        raise ValueError(f"degree supports arity <= {DEGREE_MAX_ARITY}")
     a = f.to_bit_array().astype(np.int64)
     for i in range(f.arity):
         a = a.reshape(-1, 2, 1 << i)

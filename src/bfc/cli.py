@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import graphprops, report, sweep
-from .spectral import full_degree_witness, restrict_to_top_monomial, vector_to_csv
+from .spectral import WITNESS_SLACK, full_degree_witness, restrict_to_top_monomial, vector_to_csv
 from .tables import FAMILY_NAMES, TruthTable, format_table, named_family, parse_table
 
 _JSON_ARGS = {"indent": 2, "sort_keys": True}
@@ -177,7 +178,7 @@ def _cmd_witness(args) -> int:
         print(vector_to_csv(w.vector), end="")
     else:
         print(f"restricted to {format_table(g)} (arity {g.arity})")
-        print(f"certified ratio {w.ratio!r} >= sqrt({g.arity})")
+        print(f"certified ratio {w.ratio!r} >= sqrt({g.arity}) - {WITNESS_SLACK}")
         print(f"support split {w.majority_size}/{w.minority_size}")
         print(vector_to_csv(w.vector), end="")
     return 0
@@ -255,9 +256,19 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError, RuntimeError, OverflowError) as exc:
         print(f"bfc: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left (``bfc ... | head``), mid-command or at the flush
+        # above; stdout goes to devnull so that the exit flush cannot raise
+        # again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

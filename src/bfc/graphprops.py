@@ -271,7 +271,7 @@ def property_chain_report(p: GraphProperty) -> PropertyChainReport:
     reason = cap_reason("D", f.arity)
     if reason is not None:
         raise ValueError(f"D of property {p.property_id}: {reason}")
-    entries, _, _ = measure(f, CHAIN_MEASURES)
+    entries, _ = measure(f, CHAIN_MEASURES)
     m = {name: entry["value"] for name, entry in entries.items()}
     return PropertyChainReport(
         n_vertices=p.n_vertices,

@@ -9,7 +9,6 @@ makes reruns comparable at a glance.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -30,7 +29,7 @@ from .combinatorial import (
     deterministic_query_complexity,
     sensitivity,
 )
-from .spectral import perron_solve_log, spectral_sensitivity
+from .spectral import spectral_sensitivity
 from .tables import TruthTable, format_table
 
 SPECTRAL_TAG = "tolerance(1e-09)"
@@ -171,12 +170,9 @@ def _engine_entries(f: TruthTable, key: str, run, methods: dict) -> dict[str, di
     return {key: _exact(run(key))}
 
 
-def measure(
-    f: TruthTable, names
-) -> tuple[dict[str, dict], dict[str, float], dict[str, str]]:
-    """The measures ``names`` of one function, in that order, the
-    seconds each engine call took, and how ``bs``, ``C`` and ``D`` were
-    obtained (a ``METHODS`` entry per measured name).
+def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict]:
+    """The measures ``names`` of one function, in that order, and one
+    diagnostics record of how they were obtained.
 
     Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
     reason}`` above the measure's ``MEASURE_CAPS`` arity.  The name
@@ -188,25 +184,47 @@ def measure(
     deg = n, since ``s <= bs <= C <= n`` and ``deg <= D <= n``; only
     where the bounds differ does the exhaustive engine run.  An engine
     error is re-raised with the measure and table prefixed to its text.
+
+    The record holds ``timing`` (seconds per engine call), ``methods``
+    (a ``METHODS`` entry per sandwiched name), ``adeg_lp`` (``adeg``'s
+    decided degrees, exact ones, and pivots by degree) and ``lambda_solves``
+    (``Spectrum.solves`` of the memo's ``Spectrum``, if one was built); no
+    engine runs only to fill it.  An ``lp_solve_log`` opened here takes
+    ``adeg``'s degrees, so one that a caller opens sees none of them.
     """
     got: dict[str, dict] = {}
     timing: dict[str, float] = {}
     methods: dict[str, str] = {}
-    run = functools.cache(lambda engine: _ENGINES[engine](f))
-    for name in names:
-        reason = cap_reason(name, f.arity)
-        if reason is not None:
-            got[name] = {"skipped": reason}
-        elif name not in got:
-            key = "sensitivity" if name in _SENSITIVITY_GROUP else name
-            t0 = time.perf_counter()
-            try:
-                got.update(_engine_entries(f, key, run, methods))
-            except _ENGINE_ERRORS as exc:
-                exc.args = (f"{name} of {format_table(f)}: {exc}",)
-                raise
-            timing[key] = time.perf_counter() - t0
-    return {name: got[name] for name in names}, timing, methods
+    memo: dict[str, object] = {}  # a plain dict, so that it says whether lambda ran
+
+    def run(engine: str):
+        return memo[engine] if engine in memo else memo.setdefault(engine, _ENGINES[engine](f))
+
+    with lp_solve_log() as solves:
+        for name in names:
+            reason = cap_reason(name, f.arity)
+            if reason is not None:
+                got[name] = {"skipped": reason}
+            elif name not in got:
+                key = "sensitivity" if name in _SENSITIVITY_GROUP else name
+                t0 = time.perf_counter()
+                try:
+                    got.update(_engine_entries(f, key, run, methods))
+                except _ENGINE_ERRORS as exc:
+                    exc.args = (f"{name} of {format_table(f)}: {exc}",)
+                    raise
+                timing[key] = time.perf_counter() - t0
+    solved = memo["lambda"].solves if "lambda" in memo else []
+    return {name: got[name] for name in names}, {
+        "timing": timing,
+        "methods": methods,
+        "adeg_lp": {
+            "solves": len(solves),
+            "exact": solves.exact,
+            "pivots": {str(d): p for d, p in solves},
+        },
+        "lambda_solves": [dict(zip(("vertices", "side", "method", "steps"), s)) for s in solved],
+    }
 
 
 def measure_report(
@@ -220,16 +238,11 @@ def measure_report(
     ``{"skipped": reason}`` instead of failing the whole report.
     Certificates (optional) cover the adversary forms, are built from
     the ``Spectrum`` behind ``lambda`` and carry their own verifier
-    verdicts.  The volatile ``diagnostics`` block names how ``bs``, ``C``
-    and ``D`` were obtained (``measure``'s methods), gives the degrees
-    that ``adeg`` decided (how many, how many of them in exact integers,
-    and the simplex pivots each took, by degree; 0 for an integer one)
-    and each component solve behind ``lambda`` and the certificates
-    (its vertices, smaller parity side, method and Lanczos steps).
+    verdicts.  The volatile ``timing`` and ``diagnostics`` blocks are
+    ``measure``'s record: its timing, and the rest as it stands.
     """
     names = MEASURE_NAMES + ("certificates",) if include_certificates else MEASURE_NAMES
-    with lp_solve_log() as solves, perron_solve_log() as perrons:
-        measures, timing, methods = measure(f, names)
+    measures, record = measure(f, names)
     certificates = measures.pop("certificates", None)
     body = {
         "function": {
@@ -241,18 +254,8 @@ def measure_report(
     }
     if include_certificates:
         body["certificates"] = certificates
-    body["timing"] = timing
-    body["diagnostics"] = {
-        "methods": methods,
-        "adeg_lp": {
-            "solves": len(solves),
-            "exact": solves.exact,
-            "pivots": {str(d): p for d, p in solves},
-        },
-        "lambda_solves": [
-            {"vertices": v, "side": side, "method": m, "steps": k} for v, side, m, k in perrons
-        ],
-    }
+    body["timing"] = record.pop("timing")
+    body["diagnostics"] = record
     return body
 
 

@@ -24,8 +24,6 @@ form, with no eigendecomposition.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,11 +43,6 @@ WITNESS_SLACK = 1e-9
 GATHER_CHUNK = 1 << 14  # columns per block of a neighbour index build or gather
 CW_STEPS = 8  # power steps of a component's Collatz–Wielandt bound
 BOUND_MARGIN = 1e-9  # a bound must fall this far below lambda^2 to skip a component
-# (vertices, side, method, steps) of each component that _perron solves,
-# appended while a ``perron_solve_log`` block is open in this context
-_PERRON_LOG: contextvars.ContextVar[list | None] = contextvars.ContextVar(
-    "perron_log", default=None
-)
 
 
 class SpectralConvergenceError(RuntimeError):
@@ -73,12 +66,15 @@ class SpectralConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Norm, a nonnegative unit top eigenvector (domain-indexed), and the
-    verified residual ||A v - value * v||."""
+    """Norm, a nonnegative unit top eigenvector (domain-indexed), the
+    verified residual ||A v - value * v||, and how it was solved: the
+    size of the smaller parity side and the Lanczos steps (0 when dense)."""
 
     value: float
     vector: np.ndarray
     residual: float
+    side: int
+    steps: int
 
 
 def _domain_parts(f: TruthTable | PartialTruthTable) -> tuple[int, int, int]:
@@ -247,21 +243,26 @@ class _Block:
         return av
 
 
-def _collatz_wielandt(block: _Block) -> Iterator[float]:
+def _collatz_wielandt(block: _Block, floor: float) -> Iterator[float]:
     """Yield upper bounds on the square of the norm of ``block``'s
-    component, one per power step and at most CW_STEPS of them.
+    component, one per power step and at most CW_STEPS of them, until
+    none can fall below ``floor``.
 
     The square is the top eigenvalue of the Gram matrix G = B B^T that
     ``_perron`` solves.  G is nonnegative, so for every positive u it is
     at most max_x (G u)_x / u_x (Collatz–Wielandt).  Step k takes
     u = G^k 1 through ``block.gram``, which G's positive diagonal (the
     degrees) keeps positive; and G u <= c u gives G (G u) <= c G u, so
-    no bound exceeds the one before.
+    no bound exceeds the one before.  The Rayleigh quotient u.G u / u.u
+    is at most the square, so once it reaches ``floor`` so does every
+    later bound, and the steps stop.
     """
     u = np.ones(block.s.size)
     for _ in range(CW_STEPS):
         w = block.gram(u)
         yield float((w / u).max())
+        if u.dot(w) >= floor * u.dot(u):
+            return
         u = w
 
 
@@ -276,20 +277,17 @@ def _perron(block: _Block) -> SpectralResult:
     ||A v - value v|| is recomputed from it.
     """
     if block.b is None:
-        (square, u, steps), method = _lanczos(block.gram, block.s.size), "lanczos"
+        square, u, steps = _lanczos(block.gram, block.s.size)
     else:
         w, vecs = np.linalg.eigh(block.b @ block.b.T)
-        square, u, steps, method = float(w[-1]), vecs[:, -1], 0, "dense"
-    log = _PERRON_LOG.get()
-    if log is not None:
-        log.append((block.comp.size, block.s.size, method, steps))
+        square, u, steps = float(w[-1]), vecs[:, -1], 0
     value = math.sqrt(square)
     u = np.abs(u)
     v = np.empty(block.comp.size)
     v[block.small], v[~block.small] = u, block.down(u) / value
     v /= math.sqrt(v.dot(v))  # np.linalg.norm's own sum, without its wrapper
     r = block.apply(v) - value * v
-    return SpectralResult(value, v, math.sqrt(r.dot(r)))
+    return SpectralResult(value, v, math.sqrt(r.dot(r)), block.s.size, steps)
 
 
 def _gather(nb: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -336,20 +334,6 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray, int]:
     raise SpectralConvergenceError(value, ritz)
 
 
-@contextlib.contextmanager
-def perron_solve_log():
-    """Yield a list that collects ``(vertices, side, method, steps)`` for
-    every component that ``_perron`` solves inside the block, in solve
-    order: its vertex count, the size of its smaller parity side, and
-    ``"dense"`` with 0 steps or ``"lanczos"`` with the steps of ``_lanczos``."""
-    log: list[tuple[int, int, str, int]] = []
-    token = _PERRON_LOG.set(log)
-    try:
-        yield log
-    finally:
-        _PERRON_LOG.reset(token)
-
-
 class Spectrum:
     """lambda(f) = ||A_{G_f}|| with a certifying eigenvector, read off one
     G_f (``graph``) and its ``components``; ``perron(k)`` solves
@@ -390,7 +374,7 @@ class Spectrum:
             if top is not None and k > top and graph.degrees[comp].max() <= self.value:
                 continue
             block = _Block(graph, comp)
-            if top is None or not any(bound < floor for bound in _collatz_wielandt(block)):
+            if top is None or not any(bound < floor for bound in _collatz_wielandt(block, floor)):
                 res = self._solved[k] = _perron(block)
                 if top is None or (res.value, -k) > (self.value, -top):
                     self.value, self.residual, top = res.value, res.residual, k
@@ -407,6 +391,14 @@ class Spectrum:
         if k not in self._solved:
             self._solved[k] = _perron(_Block(self.graph, self.components[k]))
         return self._solved[k]
+
+    @property
+    def solves(self) -> list[tuple[int, int, str, int]]:
+        """(vertices, side, "dense" or "lanczos", steps) per solved component, in solve order."""
+        return [
+            (r.vector.size, r.side, "lanczos" if r.steps else "dense", r.steps)
+            for r in self._solved.values()
+        ]
 
 
 def _components_and_bounds(graph: SensitivityGraph) -> tuple[list[np.ndarray], list[float]]:

@@ -44,7 +44,6 @@ from operator import itemgetter
 import numpy as np
 
 from . import bits
-from .algebraic import lp_solve_log
 from .report import METHODS, measure, on_grid, report_hash
 from .tables import TruthTable, format_table
 
@@ -86,9 +85,9 @@ FLOAT_RATIOS = frozenset(name for name, *_, is_float in RATIOS if is_float)
 
 def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> tuple[dict, dict]:
     """The measures ``names`` of one table, keyed by their report names,
-    and how ``bs``, ``C`` and ``D`` were obtained."""
-    entries, _, methods = measure(TruthTable(n, table), names)
-    return {name: entry["value"] for name, entry in entries.items()}, methods
+    and ``measure``'s diagnostics record."""
+    entries, record = measure(TruthTable(n, table), names)
+    return {name: entry["value"] for name, entry in entries.items()}, record
 
 
 def _sides(rows: tuple, m: dict) -> Iterable[tuple[str, float, float]]:
@@ -140,16 +139,10 @@ def _fold(totals: dict, table: int, m: dict, tolerance: float, weight: int = 1) 
             totals["ratios"][name] = key
 
 
-def _measure_chunk(args: tuple) -> list[tuple]:
-    """Per table of one chunk: its measures, how ``bs``, ``C`` and ``D``
-    were obtained, and its ``adeg`` LP solves, exact ones and pivots."""
+def _measure_chunk(args: tuple) -> list[tuple[dict, dict]]:
+    """``_values`` of each table of one chunk."""
     n, tables, names = args
-    out = []
-    for table in tables:
-        with lp_solve_log() as solves:
-            values, methods = _values(n, table, names)
-        out.append((values, methods, len(solves), solves.exact, sum(p for _, p in solves)))
-    return out
+    return [_values(n, table, names) for table in tables]
 
 
 def sample_tables(n: int, count: int, seed: int) -> list[int]:
@@ -303,7 +296,7 @@ def _universe(
 
 
 def _measure_all(universe: dict, tables: list, names: tuple, threads: int) -> Iterable[tuple]:
-    """``_measure_chunk``'s tuple for each of ``tables``, in order.
+    """``_values`` of each of ``tables``, in order.
 
     A sampled universe uses up to ``threads`` workers, never more than
     there are chunks or CPUs (a fork pool starts them all up front).  An
@@ -348,12 +341,14 @@ def run_sweep(
         "adeg_lp": {"solves": 0, "exact": 0, "pivots": 0},
     }
     measurements = _measure_all(universe, reps, names, threads)
-    for (values, methods, *lp), table, weight in zip(measurements, reps, counts.tolist()):
+    for (values, record), table, weight in zip(measurements, reps, counts.tolist()):
         _fold(acc, table, values, tolerance, weight)
-        for name, way in methods.items():
+        for name, way in record["methods"].items():
             acc["methods"][name][way] += 1
-        for key, count in zip(("solves", "exact", "pivots"), lp):
-            acc["adeg_lp"][key] += count
+        lp = record["adeg_lp"]
+        acc["adeg_lp"]["solves"] += lp["solves"]
+        acc["adeg_lp"]["exact"] += lp["exact"]
+        acc["adeg_lp"]["pivots"] += sum(lp["pivots"].values())
 
     checks = [
         {
@@ -426,7 +421,7 @@ def iter_csv_rows(
             f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
             for name, margin, lhs, rhs in _check_margins(values)
         ]
-        for values, *_ in _measure_all(universe, reps.tolist(), SWEEP_MEASURES, threads)
+        for values, _ in _measure_all(universe, reps.tolist(), SWEEP_MEASURES, threads)
     ]
     yield "n,table,check,lhs,rhs,margin,pass"
     for table, i in zip(tables, place.tolist()):

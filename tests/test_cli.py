@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,19 @@ def test_witness_text_format(capsys):
     assert "index,entry" in out
 
 
+@pytest.mark.parametrize("family, n", [("OR", 4), ("AND", 2)])
+def test_witness_text_prints_the_inequality_it_checked(capsys, family, n):
+    # the ratio may fall short of sqrt(n) by rounding; the line must state
+    # the bound the witness was checked against, and that bound must hold
+    rc, out, _ = run_cli(capsys, "witness", "--family", family, "--n", str(n), "--format", "text")
+    assert rc == 0
+    line = next(x for x in out.splitlines() if x.startswith("certified ratio"))
+    match = re.fullmatch(r"certified ratio (\S+) >= sqrt\((\d+)\)(?: - (\S+))?", line)
+    assert match, line
+    ratio, arity, slack = match.groups()
+    assert float(ratio) >= math.sqrt(int(arity)) - float(slack or 0), line
+
+
 def test_witness_constant_fails(capsys):
     rc, _, err = run_cli(capsys, "witness", "1:0")
     assert rc == 1
@@ -412,6 +426,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("measure,value,exactness")
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # ``bfc verify ... | head -1``: the CSV outgrows the pipe buffer, so the
+    # writer meets the closed pipe mid-stream and must exit 1 quietly
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bfc", "verify", "--max-n", "3", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline().startswith("n,table,check")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_report_hash_ignores_the_blas_thread_count():

@@ -308,7 +308,7 @@ def test_chain_reads_the_sweeps_huang_row_on_lambda_squared(monkeypatch, gap, ok
     # 1e-6 on lambda^2, so 2e-6 fails although lambda is within 1e-6 of 2
     values = {"deg2": 4, "deg": 4, "lambda": math.sqrt(4 - gap), "D": 4}
     entries = {name: {"value": value} for name, value in values.items()}
-    monkeypatch.setattr(graphprops, "measure", lambda *args, **kwargs: (entries, {}, {}))
+    monkeypatch.setattr(graphprops, "measure", lambda *args, **kwargs: (entries, {}))
     assert property_chain_report(named_property("has-edge", 3)).chain_ok is ok
 
 

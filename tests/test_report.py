@@ -1,5 +1,7 @@
 """The one measurement path: ``report.measure`` and its cap table."""
 
+import copy
+
 import pytest
 
 from bfc import report, spectral
@@ -40,7 +42,8 @@ def test_cap_table_skips_in_reports_and_raises_in_engines(name):
     if name == "certificates":
         assert measure_report(f, include_certificates=True)["certificates"] == expected
     else:
-        entries, timing, methods = measure(f, [name])
+        entries, record = measure(f, [name])
+        timing, methods = record["timing"], record["methods"]
         assert entries == {name: expected}
         assert timing == methods == {}
     with pytest.raises(ValueError, match=f"<= {cap}"):
@@ -49,7 +52,8 @@ def test_cap_table_skips_in_reports_and_raises_in_engines(name):
 
 def test_measure_computes_only_the_named_measures_in_order():
     f = parse_table("3:E8")  # majority
-    entries, timing, methods = measure(f, ["lambda", "s1", "D"])
+    entries, record = measure(f, ["lambda", "s1", "D"])
+    timing, methods = record["timing"], record["methods"]
     assert list(entries) == ["lambda", "s1", "D"]
     assert entries["D"] == {"value": 3, "exactness": "exact"}
     assert entries["s1"] == {"value": 2, "exactness": "exact", "defined": True}
@@ -118,7 +122,8 @@ def test_bs_and_d_skip_their_engines_when_the_bounds_meet(monkeypatch, table, or
         "D": deterministic_query_complexity(f),
     }
     calls = _count_engine_calls(monkeypatch)
-    entries, _, methods = measure(f, SANDWICH_NAMES[::order])
+    entries, record = measure(f, SANDWICH_NAMES[::order])
+    methods = record["methods"]
     assert {name: entries[name]["value"] for name in want} == want == {"bs": 8, "C": 8, "D": 8}
     assert methods == {"bs": "s = C", "C": "s = n", "D": "deg = n"}
     # s and deg feed both their own entries and the sandwiches, once each;
@@ -157,7 +162,8 @@ def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expec
         "D": deterministic_query_complexity(f),
     }
     calls = _count_engine_calls(monkeypatch)
-    entries, _, methods = measure(f, ("D", "bs", "deg", "C", "s"))
+    entries, record = measure(f, ("D", "bs", "deg", "C", "s"))
+    methods = record["methods"]
     assert {name: entries[name]["value"] for name in want} == want
     assert methods == expected
     assert calls == {
@@ -243,6 +249,33 @@ def test_report_with_certificates_solves_each_component_once(monkeypatch, family
 
 
 def test_constant_function_skips_certificates():
-    entries, _, _ = measure(TruthTable(3, 0), ["lambda", "certificates"])
+    entries, _ = measure(TruthTable(3, 0), ["lambda", "certificates"])
     assert entries["certificates"] == {"skipped": "constant function"}
     assert entries["lambda"]["value"] == 0.0
+
+
+def test_measure_returns_the_record_that_measure_report_prints(monkeypatch):
+    records = []
+
+    def recording(f, names):
+        entries, record = measure(f, names)
+        records.append(copy.deepcopy(record))
+        return entries, record
+
+    monkeypatch.setattr(report, "measure", recording)
+    body = measure_report(named_family("OR", 6), include_certificates=True)
+    assert records == [{"timing": body["timing"], **body["diagnostics"]}]
+    assert body["diagnostics"]["lambda_solves"] == [
+        {"vertices": 7, "side": 1, "method": "dense", "steps": 0}
+    ]
+
+
+def test_constant_function_asked_only_for_certificates_builds_no_spectrum(monkeypatch):
+    def refuse(f):
+        raise AssertionError("a Spectrum built only to fill the record")
+
+    monkeypatch.setattr(report, "spectral_sensitivity", refuse)
+    entries, record = measure(TruthTable(3, 0), ["certificates"])
+    assert entries == {"certificates": {"skipped": "constant function"}}
+    assert record["lambda_solves"] == []
+    assert record["adeg_lp"] == {"solves": 0, "exact": 0, "pivots": {}}

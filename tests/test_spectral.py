@@ -28,7 +28,6 @@ from bfc.spectral import (
     _perron,
     build_signed_hypercube,
     full_degree_witness,
-    perron_solve_log,
     restrict_to_top_monomial,
     spectral_sensitivity,
     vector_to_csv,
@@ -212,8 +211,7 @@ def test_lanczos_basis_holds_only_the_steps_it_takes():
 
     f = _random_table(13, 4)
     tracemalloc.start()
-    with perron_solve_log() as log:
-        spectral.Spectrum(f)
+    log = spectral.Spectrum(f).solves
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     side = max(s for _, s, method, _ in log if method == "lanczos")
@@ -231,7 +229,7 @@ def test_lanczos_products_never_touch_the_whole_cube(monkeypatch):
     assert spectral_sensitivity(f).value == value
 
 
-def test_perron_solve_log_names_each_component_solve(monkeypatch):
+def test_spectrum_solves_name_each_component_solve(monkeypatch):
     steps = []
     lanczos = spectral._lanczos
 
@@ -248,20 +246,19 @@ def test_perron_solve_log_names_each_component_solve(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lanczos", recording)
     f = _random_table(10, 2)
-    with perron_solve_log() as log:
-        spec = spectral_sensitivity(f)
-        for k in range(len(spec.components)):  # also those that lambda skips
-            spec.perron(k)
+    spec = spectral_sensitivity(f)
+    for k in range(len(spec.components)):  # also those that lambda skips
+        spec.perron(k)
+    log = spec.solves
     expected = []
     for comp in spec.graph.components():
         odd = int(np.count_nonzero(np.bitwise_count(comp) & 1))
         expected.append((comp.size, min(odd, comp.size - odd), "lanczos"))
     assert sorted(entry[:3] for entry in log) == sorted(expected)
     assert [k for *_, k in log] == steps and len(steps) == 2
-    with perron_solve_log() as log:
-        spectral_sensitivity(named_family("OR", 6))
+    log = spectral_sensitivity(named_family("OR", 6)).solves
     assert log == [(7, 1, "dense", 0)] and len(steps) == 2
-    spectral_sensitivity(f)  # no block open: nothing is collected
+    spectral_sensitivity(f)  # another Spectrum's solves are its own
     assert len(log) == 1
 
 
@@ -760,7 +757,7 @@ def test_collatz_wielandt_bounds_hold_and_never_increase():
                 odd = ~odd
             b = g.adjacency(comp)[np.ix_(odd, ~odd)]
             square = np.linalg.eigvalsh(b @ b.T)[-1]
-            bounds = list(spectral._collatz_wielandt(_Block(g, comp)))
+            bounds = list(spectral._collatz_wielandt(_Block(g, comp), math.inf))
             assert len(bounds) == spectral.CW_STEPS
             # eigh rounds the exact square of a component with constant
             # row sums (6 for 4:0666) up by an ulp or two; the skip rule's
@@ -769,15 +766,35 @@ def test_collatz_wielandt_bounds_hold_and_never_increase():
             assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:])), f
 
 
+def test_collatz_wielandt_stops_once_no_bound_can_fall_below_the_floor():
+    # the Rayleigh quotient at each step is at most lambda^2, so once it
+    # reaches the floor no later bound falls below it: the stopped bounds
+    # are a prefix of the full run and decide every skip the same way
+    steps = full_steps = 0
+    for f in _spectrum_corpus():
+        g = SensitivityGraph(f)
+        for comp in g.components():
+            block = _Block(g, comp)
+            full = list(spectral._collatz_wielandt(block, math.inf))
+            square = full[-1]
+            for floor in (0.5 * square, square * (1 - spectral.BOUND_MARGIN), 2 * square):
+                bounds = list(spectral._collatz_wielandt(block, floor))
+                assert bounds == full[: len(bounds)], f
+                assert any(b < floor for b in bounds) == any(b < floor for b in full), f
+                steps, full_steps = steps + len(bounds), full_steps + len(full)
+    assert steps < full_steps
+
+
 def test_lambda_prunes_components_that_cannot_win():
-    with perron_solve_log() as log:
-        for table in sample_tables(8, 80, 11):
-            spectral_sensitivity(TruthTable(8, table))
+    log = [
+        solve
+        for table in sample_tables(8, 80, 11)
+        for solve in spectral_sensitivity(TruthTable(8, table)).solves
+    ]
     assert len(log) <= 95  # all 160 components before the bounds
     for f in (_random_table(10, 2), _random_table(13, 20040)):
         assert len(SensitivityGraph(f).components()) == 2
-        with perron_solve_log() as log:
-            spectral_sensitivity(f)
+        log = spectral_sensitivity(f).solves
         assert len(log) == 1
 
 
@@ -795,8 +812,7 @@ def test_each_neighbour_index_is_built_once_per_spectrum(monkeypatch):
         return neighbours(self, rows, cols)
 
     monkeypatch.setattr(SensitivityGraph, "neighbours", recording)
-    with perron_solve_log() as log:
-        spectral_sensitivity(f)
+    log = spectral_sensitivity(f).solves
     assert [entry[:3] for entry in log] == [(271, 133, "lanczos")] * 2
     assert len(calls) == len(set(calls)) == 6
 

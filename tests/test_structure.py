@@ -9,8 +9,9 @@ sits on the one spectral path, every Perron pair is solved behind one
 the one dense-or-gather choice, every LP starts from one least-squares
 fit, every sweep table is measured on one path, each inequality is
 written once, as one row of the sweep's check table that the graph
-property chain reads too, and no table is built by a Python loop over
-all 2^m inputs.
+property chain reads too, one diagnostics record per measured function
+is collected by ``report.measure`` alone, and no table is built by a
+Python loop over all 2^m inputs.
 """
 
 import ast
@@ -135,3 +136,13 @@ def test_lp_starts_from_one_lstsq_and_leaves_re_checks_to_callers():
     assert not called & {"verify_point", "verify_infeasibility_certificate"}
     counts = {p.name: p.read_text().count("lstsq(") for p in SRC.glob("*.py")}
     assert {name: c for name, c in counts.items() if c} == {"lp.py": 1}
+
+
+def test_the_diagnostics_record_is_collected_only_by_measure():
+    # ``report.measure`` opens the one LP log and reads lambda's solves off
+    # its ``Spectrum``; a second log, or a second module opening this one,
+    # would be a second way to collect the record
+    assert "ContextVar" not in (SRC / "spectral.py").read_text()
+    call = re.compile(r"(?<!def )\blp_solve_log\(\)")
+    users = sorted(p.name for p in SRC.glob("*.py") if call.search(p.read_text()))
+    assert users == ["report.py"]
