@@ -62,7 +62,7 @@ from .lp import (
     verify_infeasibility_certificate,
     verify_point,
 )
-from .report import canonical_json, measure, measure_report, report_hash
+from .report import canonical_json, measure, measure_report, measure_stack, report_hash
 from .spectral import (
     DegreeWitness,
     SensitivityGraph,

@@ -41,14 +41,19 @@ class MultilinearExpansion:
         return sum(c for m, c in self.coefficients if m & x == m)
 
 
+def _mobius(values: np.ndarray) -> np.ndarray:
+    """The 2^n multilinear coefficients of each row of a ``(k, 2^n)``
+    array of 0/1 values, as exact int64 rows."""
+    a = values.astype(np.int64)
+    for i in range(a.shape[1].bit_length() - 1):
+        a = a.reshape(-1, 2, 1 << i)  # each row holds whole pairs of 2^i blocks
+        a[:, 1, :] -= a[:, 0, :]
+    return a.reshape(values.shape)
+
+
 def mobius_coefficients(f: TruthTable) -> np.ndarray:
     """All 2^n multilinear coefficients as exact int64 values."""
-    a = f.to_bit_array().astype(np.int64)
-    for i in range(f.arity):
-        a = a.reshape(-1, 2, 1 << i)
-        a[:, 1, :] -= a[:, 0, :]
-        a = a.reshape(-1)
-    return a
+    return _mobius(f.to_bit_array()[None])[0]
 
 
 def multilinear_expansion(f: TruthTable) -> MultilinearExpansion:
@@ -57,20 +62,30 @@ def multilinear_expansion(f: TruthTable) -> MultilinearExpansion:
     return MultilinearExpansion(f.arity, tuple(nz))
 
 
-def _top_popcount(coeffs: np.ndarray) -> int:
-    """Largest popcount among the indices of nonzero coefficients (0 if none)."""
-    nz = np.flatnonzero(coeffs)
-    return int(bits.popcount_array(nz).max()) if nz.size else 0
+def _top_popcounts(coeffs: np.ndarray) -> np.ndarray:
+    """Per row, the largest popcount among the indices of nonzero coefficients (0 if none)."""
+    weights = bits.popcount_array(np.arange(coeffs.shape[1]))
+    return np.where(coeffs != 0, weights, 0).max(axis=1)
+
+
+def degrees(values: np.ndarray) -> np.ndarray:
+    """deg of each row of a ``(k, 2^n)`` array of 0/1 values."""
+    return _top_popcounts(_mobius(values))
+
+
+def gf2_degrees(values: np.ndarray) -> np.ndarray:
+    """deg2 of each row of a ``(k, 2^n)`` array of 0/1 values."""
+    return _top_popcounts(_mobius(values) & 1)
 
 
 def degree(f: TruthTable) -> int:
     """deg(f): top monomial size of the exact multilinear expansion."""
-    return _top_popcount(mobius_coefficients(f))
+    return int(degrees(f.to_bit_array()[None])[0])
 
 
 def degree_gf2(f: TruthTable) -> int:
     """deg2(f): degree of the polynomial over GF(2)."""
-    return _top_popcount(gf2_coefficients(f))
+    return int(gf2_degrees(f.to_bit_array()[None])[0])
 
 
 def gf2_coefficients(f: TruthTable) -> np.ndarray:

@@ -73,12 +73,18 @@ def orbit_min(keys: int | np.ndarray, maps: Iterable[Sequence[int]]) -> int | np
     return best
 
 
-def to_bit_array(t: int, n: int) -> np.ndarray:
-    """Unpack a table int into a uint8 array of length 2^n."""
+def to_bit_rows(tables: Sequence[int], n: int) -> np.ndarray:
+    """Unpack table ints of arity n into a ``(len(tables), 2^n)`` uint8
+    array, one row per table."""
     size = 1 << n
     nbytes = (size + 7) >> 3
-    raw = np.frombuffer(t.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:size]
+    raw = np.frombuffer(b"".join(t.to_bytes(nbytes, "little") for t in tables), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(tables), nbytes), axis=1, bitorder="little")[:, :size]
+
+
+def to_bit_array(t: int, n: int) -> np.ndarray:
+    """Unpack a table int into a uint8 array of length 2^n."""
+    return to_bit_rows((t,), n)[0]
 
 
 def from_bit_array(bits: np.ndarray) -> int:

@@ -12,24 +12,29 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from functools import cached_property
 
-from . import adversary
+import numpy as np
+
+from . import adversary, bits
 from .algebraic import (
     APPROX_DEGREE_MAX_ARITY,
+    DegreeLog,
     approximate_degree,
-    degree,
-    degree_gf2,
+    degrees,
+    gf2_degrees,
     lp_solve_log,
 )
 from .combinatorial import (
     BLOCK_MEASURE_MAX_ARITY,
     DEPTH_MAX_ARITY,
-    block_sensitivity,
-    certificate_complexity,
-    deterministic_query_complexity,
-    sensitivity,
+    block_sensitivities,
+    certificate_costs,
+    decision_depths,
+    monochromatic,
+    sensitivities,
 )
-from .spectral import spectral_sensitivity
+from .spectral import spectral_sensitivities, spectral_sensitivity
 from .tables import TruthTable, format_table
 
 SPECTRAL_TAG = "tolerance(1e-09)"
@@ -89,29 +94,105 @@ def cap_reason(name: str, n: int) -> str | None:
     return f"arity {n} above cap {cap}" if cap is not None and n > cap else None
 
 
+class _Stack:
+    """k tables of arity n being measured for ``names``, and what each
+    engine gave on them, every engine run at most once."""
+
+    def __init__(self, n: int, tables: list[int], names):
+        self.n, self.tables, self.names = n, tables, names
+        self.values = bits.to_bit_rows(tables, n)
+        self.memo: dict[str, object] = {}  # a plain dict, so that it says whether lambda ran
+        self.lp_logs: list[DegreeLog] | None = None
+
+    @cached_property
+    def functions(self) -> list[TruthTable]:
+        return [TruthTable(self.n, t) for t in self.tables]
+
+    def run(self, engine: str, rows: np.ndarray | None = None):
+        """The engine's result on the tables ``rows`` (a mask), on all of
+        them for an engine that takes every table; every call of one
+        engine passes the same rows."""
+        if engine not in self.memo:
+            self.memo[engine] = _ENGINES[engine](self, rows)
+        return self.memo[engine]
+
+    def subcubes(self, rows: np.ndarray) -> np.ndarray:
+        """The ``monochromatic`` tables of the tables ``rows``, read off
+        one build per stack that covers every table C or D runs on."""
+        if "subcubes" not in self.memo:
+            need = np.zeros(len(self.tables), dtype=bool)
+            for key, askers in (("C", {"bs", "C"}), ("D", {"D"})):
+                if askers & set(self.names) and cap_reason(key, self.n) is None:
+                    need |= ~_bounds(key, self)[1]
+            self.memo["subcubes"] = monochromatic(self.values[need]), np.cumsum(need) - 1
+        mono, place = self.memo["subcubes"]
+        return mono[place[rows]]
+
+
+def _approximate_degrees(st: _Stack) -> list[int]:
+    """adeg of each table, one LP walk per table, each under its own
+    ``lp_solve_log``, kept in ``st.lp_logs``."""
+    degrees, st.lp_logs = [], []
+    for f in st.functions:
+        with lp_solve_log() as log:
+            degrees.append(approximate_degree(f))
+        st.lp_logs.append(log)
+    return degrees
+
+
+def _spectra(st: _Stack) -> list:
+    """lambda of each table: one ``Spectrum`` per table when certificates
+    will read its graph too, otherwise the stack's ``spectral_sensitivities``."""
+    if "certificates" in st.names:
+        return [spectral_sensitivity(f) for f in st.functions]
+    return spectral_sensitivities(st.values)
+
+
 # the engine names are looked up at call time, so rebinding them in this
-# module (as tracing and tests do) reaches every caller of measure()
+# module (as tracing and tests do) reaches every caller of measure_stack()
 _ENGINES = {
-    "sensitivity": lambda f: sensitivity(f),
-    "lambda": lambda f: spectral_sensitivity(f),
-    "bs": lambda f: block_sensitivity(f).global_value,
-    "C": lambda f: certificate_complexity(f).global_value,
-    "D": lambda f: deterministic_query_complexity(f),
-    "deg": lambda f: degree(f),
-    "deg2": lambda f: degree_gf2(f),
-    "adeg": lambda f: approximate_degree(f),
+    "sensitivity": lambda st, rows: sensitivities(st.values),
+    "s": lambda st, rows: np.array([r.local.global_value for r in st.run("sensitivity")]),
+    "lambda": lambda st, rows: _spectra(st),
+    "bs": lambda st, rows: block_sensitivities(st.values[rows]).max(axis=1),
+    "C": lambda st, rows: certificate_costs(st.subcubes(rows)).max(axis=1),
+    "D": lambda st, rows: decision_depths(st.subcubes(rows)),
+    "deg": lambda st, rows: degrees(st.values),
+    "deg2": lambda st, rows: gf2_degrees(st.values),
+    "adeg": lambda st, rows: _approximate_degrees(st),
 }
-# How measure() obtains bs, C and D: from the two bounds of a sandwich
-# when they meet, otherwise from the exhaustive engine.
+# How measure_stack() obtains bs, C and D: from the two bounds of a
+# sandwich when they meet, otherwise from the exhaustive engine.
 METHODS = {"bs": ("s = C", "engine"), "C": ("s = n", "engine"), "D": ("deg = n", "engine")}
 
 
-def _certificates(f: TruthTable, run) -> dict:
-    """Every adversary certificate of f's ``Spectrum`` with its verifier's
-    verdict; skipped for a constant function."""
+def _bounds(key: str, st: _Stack) -> tuple[np.ndarray | int, np.ndarray]:
+    """The upper bound of ``key``'s sandwich on each table, and where the
+    lower bound meets it: ``deg <= D <= n`` and ``s <= bs <= C <= n``."""
+    if key == "D":
+        low, high = st.run("deg"), st.n
+    else:
+        low, high = st.run("s"), st.n if key == "C" else _sandwiched("C", st)[0]
+    return high, low == high
+
+
+def _sandwiched(key: str, st: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """``key``'s value on each table and whether its bounds met there:
+    D = n where deg = n, C = n where s = n and bs = s where s = C.  The
+    engine runs on the other tables."""
+    high, met = _bounds(key, st)
+    value = np.where(met, high, 0)
+    if not met.all():
+        value[~met] = st.run(key, ~met)
+    return value, met
+
+
+def _certificates(f: TruthTable, spectra) -> dict:
+    """Every adversary certificate of f's ``Spectrum`` (``spectra()``)
+    with its verifier's verdict; skipped for a constant function."""
     if f.is_constant():
         return {"skipped": "constant function"}
-    spec = run("lambda")
+    spec = spectra()
     edge_scheme, _ = adversary.edge_scheme_from_eigenvector(spec)
     balanced, _ = adversary.balanced_vertex_scheme(spec)
     optimal, _ = adversary.optimal_vertex_scheme(spec)
@@ -125,106 +206,122 @@ def _certificates(f: TruthTable, run) -> dict:
     return {name: adversary.certificate_json(spec.graph, cert) for name, cert in certs.items()}
 
 
-def _certificate_complexity(f: TruthTable, run) -> tuple[int, str]:
-    """C(f) and its ``METHODS`` entry: n when s = n, since s <= C <= n,
-    otherwise the engine's value."""
-    if run("sensitivity").local.global_value == f.arity:
-        return f.arity, "s = n"
-    return run("C"), "engine"
-
-
-def _engine_entries(f: TruthTable, key: str, run, methods: dict) -> dict[str, dict]:
-    """The entries one engine call gives: the four sensitivity measures
-    for ``"sensitivity"``, otherwise the measure ``key`` alone.
-    ``run(engine)`` gives that engine's result on f; the method of a
-    sandwiched measure goes into ``methods``."""
+def _engine_entries(key: str, st: _Stack, methods: list[dict]) -> list[dict[str, dict]]:
+    """Per table, the entries one engine gives: the four sensitivity
+    measures for ``"sensitivity"``, otherwise the measure ``key`` alone.
+    The method of a sandwiched measure goes into ``methods``."""
     if key == "sensitivity":
-        sens = run("sensitivity")
-        return {
-            "s": _exact(sens.local.global_value),
-            "s0": {**_exact(sens.s0), "defined": sens.s0_defined},
-            "s1": {**_exact(sens.s1), "defined": sens.s1_defined},
-            "avg_s": {
-                "value": float(sens.average),
-                "fraction": f"{sens.average.numerator}/{sens.average.denominator}",
-                "exactness": "exact",
-            },
-        }
+        return [
+            {
+                "s": _exact(sens.local.global_value),
+                "s0": {**_exact(sens.s0), "defined": sens.s0_defined},
+                "s1": {**_exact(sens.s1), "defined": sens.s1_defined},
+                "avg_s": {
+                    "value": float(sens.average),
+                    "fraction": f"{sens.average.numerator}/{sens.average.denominator}",
+                    "exactness": "exact",
+                },
+            }
+            for sens in st.run("sensitivity")
+        ]
     if key == "lambda":
-        sr = run("lambda")
-        return {"lambda": {"value": sr.value, "exactness": SPECTRAL_TAG, "residual": sr.residual}}
+        return [
+            {"lambda": {"value": sr.value, "exactness": SPECTRAL_TAG, "residual": sr.residual}}
+            for sr in st.run("lambda")
+        ]
     if key == "certificates":
-        return {"certificates": _certificates(f, run)}
-    if key == "bs":  # s <= bs <= C (Nisan)
-        s = run("sensitivity").local.global_value
-        c = _certificate_complexity(f, run)[0]
-        value, methods[key] = (s, "s = C") if s == c else (run("bs"), "engine")
-        return {key: _exact(value)}
-    if key == "C":
-        value, methods[key] = _certificate_complexity(f, run)
-        return {key: _exact(value)}
-    if key == "D":  # deg <= D <= n
-        n = f.arity
-        value, methods[key] = (n, "deg = n") if run("deg") == n else (run("D"), "engine")
-        return {key: _exact(value)}
-    return {key: _exact(run(key))}
+        return [
+            {"certificates": _certificates(f, lambda j=j: st.run("lambda")[j])}
+            for j, f in enumerate(st.functions)
+        ]
+    if key in METHODS:
+        values, met = _sandwiched(key, st)
+        for table_methods, ok in zip(methods, met.tolist()):
+            table_methods[key] = METHODS[key][0 if ok else 1]
+        return [{key: _exact(value)} for value in values.tolist()]
+    return [{key: _exact(value)} for value in np.asarray(st.run(key)).tolist()]
 
 
-def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict]:
-    """The measures ``names`` of one function, in that order, and one
-    diagnostics record of how they were obtained.
+def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict], dict]]:
+    """``measure`` of each of the arity-n tables ``tables``, with each
+    engine run once over the whole stack.
 
     Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
     reason}`` above the measure's ``MEASURE_CAPS`` arity.  The name
     ``"certificates"`` gives the adversary certificate block instead.
     Every engine runs at most once per call: ``lambda`` and the
-    certificates read one ``Spectrum``, and ``bs``, ``C`` and ``D`` read
-    s, C and deg from the same memo as the entries of those names.
-    ``bs`` is s when s = C, ``C`` is n when s = n and ``D`` is n when
-    deg = n, since ``s <= bs <= C <= n`` and ``deg <= D <= n``; only
-    where the bounds differ does the exhaustive engine run.  An engine
-    error is re-raised with the measure and table prefixed to its text.
+    certificates read one ``Spectrum`` per table, and ``bs``, ``C`` and
+    ``D`` read s, C and deg from the same memo as the entries of those
+    names.  ``bs`` is s where s = C, ``C`` is n where s = n and ``D`` is n
+    where deg = n, since ``s <= bs <= C <= n`` and ``deg <= D <= n``;
+    only the tables where the bounds differ go to the exhaustive engine.
+    An engine error is re-raised with the measure and the table it fails
+    on prefixed to its text: in a stack of several tables, the first one
+    that fails when measured alone.
 
-    The record holds ``timing`` (seconds per engine call), ``methods``
-    (a ``METHODS`` entry per sandwiched name), ``adeg_lp`` (``adeg``'s
-    decided degrees, exact ones, and pivots by degree) and ``lambda_solves``
-    (``Spectrum.solves`` of the memo's ``Spectrum``, if one was built); no
-    engine runs only to fill it.  An ``lp_solve_log`` opened here takes
-    ``adeg``'s degrees, so one that a caller opens sees none of them.
+    Each table's record holds ``timing`` (seconds per engine call, over
+    the whole stack), ``methods`` (a ``METHODS`` entry per sandwiched
+    name), ``adeg_lp`` (``adeg``'s decided degrees, exact ones, and
+    pivots by degree) and ``lambda_solves`` (the solves of the table's
+    lambda, if it ran); no engine runs only to fill it.  An
+    ``lp_solve_log`` opened here per table takes ``adeg``'s degrees, so
+    one that a caller opens sees none of them.
     """
-    got: dict[str, dict] = {}
+    if not tables:
+        return []
+    st = _Stack(n, list(tables), names)
+    got: list[dict[str, dict]] = [{} for _ in st.tables]
+    methods: list[dict[str, str]] = [{} for _ in st.tables]
     timing: dict[str, float] = {}
-    methods: dict[str, str] = {}
-    memo: dict[str, object] = {}  # a plain dict, so that it says whether lambda ran
-
-    def run(engine: str):
-        return memo[engine] if engine in memo else memo.setdefault(engine, _ENGINES[engine](f))
-
-    with lp_solve_log() as solves:
-        for name in names:
-            reason = cap_reason(name, f.arity)
-            if reason is not None:
-                got[name] = {"skipped": reason}
-            elif name not in got:
-                key = "sensitivity" if name in _SENSITIVITY_GROUP else name
-                t0 = time.perf_counter()
-                try:
-                    got.update(_engine_entries(f, key, run, methods))
-                except _ENGINE_ERRORS as exc:
-                    exc.args = (f"{name} of {format_table(f)}: {exc}",)
+    for name in names:
+        reason = cap_reason(name, n)
+        if reason is not None:
+            for entries in got:
+                entries[name] = {"skipped": reason}
+        elif name not in got[0]:
+            key = "sensitivity" if name in _SENSITIVITY_GROUP else name
+            t0 = time.perf_counter()
+            try:
+                for entries, more in zip(got, _engine_entries(key, st, methods)):
+                    entries.update(more)
+            except _ENGINE_ERRORS as exc:
+                if len(st.tables) == 1:
+                    exc.args = (f"{name} of {format_table(st.functions[0])}: {exc}",)
                     raise
-                timing[key] = time.perf_counter() - t0
-    solved = memo["lambda"].solves if "lambda" in memo else []
-    return {name: got[name] for name in names}, {
-        "timing": timing,
-        "methods": methods,
-        "adeg_lp": {
-            "solves": len(solves),
-            "exact": solves.exact,
-            "pivots": {str(d): p for d, p in solves},
-        },
-        "lambda_solves": [dict(zip(("vertices", "side", "method", "steps"), s)) for s in solved],
-    }
+                for table in st.tables:  # the first table that fails alone raises, named
+                    measure_stack(n, [table], names)
+                exc.args = (f"{name} of a stack of {len(st.tables)} arity-{n} tables: {exc}",)
+                raise
+            timing[key] = time.perf_counter() - t0
+    logs = st.lp_logs or [DegreeLog()] * len(st.tables)
+    spectra = st.memo.get("lambda", [None] * len(st.tables))
+    return [
+        (
+            {name: entries[name] for name in names},
+            {
+                "timing": dict(timing),
+                "methods": table_methods,
+                "adeg_lp": {
+                    "solves": len(log),
+                    "exact": log.exact,
+                    "pivots": {str(d): p for d, p in log},
+                },
+                "lambda_solves": [
+                    dict(zip(("vertices", "side", "method", "steps"), s))
+                    for s in (spec.solves if spec is not None else [])
+                ],
+            },
+        )
+        for entries, table_methods, log, spec in zip(got, methods, logs, spectra)
+    ]
+
+
+def measure(f: TruthTable, names) -> tuple[dict[str, dict], dict]:
+    """The measures ``names`` of one function, in that order, and one
+    diagnostics record of how they were obtained: ``measure_stack`` of
+    the one table."""
+    [(entries, record)] = measure_stack(f.arity, [f.table], names)
+    return entries, record
 
 
 def measure_report(

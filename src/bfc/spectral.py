@@ -15,11 +15,15 @@ far wider than any rounding, so the result is bit for bit that of
 solving them all.  G_f is a subgraph of the hypercube, so a component
 splits by input parity into two sides with every edge between them, and
 lambda is the top singular value of the block B from the smaller side
-to the other.  One ``_Block`` per component, shared by the bound and
-the solve, holds B's two products: dense up to DENSE_MAX_VERTICES
-component vertices, gathers through neighbour indices above, never 2^n
-wide.  The signed hypercube's +sqrt(n) eigenspace is taken in closed
-form, with no eigendecomposition.
+to the other.  One ``_Block``, shared by the bounds and the solves,
+holds B's two products for components of one side shape: dense up to
+DENSE_MAX_VERTICES component vertices, gathers through neighbour
+indices above, never 2^n wide.  ``spectral_sensitivities`` runs the
+same loop over a stack of tables of one arity, on one union graph, so
+that one batched dense ``eigh`` serves every component of a shape; each
+table's lambda is bit for bit its ``Spectrum``'s.  The signed
+hypercube's +sqrt(n) eigenspace is taken in closed form, with no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -77,11 +81,15 @@ class SpectralResult:
     steps: int
 
 
-def _domain_parts(f: TruthTable | PartialTruthTable) -> tuple[int, int, int]:
-    """(arity, table bits, domain bits)."""
+def _unpack(f: TruthTable | PartialTruthTable | np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(arity, values, defined), the last two flat bool arrays over the vertices."""
+    if isinstance(f, np.ndarray):
+        values = f.astype(bool).reshape(-1)
+        return f.shape[1].bit_length() - 1, values, np.ones(values.size, dtype=bool)
+    values = bits.to_bit_array(f.table, f.arity).astype(bool)
     if isinstance(f, PartialTruthTable):
-        return f.arity, f.table, f.domain
-    return f.arity, f.table, bits.table_mask(f.arity)
+        return f.arity, values, bits.to_bit_array(f.domain, f.arity).astype(bool)
+    return f.arity, values, np.ones(values.size, dtype=bool)
 
 
 class SensitivityGraph:
@@ -92,14 +100,17 @@ class SensitivityGraph:
     and the domain.  Every other view (pairs, components, adjacency,
     matvec) is read off these arrays, every neighbour position off
     ``neighbours``.
+
+    A ``(k, 2^n)`` array of 0/1 values in place of f stands for k total
+    tables of arity n: the graph is the union of theirs, input x of
+    table t being vertex ``t 2^n + x``.  A bit flip touches only the low
+    n bits, so every edge stays inside its own table.
     """
 
-    def __init__(self, f: TruthTable | PartialTruthTable):
-        self.arity, table, domain = _domain_parts(f)
-        self.values = bits.to_bit_array(table, self.arity).astype(bool)
-        self.defined = bits.to_bit_array(domain, self.arity).astype(bool)
+    def __init__(self, f: TruthTable | PartialTruthTable | np.ndarray):
+        self.arity, self.values, self.defined = _unpack(f)
         self._flips = (1 << np.arange(self.arity))[:, None]  # 2^i in row i
-        flip = np.arange(1 << self.arity) ^ self._flips
+        flip = np.arange(self.values.size) ^ self._flips
         self.edges = (self.values != self.values[flip]) & self.defined & self.defined[flip]
         self.degrees = self.edges.sum(axis=0)
         self.domain_inputs = np.flatnonzero(self.defined).tolist()
@@ -142,6 +153,13 @@ class SensitivityGraph:
         smaller vertex of the same component, so each component ends
         labelled by its least vertex.
         """
+        order, cuts = self._component_order(pairs)
+        return [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def _component_order(self, pairs: tuple | None) -> tuple[np.ndarray, list[int]]:
+        """The vertices of every component, one after the other in the
+        order of ``components``, and where each component starts, then
+        the end."""
         xs, ys = (self.pairs() if pairs is None else pairs)[:2]
         label = np.arange(self.values.size, dtype=np.int32)  # MAX_ARITY keeps inputs below 2^31
         while True:
@@ -154,8 +172,9 @@ class SensitivityGraph:
                 label = jumped
         active = np.flatnonzero(self.degrees)
         order = active[np.argsort(label[active], kind="stable")]
-        cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), order.size]
-        return [order[a:b] for a, b in zip(cuts, cuts[1:])] if order.size else []
+        if not order.size:
+            return order, [0]
+        return order, [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), order.size]
 
     def neighbours(self, rows: list[int] | np.ndarray, cols: list[int] | np.ndarray) -> np.ndarray:
         """The (arity, len(rows)) intp index whose entry [i, j] is the
@@ -198,39 +217,63 @@ def _axis_swap(u: np.ndarray, axis: int) -> np.ndarray:
     return u.reshape(-1, 2, 1 << axis)[:, ::-1, :].reshape(u.shape)
 
 
-def _zero_one(nb: np.ndarray, height: int) -> np.ndarray:
-    """The C-contiguous (height, nb.shape[1]) 0/1 matrix with a 1 at each non-pad [nb[i, j], j]."""
-    m = np.zeros((height + 1, nb.shape[1]))  # the last row takes the pad
-    m[nb, np.arange(nb.shape[1])] = 1.0
+def _zero_one(nb: np.ndarray, height: int, width: int | None = None) -> np.ndarray:
+    """The C-contiguous (height, width) 0/1 matrix with a 1 at each non-pad
+    [nb[i, j], j % width]; width defaults to nb.shape[1]."""
+    width = nb.shape[1] if width is None else width
+    m = np.zeros((height + 1, width))  # the last row takes the pad
+    m[nb, np.arange(nb.shape[1]) % width] = 1.0
     return m[:height]
 
 
-class _Block:
-    """The block B of the component ``comp`` of ``graph``.
+def _odd(graph: SensitivityGraph, vertices: np.ndarray) -> np.ndarray:
+    """Whether each vertex's input has odd parity.  A stack's vertex
+    t 2^n + x is input x of table t, so the bits of t are masked off.
+    Counted in, a t of odd popcount would swap the two sides of each of
+    its components; where they are equal in size, S would be the other
+    side and the solve would take B^T B, which moves lambda in its last
+    bits."""
+    return np.bitwise_count(vertices & ((1 << graph.arity) - 1)) & 1 == 1
 
-    Every edge flips one bit, so the component's adjacency is
+
+class _Block:
+    """The blocks B of the components ``comps`` of ``graph``: one vertex
+    array, or an (m, size) array of m components whose smaller parity
+    sides have one size.
+
+    Every edge flips one bit, so a component's adjacency is
     [[0, B], [B^T, 0]], with B running from the smaller parity side S
-    (the vertices ``s``, the mask ``small`` over ``comp``) to the other
-    side T (``t``).  ``down(u) = B^T u`` (indexed like T) and
-    ``up(w) = B w`` (indexed like S) are products of the 0/1 matrix ``b``
-    read off ``graph.neighbours(T, S)`` up to DENSE_MAX_VERTICES
-    component vertices; above that ``b`` is None and they gather through
-    that index and its mirror ``graph.neighbours(S, T)``.
+    (row j of ``s``, the mask ``small[j]`` over ``comp[j]``) to the other
+    side T (row j of ``t``).  ``down(u) = B^T u`` (indexed like T) and
+    ``up(w) = B w`` (indexed like S) take one row per component.  Up to
+    DENSE_MAX_VERTICES component vertices they are batched products of
+    the (m, |S|, |T|) 0/1 stack ``b`` read off ``graph.neighbours(T, S)``,
+    row by row bit for bit those of one component; above that ``b`` is
+    None and they gather through that index and its mirror
+    ``graph.neighbours(S, T)``.
     """
 
-    def __init__(self, graph: SensitivityGraph, comp: np.ndarray):
-        small = bits.popcount_array(comp) & 1 == 1
-        if 2 * np.count_nonzero(small) > comp.size:
-            small = ~small
-        s, t = comp[small], comp[~small]
+    def __init__(self, graph: SensitivityGraph, comps: np.ndarray):
+        comp = comps.reshape(-1, comps.shape[-1])
+        small = _odd(graph, comp)
+        small ^= (2 * small.sum(axis=1) > comp.shape[1])[:, None]
+        s, t = comp[small].reshape(len(comp), -1), comp[~small].reshape(len(comp), -1)
         # kept for the block's life: freed before the solve, they fragment the heap
-        self.comp, self.small, self.s, self.t, self.b = comp, small, s, t, None
-        nb_t = graph.neighbours(t, s)
-        if comp.size <= DENSE_MAX_VERTICES:
-            self.b = b = _zero_one(nb_t, s.size)
-            self.down, self.up = b.T.dot, b.dot
+        self.graph, self.comp, self.small, self.s, self.t, self.b = graph, comp, small, s, t, None
+        nb_t = graph.neighbours(t.ravel(), s.ravel())
+        if comp.shape[1] <= DENSE_MAX_VERTICES:
+            # row j of S sits at [j |S|, (j + 1) |S|) of s.ravel(), its neighbours too
+            self.b = b = _zero_one(nb_t, s.size, t.shape[1]).reshape(*s.shape, t.shape[1])
+            self.down = lambda u: np.matmul(u[:, None, :], b)[:, 0, :]
+            self.up = lambda w: np.matmul(b, w[:, :, None])[:, :, 0]
         else:
-            self.down, self.up = partial(_gather, nb_t), partial(_gather, graph.neighbours(s, t))
+            nb_s = graph.neighbours(s.ravel(), t.ravel())
+            self.down = lambda u: _gather(nb_t, u.ravel()).reshape(t.shape)
+            self.up = lambda w: _gather(nb_s, w.ravel()).reshape(s.shape)
+
+    def take(self, rows: np.ndarray) -> _Block:
+        """The block of the components ``rows`` alone."""
+        return _Block(self.graph, self.comp[rows])
 
     def gram(self, u: np.ndarray) -> np.ndarray:
         """B B^T u, indexed like S."""
@@ -239,55 +282,89 @@ class _Block:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v, indexed like ``comp``."""
         av = np.empty_like(v)
-        av[self.small], av[~self.small] = self.up(v[~self.small]), self.down(v[self.small])
+        av[self.small] = self.up(v[~self.small].reshape(self.t.shape)).ravel()
+        av[~self.small] = self.down(v[self.small].reshape(self.s.shape)).ravel()
         return av
 
 
-def _collatz_wielandt(block: _Block, floor: float) -> Iterator[float]:
-    """Yield upper bounds on the square of the norm of ``block``'s
-    component, one per power step and at most CW_STEPS of them, until
-    none can fall below ``floor``.
+def _collatz_wielandt(block: _Block, floor: float | np.ndarray) -> Iterator[np.ndarray]:
+    """Yield upper bounds on the squares of the norms of ``block``'s
+    components, one array per power step and at most CW_STEPS of them;
+    ``floor`` is one float or one per component.  A component's bound
+    reads inf once none can fall below its floor, and the steps stop
+    when that holds for all.
 
-    The square is the top eigenvalue of the Gram matrix G = B B^T that
+    A square is the top eigenvalue of the Gram matrix G = B B^T that
     ``_perron`` solves.  G is nonnegative, so for every positive u it is
     at most max_x (G u)_x / u_x (Collatz–Wielandt).  Step k takes
     u = G^k 1 through ``block.gram``, which G's positive diagonal (the
     degrees) keeps positive; and G u <= c u gives G (G u) <= c G u, so
     no bound exceeds the one before.  The Rayleigh quotient u.G u / u.u
-    is at most the square, so once it reaches ``floor`` so does every
-    later bound, and the steps stop.
+    is at most the square, so once it reaches the floor so does every
+    later bound.
     """
-    u = np.ones(block.s.size)
+    u = np.ones(block.s.shape)
+    live = np.ones(len(u), dtype=bool)
     for _ in range(CW_STEPS):
         w = block.gram(u)
-        yield float((w / u).max())
-        if u.dot(w) >= floor * u.dot(u):
+        yield np.where(live, (w / u).max(axis=1), np.inf)
+        live &= np.vecdot(u, w) < floor * np.vecdot(u, u)
+        if not live.any():
             return
         u = w
 
 
-def _perron(block: _Block) -> SpectralResult:
-    """The top eigenpair of ``block``'s component.
+def _skipped(block: _Block, floors: list[float]) -> np.ndarray:
+    """Whether one of each component's Collatz–Wielandt bounds falls below its floor."""
+    floors = np.array(floors)
+    skip = np.zeros(floors.size, dtype=bool)
+    for bound in _collatz_wielandt(block, floors):
+        skip |= bound < floors
+        if skip.all():
+            break
+    return skip
+
+
+def _component_gram(block: _Block, j: int, x: np.ndarray) -> np.ndarray:
+    """B B^T x for component j of ``block`` alone, x indexed like its S."""
+    u = np.zeros(block.s.shape)  # the other components read 0 and give 0
+    u[j] = x
+    return block.gram(u)[j]
+
+
+def _perron(block: _Block) -> list[SpectralResult]:
+    """The top eigenpair of each of ``block``'s components.
 
     Its value is the top singular value of B: the square and u are the
-    top eigenpair of the Gram matrix B B^T, by ``eigh`` of ``b @ b.T``
-    when the block is dense, else by ``_lanczos`` on ``block.gram``.
-    The T half of the vector is B^T u / value.  The vector is
-    nonnegative, unit and indexed like ``block.comp``; the residual
-    ||A v - value v|| is recomputed from it.
+    top eigenpair of the Gram matrix B B^T, by one batched ``eigh`` of
+    ``b @ b^T`` when the block is dense, else by ``_lanczos`` on the
+    component's ``block.gram``.  The T half of the vector is
+    B^T u / value.  Each vector is nonnegative, unit and indexed like its
+    row of ``block.comp``; the residual ||A v - value v|| is recomputed
+    from it.
     """
     if block.b is None:
-        square, u, steps = _lanczos(block.gram, block.s.size)
+        solves = [
+            _lanczos(partial(_component_gram, block, j), block.s.shape[1])
+            for j in range(len(block.s))
+        ]
+        squares = np.array([square for square, _, _ in solves])
+        u, steps = np.array([vec for _, vec, _ in solves]), [k for _, _, k in solves]
     else:
-        w, vecs = np.linalg.eigh(block.b @ block.b.T)
-        square, u, steps = float(w[-1]), vecs[:, -1], 0
-    value = math.sqrt(square)
+        w, vecs = np.linalg.eigh(block.b @ block.b.transpose(0, 2, 1))
+        squares, u, steps = w[:, -1], vecs[:, :, -1], [0] * len(w)
+    values = np.sqrt(squares)
     u = np.abs(u)
-    v = np.empty(block.comp.size)
-    v[block.small], v[~block.small] = u, block.down(u) / value
-    v /= math.sqrt(v.dot(v))  # np.linalg.norm's own sum, without its wrapper
-    r = block.apply(v) - value * v
-    return SpectralResult(value, v, math.sqrt(r.dot(r)), block.s.size, steps)
+    v = np.empty(block.comp.shape)
+    v[block.small], v[~block.small] = u.ravel(), (block.down(u) / values[:, None]).ravel()
+    v /= np.sqrt(np.vecdot(v, v))[:, None]  # each row's dot with itself, np.linalg.norm's sum
+    r = block.apply(v) - values[:, None] * v
+    residuals = np.sqrt(np.vecdot(r, r)).tolist()
+    side = block.s.shape[1]
+    return [
+        SpectralResult(value, vector, residual, side, k)
+        for value, vector, residual, k in zip(values.tolist(), v, residuals, steps)
+    ]
 
 
 def _gather(nb: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -334,63 +411,15 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray, int]:
     raise SpectralConvergenceError(value, ritz)
 
 
-class Spectrum:
-    """lambda(f) = ||A_{G_f}|| with a certifying eigenvector, read off one
-    G_f (``graph``) and its ``components``; ``perron(k)`` solves
-    component k at most once, also a component that lambda skipped.
+class TableSpectrum:
+    """lambda of one table: ``value``, the ``residual`` of its Perron
+    pair, its ``components`` and the Perron pairs solved, as ``_prune``
+    leaves them."""
 
-    ``value`` is the largest component value (ties go to the first
-    component), ``vector`` that component's Perron vector (indexed by
-    the domain, zero elsewhere) and ``residual`` its residual.  A graph
-    with no edges gives 0 and the uniform vector.
-
-    Components are solved in descending order of their largest row sum
-    of A^2, sum over y ~ x of deg(y), a bound on the norm squared read
-    off the one ``pairs()`` that also gives the components; ties keep
-    index order.  Once one is solved, a component is skipped when
-    - its index is above the current top's and its largest degree, which
-      bounds its norm, is at most ``value`` (ties stay with the top), or
-    - its row-sum bound or one of its ``_collatz_wielandt`` bounds falls
-      below value^2 (1 - BOUND_MARGIN).
-    Both bounds hold for the exact norm.  Bounds and solves round by
-    about 1e-12 relative, a thousandth of the margin, so a skipped
-    component's ``_perron`` value would fall below ``value``: the result
-    is bit for bit the largest ``_perron`` value over all components,
-    ties to the lowest index, with that component's residual and vector.
-    A component that passes the degree test gets one ``_Block`` for its
-    bound and its solve; ``perron(k)`` builds one for a skipped component.
-    """
-
-    def __init__(self, f: TruthTable | PartialTruthTable):
-        self.graph = graph = SensitivityGraph(f)
-        self.components, bounds = _components_and_bounds(graph)
+    def __init__(self):
+        self.components: list[np.ndarray] = []
+        self.value, self.residual, self._top = 0.0, 0.0, None
         self._solved: dict[int, SpectralResult] = {}
-        self.value, self.residual, top = 0.0, 0.0, None
-        for k in sorted(range(len(bounds)), key=lambda k: -bounds[k]):
-            floor = self.value * self.value * (1 - BOUND_MARGIN)
-            if bounds[k] < floor:
-                break  # and so does every later bound
-            comp = self.components[k]
-            if top is not None and k > top and graph.degrees[comp].max() <= self.value:
-                continue
-            block = _Block(graph, comp)
-            if top is None or not any(bound < floor for bound in _collatz_wielandt(block, floor)):
-                res = self._solved[k] = _perron(block)
-                if top is None or (res.value, -k) > (self.value, -top):
-                    self.value, self.residual, top = res.value, res.residual, k
-            del block  # free its indices before the next component's are built
-        domain = np.asarray(graph.domain_inputs, dtype=np.int64)
-        if top is None:
-            self.vector = np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
-        else:
-            self.vector = np.zeros(domain.size)
-            self.vector[np.searchsorted(domain, self.components[top])] = self.perron(top).vector
-
-    def perron(self, k: int) -> SpectralResult:
-        """Component k's Perron pair, indexed like ``components[k]``."""
-        if k not in self._solved:
-            self._solved[k] = _perron(_Block(self.graph, self.components[k]))
-        return self._solved[k]
 
     @property
     def solves(self) -> list[tuple[int, int, str, int]]:
@@ -401,19 +430,127 @@ class Spectrum:
         ]
 
 
-def _components_and_bounds(graph: SensitivityGraph) -> tuple[list[np.ndarray], list[float]]:
-    """``graph.components()`` and, per component, the largest row sum
-    of A^2 over its vertices, from one ``pairs()`` that is freed on return."""
+class Spectrum(TableSpectrum):
+    """lambda(f) = ||A_{G_f}|| with a certifying eigenvector, read off one
+    G_f (``graph``) and its ``components``; ``perron(k)`` solves
+    component k at most once, also a component that lambda skipped.
+
+    ``value`` is the largest component value (ties go to the first
+    component), ``vector`` that component's Perron vector (indexed by
+    the domain, zero elsewhere) and ``residual`` its residual.  A graph
+    with no edges gives 0 and the uniform vector.  ``_prune`` finds them,
+    as for one table of a stack.
+    """
+
+    def __init__(self, f: TruthTable | PartialTruthTable):
+        super().__init__()
+        self.graph = graph = SensitivityGraph(f)
+        _prune(graph, [self])
+        domain = np.asarray(graph.domain_inputs, dtype=np.int64)
+        if self._top is None:
+            self.vector = np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
+        else:
+            self.vector = np.zeros(domain.size)
+            top = self.components[self._top]
+            self.vector[np.searchsorted(domain, top)] = self.perron(self._top).vector
+
+    def perron(self, k: int) -> SpectralResult:
+        """Component k's Perron pair, indexed like ``components[k]``."""
+        if k not in self._solved:
+            [self._solved[k]] = _perron(_Block(self.graph, self.components[k]))
+        return self._solved[k]
+
+
+def _components_and_bounds(graph: SensitivityGraph) -> tuple[list[np.ndarray], ...]:
+    """``graph.components()`` and, per component, its largest row sum of
+    A^2 over its vertices, its largest degree, the size of its smaller
+    parity side and the table it lies in, from one ``pairs()`` that is
+    freed on return."""
     xs, ys = graph.pairs()[:2]
-    comps = graph.components((xs, ys))
+    order, cuts = graph._component_order((xs, ys))
+    if not order.size:
+        return [], [], [], [], []
     size = graph.values.size
     rows = np.bincount(xs, graph.degrees[ys], size) + np.bincount(ys, graph.degrees[xs], size)
-    return comps, [float(rows[c].max()) for c in comps]
+    starts, sizes = cuts[:-1], np.diff(cuts)
+    odd = np.add.reduceat(_odd(graph, order), starts)
+    return (
+        [order[a:b] for a, b in zip(cuts, cuts[1:])],
+        np.maximum.reduceat(rows[order], starts).tolist(),
+        np.maximum.reduceat(graph.degrees[order], starts).tolist(),
+        np.minimum(odd, sizes - odd).tolist(),
+        (order[starts] >> graph.arity).tolist(),
+    )
+
+
+def _prune(graph: SensitivityGraph, tables: list[TableSpectrum]) -> None:
+    """Fill in lambda of each of ``tables``, whose union is ``graph``.
+
+    A table solves its components in descending order of their largest
+    row sum of A^2, sum over y ~ x of deg(y), a bound on the norm squared
+    read off the one ``pairs()`` that also gives the components; ties
+    keep index order.  Once one is solved, a component is skipped when
+    - its index is above the current top's and its largest degree, which
+      bounds its norm, is at most ``value`` (ties stay with the top), or
+    - its row-sum bound or one of its ``_collatz_wielandt`` bounds falls
+      below value^2 (1 - BOUND_MARGIN).
+    Both bounds hold for the exact norm.  Bounds and solves round by
+    about 1e-12 relative, a thousandth of the margin, so a skipped
+    component's ``_perron`` value would fall below ``value``: the result
+    is bit for bit the largest ``_perron`` value over all components,
+    ties to the lowest index, with that component's residual.
+
+    Round r takes each table's r-th component in its order, so each
+    table's floor and top come from its own earlier rounds, as when it
+    is solved alone.  A round's candidates with one side shape share one
+    ``_Block``, for their bounds and their solves; its products are row
+    by row those of one component, so no result depends on the stack.
+    """
+    comps, bounds, peaks, sides, owners = _components_and_bounds(graph)
+    queues, lo = [], 0  # a table's component k is component lo + k of the graph
+    for t, count in zip(tables, np.bincount(owners, minlength=len(tables)).tolist()):
+        t.components = comps[lo : lo + count]
+        if count:
+            queues.append((t, lo, sorted(range(count), key=lambda k: -bounds[lo + k])))
+        lo += count
+    r = 0
+    while queues:
+        groups, later = {}, []
+        for t, lo, queue in queues:
+            k = queue[r]
+            floor = t.value * t.value * (1 - BOUND_MARGIN)
+            if bounds[lo + k] < floor:
+                continue  # and so does every later bound of this table
+            if r + 1 < len(queue):
+                later.append((t, lo, queue))
+            if t._top is not None and k > t._top and peaks[lo + k] <= t.value:
+                continue
+            groups.setdefault((sides[lo + k], t.components[k].size), []).append((t, k, floor))
+        for cands in groups.values():
+            block = _Block(graph, np.array([t.components[k] for t, k, _ in cands]))
+            # round 0 solves each table's first component, which sets its top
+            if r and (skip := _skipped(block, [floor for _, _, floor in cands])).any():
+                cands = [c for c, skipped in zip(cands, skip.tolist()) if not skipped]
+                block = block.take(~skip) if cands else None
+            for (t, k, _), res in zip(cands, _perron(block) if cands else []):
+                t._solved[k] = res
+                if t._top is None or (res.value, -k) > (t.value, -t._top):
+                    t.value, t.residual, t._top = res.value, res.residual, k
+            del block  # free its indices before the next block's are built
+        queues, r = later, r + 1
 
 
 def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> Spectrum:
     """The ``Spectrum`` of f: lambda(f), its vector and G_f."""
     return Spectrum(f)
+
+
+def spectral_sensitivities(values: np.ndarray) -> list[TableSpectrum]:
+    """lambda of each row of a ``(k, 2^n)`` array of 0/1 values, each bit
+    for bit ``Spectrum``'s of that table alone, from one union graph."""
+    tables = [TableSpectrum() for _ in range(len(values))]
+    _prune(SensitivityGraph(values), tables)
+    return tables
 
 
 @dataclass(frozen=True)

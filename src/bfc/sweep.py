@@ -22,11 +22,13 @@ weighted fold reports exactly what a per-table fold would.  Constant
 tables are counted but named as a check's witness only when the universe
 holds nothing else.
 
-One function, ``_measure_all``, measures each distinct table once, in
-process or on a fork pool; the JSON sweep folds its measurements once,
-in this process, and the CSV sweep writes its rows from them.  Each
-check and ratio is written once, as one row of ``CHECKS`` or ``RATIOS``;
-both sweeps and ``graphprops.property_chain_report`` read those rows.
+One function, ``_measure_all``, measures each distinct table once, as
+one ``report.measure_stack`` stack per exhaustive universe or per work
+chunk, in process or on a fork pool; the JSON sweep folds its
+measurements once, in this process, and the CSV sweep writes its rows
+from them.  Each check and ratio is written once, as one row of
+``CHECKS`` or ``RATIOS``; both sweeps and
+``graphprops.property_chain_report`` read those rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import bits
-from .report import METHODS, measure, on_grid, report_hash
+from .report import METHODS, measure_stack, on_grid, report_hash
 from .tables import TruthTable, format_table
 
 EXHAUSTIVE_MAX_N = 4
@@ -81,13 +83,6 @@ CHECK_NAMES = tuple(name for name, *_ in CHECKS)
 FLOAT_CHECKS = frozenset(name for name, *_, is_float in CHECKS if is_float)
 RATIO_NAMES = tuple(name for name, *_ in RATIOS)
 FLOAT_RATIOS = frozenset(name for name, *_, is_float in RATIOS if is_float)
-
-
-def _values(n: int, table: int, names: tuple[str, ...] = SWEEP_MEASURES) -> tuple[dict, dict]:
-    """The measures ``names`` of one table, keyed by their report names,
-    and ``measure``'s diagnostics record."""
-    entries, record = measure(TruthTable(n, table), names)
-    return {name: entry["value"] for name, entry in entries.items()}, record
 
 
 def _sides(rows: tuple, m: dict) -> Iterable[tuple[str, float, float]]:
@@ -139,10 +134,19 @@ def _fold(totals: dict, table: int, m: dict, tolerance: float, weight: int = 1) 
             totals["ratios"][name] = key
 
 
-def _measure_chunk(args: tuple) -> list[tuple[dict, dict]]:
-    """``_values`` of each table of one chunk."""
+def _measure_chunk(args: tuple) -> list[tuple[dict, dict, tuple[int, int, int]]]:
+    """Per table of one chunk, measured as one stack: its measures keyed
+    by their report names, how ``bs``, ``C`` and ``D`` were obtained, and
+    its ``adeg`` LP walk as (degrees decided, exact ones, pivots), all
+    that ``run_sweep`` folds.  The rest of each record stays here."""
     n, tables, names = args
-    return [_values(n, table, names) for table in tables]
+    out = []
+    for entries, record in measure_stack(n, tables, names):
+        values = {name: entry["value"] for name, entry in entries.items()}
+        lp = record["adeg_lp"]
+        walk = (lp["solves"], lp["exact"], sum(lp["pivots"].values()))
+        out.append((values, record["methods"], walk))
+    return out
 
 
 def sample_tables(n: int, count: int, seed: int) -> list[int]:
@@ -296,16 +300,18 @@ def _universe(
 
 
 def _measure_all(universe: dict, tables: list, names: tuple, threads: int) -> Iterable[tuple]:
-    """``_values`` of each of ``tables``, in order.
+    """``_measure_chunk`` of each of ``tables``, in order.
 
-    A sampled universe uses up to ``threads`` workers, never more than
-    there are chunks or CPUs (a fork pool starts them all up front).  An
-    exhaustive one stays in this process, where each chunk is measured
-    as the caller reaches it: on its few cheap NPN classes a pool cuts
-    wall time but adds CPU time."""
-    specs = _chunks(tables, max(1, threads))
+    An exhaustive universe is one stack, measured in this process: on
+    its few cheap NPN classes a pool cuts wall time but adds CPU time.
+    A sampled universe is one stack per chunk, on up to ``threads``
+    workers, never more than there are chunks or CPUs (a fork pool
+    starts them all up front); with one worker each chunk is measured
+    as the caller reaches it."""
+    exhaustive = universe["mode"] == "exhaustive"
+    specs = [tuple(tables)] if exhaustive else _chunks(tables, max(1, threads))
     jobs = [(universe["arity"], spec, names) for spec in specs]
-    workers = 1 if universe["mode"] == "exhaustive" else min(threads, len(specs), _usable_cpus())
+    workers = 1 if exhaustive else min(threads, len(specs), _usable_cpus())
     if workers <= 1:
         return (m for chunk in map(_measure_chunk, jobs) for m in chunk)
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
@@ -341,14 +347,12 @@ def run_sweep(
         "adeg_lp": {"solves": 0, "exact": 0, "pivots": 0},
     }
     measurements = _measure_all(universe, reps, names, threads)
-    for (values, record), table, weight in zip(measurements, reps, counts.tolist()):
+    for (values, methods, lp), table, weight in zip(measurements, reps, counts.tolist()):
         _fold(acc, table, values, tolerance, weight)
-        for name, way in record["methods"].items():
+        for name, way in methods.items():
             acc["methods"][name][way] += 1
-        lp = record["adeg_lp"]
-        acc["adeg_lp"]["solves"] += lp["solves"]
-        acc["adeg_lp"]["exact"] += lp["exact"]
-        acc["adeg_lp"]["pivots"] += sum(lp["pivots"].values())
+        for key, count in zip(("solves", "exact", "pivots"), lp):
+            acc["adeg_lp"][key] += count
 
     checks = [
         {
@@ -421,7 +425,7 @@ def iter_csv_rows(
             f"{name},{lhs!r},{rhs!r},{margin!r},{str(_passes(name, margin, tolerance)).lower()}"
             for name, margin, lhs, rhs in _check_margins(values)
         ]
-        for values, _ in _measure_all(universe, reps.tolist(), SWEEP_MEASURES, threads)
+        for values, *_ in _measure_all(universe, reps.tolist(), SWEEP_MEASURES, threads)
     ]
     yield "n,table,check,lhs,rhs,margin,pass"
     for table, i in zip(tables, place.tolist()):

@@ -518,7 +518,7 @@ def test_equivalences_build_one_graph_and_solve_each_component_once(monkeypatch)
     solved, built = [], []
 
     def counting_perron(block):
-        solved.append(int(block.comp[0]))
+        solved.extend(block.comp[:, 0].tolist())  # one least vertex per component
         return perron(block)
 
     def counting_init(self, table):

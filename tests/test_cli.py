@@ -226,7 +226,7 @@ def _no_measuring(*args, **kwargs):
 def test_verify_rejects_bad_tolerance(capsys, monkeypatch, fmt, tolerance):
     from bfc import sweep
 
-    monkeypatch.setattr(sweep, "measure", _no_measuring)
+    monkeypatch.setattr(sweep, "measure_stack", _no_measuring)
     rc, out, err = run_cli(
         capsys, "verify", "--max-n", "2", "--tolerance", tolerance, "--format", fmt
     )
@@ -237,7 +237,7 @@ def test_verify_rejects_bad_tolerance(capsys, monkeypatch, fmt, tolerance):
 def test_verify_rejects_a_negative_seed(capsys, monkeypatch):
     from bfc import sweep
 
-    monkeypatch.setattr(sweep, "measure", _no_measuring)
+    monkeypatch.setattr(sweep, "measure_stack", _no_measuring)
     rc, out, err = run_cli(capsys, "verify", "--max-n", "2", "--sample", "3", "--seed", "-1")
     assert (rc, out) == (1, "")
     assert "seed must be >= 0, got -1" in err

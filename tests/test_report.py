@@ -73,36 +73,38 @@ def test_engine_error_names_measure_and_table(monkeypatch):
     assert str(caught.value) == "adeg of 3:E8: iteration cap 50000 exceeded"
 
 
-def _failing_depth(f):
+def _failing_depth(mono):
     raise ValueError("depth engine failed")
 
 
 def test_engine_error_in_sweep_worker_names_measure_and_table(monkeypatch):
     # only a table with deg < 3 reaches the D engine, and this sample holds some
     assert any(degree(TruthTable(3, t)) < 3 for t in sample_tables(3, 8, 0))
-    # pool workers fork from this process, so they inherit the patch
-    monkeypatch.setattr(report, "deterministic_query_complexity", _failing_depth)
+    # pool workers fork from this process, so they inherit the patch of
+    # the stacked D engine, which each chunk's stack runs
+    monkeypatch.setattr(report, "decision_depths", _failing_depth)
     with pytest.raises(ValueError, match=r"^D of 3:[0-9A-F]{2}: depth engine failed$"):
         run_sweep(max_n=3, sample=8, seed=0, threads=2)
 
 
 COUNTED_ENGINES = (
-    "sensitivity",
-    "block_sensitivity",
-    "certificate_complexity",
-    "deterministic_query_complexity",
-    "degree",
+    "sensitivities",
+    "block_sensitivities",
+    "certificate_costs",
+    "decision_depths",
+    "degrees",
 )
 
 
 def _count_engine_calls(monkeypatch) -> dict[str, int]:
+    """The number of tables handed to each stacked engine, per engine."""
     calls = dict.fromkeys(COUNTED_ENGINES, 0)
     for name in COUNTED_ENGINES:
         real = getattr(report, name)
 
-        def counted(f, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(f)
+        def counted(stack, _name=name, _real=real):
+            calls[_name] += len(stack)
+            return _real(stack)
 
         monkeypatch.setattr(report, name, counted)
     return calls
@@ -129,11 +131,11 @@ def test_bs_and_d_skip_their_engines_when_the_bounds_meet(monkeypatch, table, or
     # s and deg feed both their own entries and the sandwiches, once each;
     # s = n closes C's sandwich, so no exhaustive engine runs
     assert calls == {
-        "sensitivity": 1,
-        "block_sensitivity": 0,
-        "certificate_complexity": 0,
-        "deterministic_query_complexity": 0,
-        "degree": 1,
+        "sensitivities": 1,
+        "block_sensitivities": 0,
+        "certificate_costs": 0,
+        "decision_depths": 0,
+        "degrees": 1,
     }
 
 
@@ -143,13 +145,13 @@ def test_bs_and_d_skip_their_engines_when_the_bounds_meet(monkeypatch, table, or
         # the dictator x1: s = C = 1, but deg = 1 < 3
         (
             "3:AA",
-            {"deterministic_query_complexity": 1},
+            {"decision_depths": 1},
             {"bs": "s = C", "C": "engine", "D": "engine"},
         ),
         # s = 2 < bs = C = 3 and deg = 2 < D = 3
         (
             "4:1BD8",
-            {"block_sensitivity": 1, "deterministic_query_complexity": 1},
+            {"block_sensitivities": 1, "decision_depths": 1},
             {"bs": "engine", "C": "engine", "D": "engine"},
         ),
     ],
@@ -167,11 +169,11 @@ def test_an_open_sandwich_runs_its_engine_once(monkeypatch, spec, engines, expec
     assert {name: entries[name]["value"] for name in want} == want
     assert methods == expected
     assert calls == {
-        "sensitivity": 1,
-        "block_sensitivity": 0,
-        "certificate_complexity": 1,
-        "deterministic_query_complexity": 0,
-        "degree": 1,
+        "sensitivities": 1,
+        "block_sensitivities": 0,
+        "certificate_costs": 1,
+        "decision_depths": 0,
+        "degrees": 1,
         **engines,
     }
 
@@ -233,7 +235,7 @@ def test_report_with_certificates_solves_each_component_once(monkeypatch, family
     solved, built = [], []
 
     def counting_perron(block):
-        solved.append(int(block.comp[0]))
+        solved.extend(block.comp[:, 0].tolist())  # one least vertex per component
         return perron(block)
 
     def counting_init(self, table):

@@ -106,9 +106,9 @@ def test_dense_and_lanczos_branches_agree(f, monkeypatch):
     g = SensitivityGraph(f)
     for comp in g.components():
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size)
-        dense = _perron(_Block(g, comp))
+        dense = _solve(g, comp)
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size - 1)
-        lanczos = _perron(_Block(g, comp))
+        lanczos = _solve(g, comp)
         assert abs(dense.value - lanczos.value) <= 1e-12
         assert np.abs(dense.vector - lanczos.vector).max() <= 1e-9
         for res in (dense, lanczos):
@@ -151,7 +151,7 @@ def test_gram_solve_matches_full_adjacency_eigh(f, branch, monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", cap)
         w, vecs = np.linalg.eigh(g.adjacency(comp))
         oracle = np.abs(vecs[:, -1])
-        res = _perron(_Block(g, comp))
+        res = _solve(g, comp)
         assert abs(res.value - w[-1]) <= 1e-12
         assert np.abs(res.vector - oracle).max() <= 1e-9
         assert res.vector.min() >= 0 and abs(np.linalg.norm(res.vector) - 1) < 1e-12
@@ -160,6 +160,12 @@ def test_gram_solve_matches_full_adjacency_eigh(f, branch, monkeypatch):
         smaller = min(odd, comp.size - odd)
         assert sizes == ([] if branch == "dense" else [smaller])
         sizes.clear()
+
+
+def _solve(g, comp):
+    """The Perron pair of the block of the one component ``comp``."""
+    [res] = _perron(_Block(g, comp))
+    return res
 
 
 def _matvec_perron(g, comp):
@@ -196,7 +202,7 @@ def test_neighbour_gathers_match_the_matvec_product_bit_for_bit(f, monkeypatch):
     g = SensitivityGraph(f)
     for comp in g.components():
         monkeypatch.setattr(spectral, "DENSE_MAX_VERTICES", comp.size - 1)
-        res = _perron(_Block(g, comp))
+        res = _solve(g, comp)
         value, vector, residual = _matvec_perron(g, comp)
         assert res.value == value and res.residual == residual
         assert np.array_equal(res.vector, vector)
@@ -268,7 +274,7 @@ def test_lambda_is_the_largest_component_value():
     g = SensitivityGraph(f)
     comps = g.components()
     assert len(comps) == 2 and min(c.size for c in comps) > spectral.DENSE_MAX_VERTICES
-    values = [_perron(_Block(g, c)).value for c in comps]
+    values = [_solve(g, c).value for c in comps]
     res = spectral_sensitivity(f)
     assert res.value == max(values)
     top = comps[int(np.argmax(values))]
@@ -284,7 +290,7 @@ def test_component_ties_go_to_the_first_component():
     f = TruthTable(3, 0b10001000)
     g = SensitivityGraph(f)
     first, second = g.components()
-    assert _perron(_Block(g, first)).value == _perron(_Block(g, second)).value
+    assert _solve(g, first).value == _solve(g, second).value
     res = spectral_sensitivity(f)
     assert np.flatnonzero(res.vector).tolist() == first.tolist()
 
@@ -294,7 +300,7 @@ def test_lanczos_cap_raises(monkeypatch):
     f = _random_table(10, 2)
     g = SensitivityGraph(f)
     with pytest.raises(SpectralConvergenceError) as err:
-        _perron(_Block(g, g.components()[0]))
+        _solve(g, g.components()[0])
     assert err.value.achieved_residual > spectral.RITZ_TOL
 
 
@@ -671,7 +677,7 @@ def test_components_that_cannot_win_are_not_solved(monkeypatch):
     graph = SensitivityGraph(f)
     comps = graph.components()
     assert [c.size for c in comps] == [8, 2, 3]
-    solved = [_perron(_Block(graph, c)) for c in comps]
+    solved = [_solve(graph, c) for c in comps]
     first = max(range(len(comps)), key=lambda k: (solved[k].value, -k))
     calls = []
 
@@ -739,7 +745,7 @@ def test_spectrum_is_the_largest_component_value_bit_for_bit():
         if not comps:
             assert spec.value == spec.residual == 0.0
             continue
-        solved = [_perron(_Block(g, c)) for c in comps]
+        solved = [_solve(g, c) for c in comps]
         top = max(range(len(comps)), key=lambda k: (solved[k].value, -k))
         full = np.zeros(1 << f.arity)
         full[comps[top]] = solved[top].vector

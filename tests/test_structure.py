@@ -10,8 +10,9 @@ the one dense-or-gather choice, every LP starts from one least-squares
 fit, every sweep table is measured on one path, each inequality is
 written once, as one row of the sweep's check table that the graph
 property chain reads too, one diagnostics record per measured function
-is collected by ``report.measure`` alone, and no table is built by a
-Python loop over all 2^m inputs.
+is collected by ``report.measure_stack`` alone, the sandwich rules that
+spare the exhaustive engines are written in ``report`` alone, and no
+table is built by a Python loop over all 2^m inputs.
 """
 
 import ast
@@ -95,15 +96,34 @@ def test_no_python_loop_over_every_mask():
 
 def test_sweep_tables_are_measured_on_one_path():
     # the JSON and the CSV sweep both measure through ``_measure_all``,
-    # whose chunks call ``_values`` and whose one pool runs them
+    # whose chunks each make one stacked ``measure_stack`` call and whose
+    # one pool runs them
     tree = ast.parse((SRC / "sweep.py").read_text())
     called = [
         node.func.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
-    assert called.count("_values") == 1
+    assert called.count("measure_stack") == 1
     assert called.count("ProcessPoolExecutor") == 1
+
+
+def test_sandwich_rules_are_written_only_in_report():
+    # ``report.METHODS`` names the three sandwiches and ``report._sandwiched``
+    # applies them; an engine or a sweep that skipped an engine on its
+    # own bounds would be a second copy of the rules
+    from bfc.report import METHODS
+
+    rules = {bound for bound, _ in METHODS.values()}
+    assert rules == {"s = C", "s = n", "deg = n"}
+    spelled, defined = set(), set()
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Constant) and node.value in rules:
+                spelled.add(p.name)
+            if isinstance(node, ast.FunctionDef) and "sandwich" in node.name:
+                defined.add(p.name)
+    assert spelled == defined == {"report.py"}
 
 
 def test_each_inequality_is_written_once():
@@ -139,9 +159,9 @@ def test_lp_starts_from_one_lstsq_and_leaves_re_checks_to_callers():
 
 
 def test_the_diagnostics_record_is_collected_only_by_measure():
-    # ``report.measure`` opens the one LP log and reads lambda's solves off
-    # its ``Spectrum``; a second log, or a second module opening this one,
-    # would be a second way to collect the record
+    # ``report.measure_stack`` opens the one LP log per table and reads
+    # lambda's solves off each table's spectrum; a second log, or a second
+    # module opening this one, would be a second way to collect the record
     assert "ContextVar" not in (SRC / "spectral.py").read_text()
     call = re.compile(r"(?<!def )\blp_solve_log\(\)")
     users = sorted(p.name for p in SRC.glob("*.py") if call.search(p.read_text()))

@@ -17,7 +17,6 @@ from bfc.sweep import (
     SAMPLED_MAX_N,
     SWEEP_MEASURES,
     _check_margins,
-    _values,
     _ratio_entries,
     approx_degree_ratio,
     iter_csv_rows,
@@ -227,6 +226,12 @@ def test_resolve_threads(monkeypatch):
         resolve_threads(None)
 
 
+def _values(n, table, names):
+    """The measures ``names`` of one table, measured alone, keyed by their report names."""
+    entries, _ = report.measure(TruthTable(n, table), names)
+    return {name: entry["value"] for name, entry in entries.items()}
+
+
 def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
     """Exhaustive report body from measuring every table on its own.
 
@@ -241,7 +246,7 @@ def per_table_report(n, tolerance=DEFAULT_TOLERANCE):
     counts = {name: [0, 0] for name in CHECK_NAMES}
     worst, best = {}, {}
     for table in range(1 << (1 << n)):
-        m, _ = _values(n, table, SWEEP_MEASURES + ("adeg",))
+        m = _values(n, table, SWEEP_MEASURES + ("adeg",))
         adeg = m.pop("adeg")
         for name, margin, lhs, rhs in _check_margins(m):
             is_float = name in FLOAT_CHECKS
@@ -453,14 +458,14 @@ def test_csv_rows_are_measured_on_the_pool(monkeypatch, pools):
 def test_repeated_samples_are_measured_once_and_counted_per_draw(monkeypatch):
     draws = sweep.sample_tables(2, 8, 1)
     assert len(set(draws)) == 6
-    real = report.spectral_sensitivity
+    real = report.spectral_sensitivities
     calls = []
 
-    def counting(f):
-        calls.append(f.table)
-        return real(f)
+    def counting(values):
+        calls.extend(bits.from_bit_array(row) for row in values)
+        return real(values)
 
-    monkeypatch.setattr(report, "spectral_sensitivity", counting)
+    monkeypatch.setattr(report, "spectral_sensitivities", counting)
     result = run_sweep(max_n=2, sample=8, seed=1)
     assert sorted(calls) == sorted(set(draws))
     for entry in result.checks:
@@ -496,14 +501,14 @@ def test_csv_rejects_arity_beyond_caps():
 
 
 def test_exhaustive_sweep_measures_each_class_once(monkeypatch):
-    real = report.spectral_sensitivity
+    real = report.spectral_sensitivities
     calls = []
 
-    def counting(f):
-        calls.append(f.table)
-        return real(f)
+    def counting(values):
+        calls.extend(bits.from_bit_array(row) for row in values)
+        return real(values)
 
-    monkeypatch.setattr(report, "spectral_sensitivity", counting)
+    monkeypatch.setattr(report, "spectral_sensitivities", counting)
     result = run_sweep(max_n=3)
     reps = np.unique(npn_canonical_array(3)).tolist()
     assert sorted(calls) == reps
