@@ -7,13 +7,13 @@ the approximate degree from a downward walk over feasibility linear
 programs, topped by the exact expansion.  Each degree of that walk is
 decided in exact integers from f's Walsh spectrum where they settle it,
 and by the simplex otherwise; every verdict is re-checked against its
-certificate, in integers or within LP_CHECK_TOL.
+certificate, in integers or within LP_CHECK_TOL.  The walk's record,
+each degree with its pivots and whether the integers decided it, goes
+to the list the caller hands ``approximate_degree``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,38 +198,9 @@ def verify_exact_dual(
     return (q - p) * int(u @ values) + p * int(u[u > 0].sum()) < 0
 
 
-class DegreeLog(list):
-    """``(degree, pivots)`` for every degree that ``approximate_degree``
-    decides, in walk order; ``exact`` counts those decided in integers,
-    which log 0 pivots."""
-
-    exact = 0
-
-
-# appended to while a ``lp_solve_log`` block is open in this context
-_LP_LOG: contextvars.ContextVar[DegreeLog | None] = contextvars.ContextVar("lp_log", default=None)
-
-
-@contextlib.contextmanager
-def lp_solve_log():
-    """Yield a ``DegreeLog`` of the degrees ``approximate_degree``
-    decides inside the block."""
-    log = DegreeLog()
-    token = _LP_LOG.set(log)
-    try:
-        yield log
-    finally:
-        _LP_LOG.reset(token)
-
-
-def _record(d: int, pivots: int, exact: bool) -> None:
-    log = _LP_LOG.get()
-    if log is not None:
-        log.append((d, pivots))
-        log.exact += exact
-
-
-def approximate_degree(f: TruthTable, epsilon: float | Fraction = DEFAULT_EPSILON) -> int:
+def approximate_degree(
+    f: TruthTable, epsilon: float | Fraction = DEFAULT_EPSILON, walk: list | None = None
+) -> int:
     """adeg(f): least degree admitting an epsilon-approximation.
 
     The search starts at deg(f), where f itself is exact, and walks
@@ -251,7 +222,12 @@ def approximate_degree(f: TruthTable, epsilon: float | Fraction = DEFAULT_EPSILO
     ``verify_exact_dual`` on ``-T_d``.  A degree neither settles goes to
     ``lp.solve_lp`` on the float LP, whose point or Farkas vector is
     re-checked within LP_CHECK_TOL.
+
+    A list passed as ``walk`` gets one ``(degree, pivots, exact)`` triple
+    per degree decided below deg(f), in walk order: ``exact`` when the
+    integers decided it, with 0 pivots.  It changes no verdict.
     """
+    walk = [] if walk is None else walk
     if f.arity > APPROX_DEGREE_MAX_ARITY:
         raise ValueError(f"approximate degree supports arity <= {APPROX_DEGREE_MAX_ARITY}")
     if not 0 < epsilon < 0.5:
@@ -279,19 +255,19 @@ def approximate_degree(f: TruthTable, epsilon: float | Fraction = DEFAULT_EPSILO
         if 2 * (q - p) * peak[d] <= p << n:
             if not verify_exact_fit(columns, values, fits[:width, d], eps):
                 raise ArithmeticError(f"feasible degree {d} failed the exact point check")
-            _record(d, 0, True)
+            walk.append((d, 0, True))
             continue
         if 2 * (q - p) * l2[d] > (p << n) * l1[d]:
             if not verify_exact_dual(columns, values, -tails[:, d], eps):
                 raise ArithmeticError(f"infeasible degree {d} failed the exact Farkas check")
-            _record(d, 0, True)
+            walk.append((d, 0, True))
             return d + 1
         problem = _ranged_problem(columns, values, eps)
         try:
             result = lp.solve_lp(problem)
         except lp.LpNumericalError as exc:
             raise lp.LpNumericalError(f"{exc} at degree {d}") from exc
-        _record(d, result.iterations, False)
+        walk.append((d, result.iterations, False))
         if result.status == "optimal":
             if not lp.verify_point(problem, result.point, LP_CHECK_TOL):
                 raise lp.LpNumericalError(

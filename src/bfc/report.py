@@ -17,14 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import adversary, bits
-from .algebraic import (
-    APPROX_DEGREE_MAX_ARITY,
-    DegreeLog,
-    approximate_degree,
-    degrees,
-    gf2_degrees,
-    lp_solve_log,
-)
+from .algebraic import APPROX_DEGREE_MAX_ARITY, approximate_degree, degrees, gf2_degrees
 from .combinatorial import (
     BLOCK_MEASURE_MAX_ARITY,
     DEPTH_MAX_ARITY,
@@ -101,8 +94,7 @@ class _Stack:
     def __init__(self, n: int, tables: list[int], names):
         self.n, self.tables, self.names = n, tables, names
         self.values = bits.to_bit_rows(tables, n)
-        self.memo: dict[str, object] = {}  # a plain dict, so that it says whether lambda ran
-        self.lp_logs: list[DegreeLog] | None = None
+        self.memo: dict[str, object] = {}  # a plain dict, so that it says which engines ran
 
     @cached_property
     def functions(self) -> list[TruthTable]:
@@ -129,15 +121,11 @@ class _Stack:
         return mono[place[rows]]
 
 
-def _approximate_degrees(st: _Stack) -> list[int]:
-    """adeg of each table, one LP walk per table, each under its own
-    ``lp_solve_log``, kept in ``st.lp_logs``."""
-    degrees, st.lp_logs = [], []
-    for f in st.functions:
-        with lp_solve_log() as log:
-            degrees.append(approximate_degree(f))
-        st.lp_logs.append(log)
-    return degrees
+def _approximate_degrees(st: _Stack) -> list[tuple[int, list]]:
+    """adeg of each table, one LP walk per table, each with the
+    ``(degree, pivots, exact)`` triples of its walk."""
+    walks = [[] for _ in st.tables]
+    return [(approximate_degree(f, walk=walk), walk) for f, walk in zip(st.functions, walks)]
 
 
 def _spectra(st: _Stack) -> list:
@@ -229,6 +217,8 @@ def _engine_entries(key: str, st: _Stack, methods: list[dict]) -> list[dict[str,
             {"lambda": {"value": sr.value, "exactness": SPECTRAL_TAG, "residual": sr.residual}}
             for sr in st.run("lambda")
         ]
+    if key == "adeg":
+        return [{key: _exact(adeg)} for adeg, _ in st.run(key)]
     if key == "certificates":
         return [
             {"certificates": _certificates(f, lambda j=j: st.run("lambda")[j])}
@@ -263,9 +253,9 @@ def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict
     the whole stack), ``methods`` (a ``METHODS`` entry per sandwiched
     name), ``adeg_lp`` (``adeg``'s decided degrees, exact ones, and
     pivots by degree) and ``lambda_solves`` (the solves of the table's
-    lambda, if it ran); no engine runs only to fill it.  An
-    ``lp_solve_log`` opened here per table takes ``adeg``'s degrees, so
-    one that a caller opens sees none of them.
+    lambda, if it ran); no engine runs only to fill it.  ``adeg_lp`` is
+    read off the table's ``approximate_degree`` walk, ``lambda_solves``
+    off its ``Spectrum``, both from the memo.
     """
     if not tables:
         return []
@@ -293,7 +283,7 @@ def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict
                 exc.args = (f"{name} of a stack of {len(st.tables)} arity-{n} tables: {exc}",)
                 raise
             timing[key] = time.perf_counter() - t0
-    logs = st.lp_logs or [DegreeLog()] * len(st.tables)
+    adeg = st.memo.get("adeg", [(None, [])] * len(st.tables))
     spectra = st.memo.get("lambda", [None] * len(st.tables))
     return [
         (
@@ -302,9 +292,9 @@ def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict
                 "timing": dict(timing),
                 "methods": table_methods,
                 "adeg_lp": {
-                    "solves": len(log),
-                    "exact": log.exact,
-                    "pivots": {str(d): p for d, p in log},
+                    "solves": len(walk),
+                    "exact": sum(exact for _, _, exact in walk),
+                    "pivots": {str(d): p for d, p, _ in walk},
                 },
                 "lambda_solves": [
                     dict(zip(("vertices", "side", "method", "steps"), s))
@@ -312,7 +302,7 @@ def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict
                 ],
             },
         )
-        for entries, table_methods, log, spec in zip(got, methods, logs, spectra)
+        for entries, table_methods, (_, walk), spec in zip(got, methods, adeg, spectra)
     ]
 
 

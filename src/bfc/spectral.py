@@ -110,8 +110,13 @@ class SensitivityGraph:
     def __init__(self, f: TruthTable | PartialTruthTable | np.ndarray):
         self.arity, self.values, self.defined = _unpack(f)
         self._flips = (1 << np.arange(self.arity))[:, None]  # 2^i in row i
-        flip = np.arange(self.values.size) ^ self._flips
-        self.edges = (self.values != self.values[flip]) & self.defined & self.defined[flip]
+        # a row at a time: an (arity, 2^n) flip index would triple the build's peak
+        self.edges = np.empty((self.arity, self.values.size), dtype=bool)
+        for i, row in enumerate(self.edges):
+            np.not_equal(self.values, _axis_swap(self.values, i), out=row)
+        if not self.defined.all():  # a partial table: both ends must be defined
+            for i, row in enumerate(self.edges):
+                row &= self.defined & _axis_swap(self.defined, i)
         self.degrees = self.edges.sum(axis=0)
         self.domain_inputs = np.flatnonzero(self.defined).tolist()
         self._positions = np.zeros(self.values.size, dtype=np.intp)  # 0 between neighbours calls
@@ -140,10 +145,9 @@ class SensitivityGraph:
         ys = np.left_shift(1, bit)
         return xs, np.bitwise_xor(xs, ys, out=ys), bit
 
-    def components(self, pairs: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
+    def components(self) -> list[np.ndarray]:
         """Vertex sets of the components with at least one edge, each
-        ascending, ordered by least member.  ``pairs`` is ``self.pairs()``
-        when the caller has it already.
+        ascending, ordered by least member.
 
         Every vertex starts as its own label.  A round hooks the larger
         label of each edge's two ends onto the smaller (``np.minimum.at``),
@@ -153,14 +157,13 @@ class SensitivityGraph:
         smaller vertex of the same component, so each component ends
         labelled by its least vertex.
         """
-        order, cuts = self._component_order(pairs)
+        order, cuts = self._component_order(*self.pairs()[:2])
         return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def _component_order(self, pairs: tuple | None) -> tuple[np.ndarray, list[int]]:
+    def _component_order(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The vertices of every component, one after the other in the
         order of ``components``, and where each component starts, then
-        the end."""
-        xs, ys = (self.pairs() if pairs is None else pairs)[:2]
+        the end, from the two ends of every edge of ``pairs()``."""
         label = np.arange(self.values.size, dtype=np.int32)  # MAX_ARITY keeps inputs below 2^31
         while True:
             lx, ly = label[xs], label[ys]
@@ -467,7 +470,7 @@ def _components_and_bounds(graph: SensitivityGraph) -> tuple[list[np.ndarray], .
     parity side and the table it lies in, from one ``pairs()`` that is
     freed on return."""
     xs, ys = graph.pairs()[:2]
-    order, cuts = graph._component_order((xs, ys))
+    order, cuts = graph._component_order(xs, ys)
     if not order.size:
         return [], [], [], [], []
     size = graph.values.size

@@ -227,16 +227,17 @@ def _usable_cpus() -> int:
 
 
 def resolve_threads(requested: int | None) -> int:
-    """BFC_THREADS wins over the flag; 0 or None means one per usable CPU."""
-    env = os.environ.get("BFC_THREADS")
+    """BFC_THREADS wins over the flag; 0 or None means one per usable
+    CPU, and a negative count is refused."""
+    source, env = "--threads", os.environ.get("BFC_THREADS")
     if env is not None:
         try:
-            requested = int(env)
+            source, requested = "BFC_THREADS", int(env)
         except ValueError:
             raise ValueError(f"BFC_THREADS must be an integer, got {env!r}") from None
-    if not requested or requested < 1:
-        return _usable_cpus()
-    return requested
+    if requested is not None and requested < 0:
+        raise ValueError(f"{source} must be >= 0, got {requested}")
+    return requested or _usable_cpus()
 
 
 def _bundled_openblas() -> ctypes.CDLL | None:

@@ -18,7 +18,6 @@ from bfc.algebraic import (
     degree,
     degree_gf2,
     gf2_coefficients,
-    lp_solve_log,
     mobius_coefficients,
     multilinear_expansion,
 )
@@ -204,9 +203,10 @@ RECHECKS = [
 ]
 
 
-def _spied_adeg(monkeypatch, f):
+def _spied_adeg(monkeypatch, f, walk=None):
     """adeg(f) and every re-check behind it, in call order, as
-    (kind, degree, exact, tol, passed); tol is None for an exact check."""
+    (kind, degree, exact, tol, passed); tol is None for an exact check.
+    ``walk`` is handed on to approximate_degree."""
     checks = []
 
     def spy(module, name, kind):
@@ -224,7 +224,7 @@ def _spied_adeg(monkeypatch, f):
     with monkeypatch.context() as patch:
         for module, name, kind in RECHECKS:
             patch.setattr(module, name, spy(module, name, kind))
-        d = approximate_degree(f)
+        d = approximate_degree(f, walk=walk)
     return d, checks
 
 
@@ -325,12 +325,12 @@ def _integer_verdicts(monkeypatch, f):
     """{degree: "feasible" | "infeasible" | None} over the degrees that
     approximate_degree decides: its integer verdict, None where the
     simplex decided."""
-    with lp_solve_log() as log:
-        _, checks = _spied_adeg(monkeypatch, f)
+    walk = []
+    _, checks = _spied_adeg(monkeypatch, f, walk)
     verdict = {"point": "feasible", "farkas": "infeasible"}
     exact = {deg: verdict[kind] for kind, deg, is_exact, _, _ in checks if is_exact}
-    assert len(exact) == log.exact + 1  # and the top degree's own check
-    return {d: exact.get(d) for d, _ in log}
+    assert len(exact) == sum(e for _, _, e in walk) + 1  # and the top degree's own check
+    return {d: exact.get(d) for d, _, _ in walk}
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,18 @@ def test_verify_rejects_non_integer_bfc_threads(capsys, monkeypatch, fmt):
     assert "BFC_THREADS must be an integer, got 'two'" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_rejects_a_negative_thread_count(capsys, monkeypatch, fmt):
+    monkeypatch.delenv("BFC_THREADS", raising=False)
+    rc, out, err = run_cli(capsys, "verify", "--max-n", "2", "--threads", "-3", "--format", fmt)
+    assert (rc, out) == (1, "")
+    assert "--threads must be >= 0, got -3" in err
+    monkeypatch.setenv("BFC_THREADS", "-3")
+    rc, out, err = run_cli(capsys, "verify", "--max-n", "2", "--format", fmt)
+    assert (rc, out) == (1, "")
+    assert "BFC_THREADS must be >= 0, got -3" in err
+
+
 def test_witness_and3(capsys):
     rc, out, _ = run_cli(capsys, "witness", "--family", "AND", "--n", "3", "--format", "json")
     assert rc == 0

@@ -9,7 +9,6 @@ from bfc.algebraic import (
     approximate_degree,
     approximation_problem,
     degree,
-    lp_solve_log,
 )
 from bfc.lp import (
     VERIFY_TOL,
@@ -209,10 +208,10 @@ def test_arity_4_classes_take_few_pivots(monkeypatch):
         return result
 
     monkeypatch.setattr(lp_module, "solve_lp", counting)
-    with lp_solve_log() as log:
-        for rep in np.unique(npn_canonical_array(4)).tolist():
-            approximate_degree(TruthTable(4, rep))
-    assert (len(log), log.exact) == (437, 406)
+    walk = []
+    for rep in np.unique(npn_canonical_array(4)).tolist():
+        approximate_degree(TruthTable(4, rep), walk=walk)
+    assert (len(walk), sum(exact for _, _, exact in walk)) == (437, 406)
     assert len(solves) == 31
     assert sum(r.iterations for _, r in solves) == 73
     for p, r in solves:
@@ -243,9 +242,9 @@ def test_lps_that_reach_the_simplex_take_the_pivots_they_took_before(f, pivots):
     # the simplex starts at the same least-squares point as before the
     # start decided LPs on its own; the infeasible LPs of EXACT1_8 and of
     # the random table took 281 and 274 pivots there
-    with lp_solve_log() as log:
-        approximate_degree(f)
-    assert [p for _, p in log] == pivots
+    walk = []
+    approximate_degree(f, walk=walk)
+    assert [p for _, p, _ in walk] == pivots
 
 
 def test_infeasible_ranged_system_has_certificate():

@@ -210,6 +210,21 @@ def test_measures_diagnostics_give_the_pivots_of_each_adeg_lp(family, n):
         assert lps["pivots"][str(d)] == got
 
 
+@pytest.mark.parametrize("family, n", [("OR", 8), ("EXACT1", 8), ("OR", 6)])
+def test_adeg_record_is_the_walk_that_approximate_degree_hands_back(family, n):
+    f = named_family(family, n)
+    walk = []
+    adeg = approximate_degree(f, walk=walk)
+    assert adeg == approximate_degree(f) and walk
+    entries, record = measure(f, ("adeg",))
+    assert entries == {"adeg": {"value": adeg, "exactness": "exact"}}
+    assert record["adeg_lp"] == {
+        "solves": len(walk),
+        "exact": sum(exact for _, _, exact in walk),
+        "pivots": {str(d): pivots for d, pivots, _ in walk},
+    }
+
+
 def test_report_hash_takes_computed_sweep_floats_on_the_grid():
     body = run_sweep(max_n=2).to_dict()
     nudged = run_sweep(max_n=2).to_dict()

@@ -159,10 +159,12 @@ def test_lp_starts_from_one_lstsq_and_leaves_re_checks_to_callers():
 
 
 def test_the_diagnostics_record_is_collected_only_by_measure():
-    # ``report.measure_stack`` opens the one LP log per table and reads
-    # lambda's solves off each table's spectrum; a second log, or a second
-    # module opening this one, would be a second way to collect the record
-    assert "ContextVar" not in (SRC / "spectral.py").read_text()
-    call = re.compile(r"(?<!def )\blp_solve_log\(\)")
-    users = sorted(p.name for p in SRC.glob("*.py") if call.search(p.read_text()))
+    # ``report.measure_stack`` hands each table's ``approximate_degree``
+    # its own walk list and reads lambda's solves off each table's
+    # spectrum; an ambient log, or a second module collecting the walk,
+    # would be a second way to collect the record
+    texts = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    ambient = [name for name, text in texts.items() if "contextvars" in text or "ContextVar" in text]
+    assert ambient == []
+    users = sorted(name for name, text in texts.items() if re.search(r"\bwalk=", text))
     assert users == ["report.py"]

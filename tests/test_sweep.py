@@ -218,9 +218,15 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
     assert resolve_threads(None) >= 1
     assert resolve_threads(0) >= 1
+    with pytest.raises(ValueError, match=r"^--threads must be >= 0, got -3$"):
+        resolve_threads(-3)
     monkeypatch.setenv("BFC_THREADS", "5")
     assert resolve_threads(None) == 5
     assert resolve_threads(2) == 5  # env var wins over the flag
+    assert resolve_threads(-3) == 5
+    monkeypatch.setenv("BFC_THREADS", "-3")
+    with pytest.raises(ValueError, match=r"^BFC_THREADS must be >= 0, got -3$"):
+        resolve_threads(2)
     monkeypatch.setenv("BFC_THREADS", "not-a-number")
     with pytest.raises(ValueError):
         resolve_threads(None)
