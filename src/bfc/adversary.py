@@ -3,8 +3,9 @@
 Four equivalent ways to bound (and in fact compute) the spectral
 sensitivity of a non-constant function, each with an explicit
 certificate object and an independent feasibility verifier.  The
-builders read one ``Spectrum`` (G_f and its Perron pairs); the
-verifiers read only its ``SensitivityGraph``, never the solver's vector:
+builders read a one-table ``Spectrum`` (its graph is G_f) and its
+Perron pairs; the verifiers read only that ``SensitivityGraph``, never
+the solver's vector:
 
 * the norm of the 0/1 bipartite block between the two preimages,
 * edge weights induced by the principal eigenvector,
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SensitivityGraph, Spectrum, _zero_one
+from .spectral import SensitivityGraph, Spectrum, _zero_one, spectral_sensitivity
 from .tables import PartialTruthTable, TruthTable
 
 SUPPORT_EPS = 1e-12
@@ -379,7 +380,7 @@ def verify_equivalences(f: TruthTable | PartialTruthTable) -> EquivalenceReport:
     semidefinite primal objective and dual bound.  Verdicts hold the
     outcome of every feasibility verifier plus primal <= dual.
     """
-    spec = Spectrum(f)
+    spec = spectral_sensitivity(f)
     edge_scheme, edge_value = edge_scheme_from_eigenvector(spec)
     vertex_scheme, vertex_value = optimal_vertex_scheme(spec)
     primal = sdp_primal_certificate(spec)

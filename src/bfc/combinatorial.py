@@ -10,8 +10,9 @@ All measures here are integers obtained by exhaustive search:
   where f is constant (monochromatic).
 
 Each engine measures a stack of k tables of one arity at once, given
-as a ``(k, 2^n)`` array of 0/1 values (C and D as one ``monochromatic``
-table of the stack); the per-function engines are its one-table case.
+as a ``(k, 2^n)`` array of 0/1 values (s as the stack's union
+``SensitivityGraph``, C and D as one ``monochromatic`` table of the
+stack); the per-function engines are its one-table case.
 The engines stay exhaustive and take no shortcut.
 ``report.measure_stack`` hands the bs, C and D engines only the tables
 where the bounds it already holds differ: ``s <= bs <= C <= n`` gives
@@ -62,11 +63,11 @@ def _local(per_input: np.ndarray) -> LocalMeasure:
     return LocalMeasure(tuple(per_input.tolist()), best, int(per_input.argmax()))
 
 
-def sensitivities(values: np.ndarray) -> list[SensitivityReport]:
-    """``sensitivity`` of each row of a ``(k, 2^n)`` array of 0/1 values,
-    read off one union ``SensitivityGraph``."""
-    counts = SensitivityGraph(values).degrees.reshape(values.shape)
-    ones = values.astype(bool)
+def sensitivities(graph: SensitivityGraph) -> list[SensitivityReport]:
+    """``sensitivity`` of each table of a ``SensitivityGraph``, read off
+    its degrees: one table's G_f or a stack's union graph."""
+    counts = graph.degrees.reshape(-1, 1 << graph.arity)
+    ones = graph.values.reshape(counts.shape)
     s0 = np.where(ones, 0, counts).max(axis=1).tolist()
     s1 = np.where(ones, counts, 0).max(axis=1).tolist()
     has0, has1 = (~ones.all(axis=1)).tolist(), ones.any(axis=1).tolist()
@@ -77,7 +78,7 @@ def sensitivities(values: np.ndarray) -> list[SensitivityReport]:
             s1=s1[t],
             s0_defined=has0[t],
             s1_defined=has1[t],
-            average=Fraction(total, values.shape[1]),
+            average=Fraction(total, counts.shape[1]),
         )
         for t, (row, total) in enumerate(zip(counts, counts.sum(axis=1).tolist()))
     ]
@@ -88,7 +89,7 @@ def sensitivity(f: TruthTable) -> SensitivityReport:
 
     A side with an empty preimage reports 0 and is flagged undefined.
     """
-    return sensitivities(f.to_bit_array()[None])[0]
+    return sensitivities(SensitivityGraph(f))[0]
 
 
 @functools.lru_cache(maxsize=BLOCK_MEASURE_MAX_ARITY + 1)

@@ -27,7 +27,7 @@ from .combinatorial import (
     monochromatic,
     sensitivities,
 )
-from .spectral import spectral_sensitivities, spectral_sensitivity
+from .spectral import SensitivityGraph, spectral_sensitivities
 from .tables import TruthTable, format_table
 
 SPECTRAL_TAG = "tolerance(1e-09)"
@@ -35,6 +35,7 @@ VOLATILE_KEYS = ("timing", "diagnostics", "report_hash")
 TIE_GRID = 1e-9  # computed sweep floats are ranked and hashed in units of this
 GRID_KEYS = ("min_margin", "witness_lhs", "witness_rhs", "max_ratio", "numerator", "denominator")
 MEASURE_NAMES = ("s", "s0", "s1", "avg_s", "bs", "C", "D", "deg", "deg2", "adeg", "lambda")
+KNOWN_NAMES = MEASURE_NAMES + ("certificates",)
 # Each engine's own arity cap; above it the measure is skipped.
 MEASURE_CAPS = {
     "bs": BLOCK_MEASURE_MAX_ARITY,
@@ -93,12 +94,14 @@ class _Stack:
 
     def __init__(self, n: int, tables: list[int], names):
         self.n, self.tables, self.names = n, tables, names
+        self.functions = [TruthTable(n, t) for t in tables]  # refuses a bad arity or table
         self.values = bits.to_bit_rows(tables, n)
         self.memo: dict[str, object] = {}  # a plain dict, so that it says which engines ran
 
     @cached_property
-    def functions(self) -> list[TruthTable]:
-        return [TruthTable(self.n, t) for t in self.tables]
+    def graph(self) -> SensitivityGraph:
+        """The union G_f that s and lambda read."""
+        return SensitivityGraph(self.values)
 
     def run(self, engine: str, rows: np.ndarray | None = None):
         """The engine's result on the tables ``rows`` (a mask), on all of
@@ -128,20 +131,12 @@ def _approximate_degrees(st: _Stack) -> list[tuple[int, list]]:
     return [(approximate_degree(f, walk=walk), walk) for f, walk in zip(st.functions, walks)]
 
 
-def _spectra(st: _Stack) -> list:
-    """lambda of each table: one ``Spectrum`` per table when certificates
-    will read its graph too, otherwise the stack's ``spectral_sensitivities``."""
-    if "certificates" in st.names:
-        return [spectral_sensitivity(f) for f in st.functions]
-    return spectral_sensitivities(st.values)
-
-
 # the engine names are looked up at call time, so rebinding them in this
 # module (as tracing and tests do) reaches every caller of measure_stack()
 _ENGINES = {
-    "sensitivity": lambda st, rows: sensitivities(st.values),
+    "sensitivity": lambda st, rows: sensitivities(st.graph),
     "s": lambda st, rows: np.array([r.local.global_value for r in st.run("sensitivity")]),
-    "lambda": lambda st, rows: _spectra(st),
+    "lambda": lambda st, rows: spectral_sensitivities(st.graph),
     "bs": lambda st, rows: block_sensitivities(st.values[rows]).max(axis=1),
     "C": lambda st, rows: certificate_costs(st.subcubes(rows)).max(axis=1),
     "D": lambda st, rows: decision_depths(st.subcubes(rows)),
@@ -175,12 +170,13 @@ def _sandwiched(key: str, st: _Stack) -> tuple[np.ndarray, np.ndarray]:
     return value, met
 
 
-def _certificates(f: TruthTable, spectra) -> dict:
-    """Every adversary certificate of f's ``Spectrum`` (``spectra()``)
-    with its verifier's verdict; skipped for a constant function."""
-    if f.is_constant():
+def _certificates(st: _Stack) -> dict:
+    """Every adversary certificate of a one-table stack's ``Spectrum``,
+    on that table's G_f, with its verifier's verdict; skipped for a
+    constant function."""
+    if st.functions[0].is_constant():
         return {"skipped": "constant function"}
-    spec = spectra()
+    [spec] = st.run("lambda")
     edge_scheme, _ = adversary.edge_scheme_from_eigenvector(spec)
     balanced, _ = adversary.balanced_vertex_scheme(spec)
     optimal, _ = adversary.optimal_vertex_scheme(spec)
@@ -220,10 +216,7 @@ def _engine_entries(key: str, st: _Stack, methods: list[dict]) -> list[dict[str,
     if key == "adeg":
         return [{key: _exact(adeg)} for adeg, _ in st.run(key)]
     if key == "certificates":
-        return [
-            {"certificates": _certificates(f, lambda j=j: st.run("lambda")[j])}
-            for j, f in enumerate(st.functions)
-        ]
+        return [{"certificates": _certificates(st)}]
     if key in METHODS:
         values, met = _sandwiched(key, st)
         for table_methods, ok in zip(methods, met.tolist()):
@@ -238,16 +231,18 @@ def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict
 
     Each entry is ``{"value", "exactness", ...}``, or ``{"skipped":
     reason}`` above the measure's ``MEASURE_CAPS`` arity.  The name
-    ``"certificates"`` gives the adversary certificate block instead.
-    Every engine runs at most once per call: ``lambda`` and the
-    certificates read one ``Spectrum`` per table, and ``bs``, ``C`` and
-    ``D`` read s, C and deg from the same memo as the entries of those
-    names.  ``bs`` is s where s = C, ``C`` is n where s = n and ``D`` is n
-    where deg = n, since ``s <= bs <= C <= n`` and ``deg <= D <= n``;
-    only the tables where the bounds differ go to the exhaustive engine.
-    An engine error is re-raised with the measure and the table it fails
-    on prefixed to its text: in a stack of several tables, the first one
-    that fails when measured alone.
+    ``"certificates"`` gives the adversary certificate block of one
+    table instead.  Every engine runs at most once per call: s, lambda
+    and the certificates read the stack's one ``SensitivityGraph``, and
+    ``bs``, ``C`` and ``D`` read s, C and deg from the same memo as the
+    entries of those names.  ``bs`` is s where s = C, ``C`` is n where
+    s = n and ``D`` is n where deg = n, since ``s <= bs <= C <= n`` and
+    ``deg <= D <= n``; only the tables where the bounds differ go to the
+    exhaustive engine.  An unknown name, a table out of range for arity
+    n, or certificates for several tables raise ``ValueError`` before
+    any engine runs.  An engine error is re-raised with the measure and
+    the table it fails on prefixed to its text: in a stack of several
+    tables, the first one that fails when measured alone.
 
     Each table's record holds ``timing`` (seconds per engine call, over
     the whole stack), ``methods`` (a ``METHODS`` entry per sandwiched
@@ -257,6 +252,11 @@ def measure_stack(n: int, tables: list[int], names) -> list[tuple[dict[str, dict
     read off the table's ``approximate_degree`` walk, ``lambda_solves``
     off its ``Spectrum``, both from the memo.
     """
+    for name in names:
+        if name not in KNOWN_NAMES:
+            raise ValueError(f"unknown measure {name!r}; known: {', '.join(KNOWN_NAMES)}")
+    if "certificates" in names and len(tables) > 1:
+        raise ValueError(f"certificates are measured for one table, not a stack of {len(tables)}")
     if not tables:
         return []
     st = _Stack(n, list(tables), names)
@@ -328,7 +328,7 @@ def measure_report(
     verdicts.  The volatile ``timing`` and ``diagnostics`` blocks are
     ``measure``'s record: its timing, and the rest as it stands.
     """
-    names = MEASURE_NAMES + ("certificates",) if include_certificates else MEASURE_NAMES
+    names = KNOWN_NAMES if include_certificates else MEASURE_NAMES
     measures, record = measure(f, names)
     certificates = measures.pop("certificates", None)
     body = {

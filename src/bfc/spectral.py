@@ -7,7 +7,7 @@ this module computes it, builds the signed hypercube whose eigenvectors
 certify deg(f) <= lambda(f)^2, and extracts those certifying vectors.
 
 lambda is the largest top eigenvalue over the components of G_f; one
-``Spectrum`` per function solves each component at most once by
+``Spectrum`` per table solves each component at most once by
 ``_perron``, in descending order of a free bound on its norm, and skips
 a component that cannot win: by its largest degree, or by a
 Collatz–Wielandt bound that falls below lambda^2 by a relative margin
@@ -18,12 +18,11 @@ lambda is the top singular value of the block B from the smaller side
 to the other.  One ``_Block``, shared by the bounds and the solves,
 holds B's two products for components of one side shape: dense up to
 DENSE_MAX_VERTICES component vertices, gathers through neighbour
-indices above, never 2^n wide.  ``spectral_sensitivities`` runs the
-same loop over a stack of tables of one arity, on one union graph, so
-that one batched dense ``eigh`` serves every component of a shape; each
-table's lambda is bit for bit its ``Spectrum``'s.  The signed
-hypercube's +sqrt(n) eigenspace is taken in closed form, with no
-eigendecomposition.
+indices above, never 2^n wide.  ``spectral_sensitivities`` gives the
+``Spectrum`` of each table of a stack's union graph, where one batched
+dense ``eigh`` serves every component of a shape, each bit for bit that
+of the table alone (``spectral_sensitivity``).  The signed hypercube's
++sqrt(n) eigenspace is taken in closed form, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -118,8 +117,11 @@ class SensitivityGraph:
             for i, row in enumerate(self.edges):
                 row &= self.defined & _axis_swap(self.defined, i)
         self.degrees = self.edges.sum(axis=0)
-        self.domain_inputs = np.flatnonzero(self.defined).tolist()
         self._positions = np.zeros(self.values.size, dtype=np.intp)  # 0 between neighbours calls
+
+    @cached_property
+    def domain_inputs(self) -> list[int]:
+        return np.flatnonzero(self.defined).tolist()
 
     def is_edge(self, x: int, y: int) -> bool:
         """Whether (x, y) is an edge, for Python or numpy integers."""
@@ -414,12 +416,18 @@ def _lanczos(apply, size: int) -> tuple[float, np.ndarray, int]:
     raise SpectralConvergenceError(value, ritz)
 
 
-class TableSpectrum:
-    """lambda of one table: ``value``, the ``residual`` of its Perron
-    pair, its ``components`` and the Perron pairs solved, as ``_prune``
-    leaves them."""
+class Spectrum:
+    """lambda of table ``table`` of ``graph`` (its own G_f, or a stack's
+    union graph) as ``_prune`` leaves it: ``components``, the largest
+    component value ``value`` (ties go to the first component), the
+    ``residual`` and ``vector`` of that component's Perron pair (the
+    vector indexed by the table's defined inputs, zero elsewhere), and
+    ``perron(k)``, which solves component k at most once, also one that
+    lambda skipped.  A table with no edges gives 0 and the uniform vector.
+    """
 
-    def __init__(self):
+    def __init__(self, graph: SensitivityGraph, table: int):
+        self.graph, self.table = graph, table
         self.components: list[np.ndarray] = []
         self.value, self.residual, self._top = 0.0, 0.0, None
         self._solved: dict[int, SpectralResult] = {}
@@ -432,30 +440,16 @@ class TableSpectrum:
             for r in self._solved.values()
         ]
 
-
-class Spectrum(TableSpectrum):
-    """lambda(f) = ||A_{G_f}|| with a certifying eigenvector, read off one
-    G_f (``graph``) and its ``components``; ``perron(k)`` solves
-    component k at most once, also a component that lambda skipped.
-
-    ``value`` is the largest component value (ties go to the first
-    component), ``vector`` that component's Perron vector (indexed by
-    the domain, zero elsewhere) and ``residual`` its residual.  A graph
-    with no edges gives 0 and the uniform vector.  ``_prune`` finds them,
-    as for one table of a stack.
-    """
-
-    def __init__(self, f: TruthTable | PartialTruthTable):
-        super().__init__()
-        self.graph = graph = SensitivityGraph(f)
-        _prune(graph, [self])
-        domain = np.asarray(graph.domain_inputs, dtype=np.int64)
+    @cached_property
+    def vector(self) -> np.ndarray:
+        size = 1 << self.graph.arity
+        lo = self.table * size
+        domain = np.flatnonzero(self.graph.defined[lo : lo + size]) + lo
         if self._top is None:
-            self.vector = np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
-        else:
-            self.vector = np.zeros(domain.size)
-            top = self.components[self._top]
-            self.vector[np.searchsorted(domain, top)] = self.perron(self._top).vector
+            return np.full(domain.size, 1.0 / math.sqrt(max(domain.size, 1)))
+        vector = np.zeros(domain.size)
+        vector[np.searchsorted(domain, self.components[self._top])] = self.perron(self._top).vector
+        return vector
 
     def perron(self, k: int) -> SpectralResult:
         """Component k's Perron pair, indexed like ``components[k]``."""
@@ -486,7 +480,7 @@ def _components_and_bounds(graph: SensitivityGraph) -> tuple[list[np.ndarray], .
     )
 
 
-def _prune(graph: SensitivityGraph, tables: list[TableSpectrum]) -> None:
+def _prune(graph: SensitivityGraph, tables: list[Spectrum]) -> None:
     """Fill in lambda of each of ``tables``, whose union is ``graph``.
 
     A table solves its components in descending order of their largest
@@ -543,17 +537,18 @@ def _prune(graph: SensitivityGraph, tables: list[TableSpectrum]) -> None:
         queues, r = later, r + 1
 
 
+def spectral_sensitivities(graph: SensitivityGraph) -> list[Spectrum]:
+    """The ``Spectrum`` of each table of ``graph``, each bit for bit that
+    of the table alone."""
+    spectra = [Spectrum(graph, t) for t in range(graph.values.size >> graph.arity)]
+    _prune(graph, spectra)
+    return spectra
+
+
 def spectral_sensitivity(f: TruthTable | PartialTruthTable) -> Spectrum:
     """The ``Spectrum`` of f: lambda(f), its vector and G_f."""
-    return Spectrum(f)
-
-
-def spectral_sensitivities(values: np.ndarray) -> list[TableSpectrum]:
-    """lambda of each row of a ``(k, 2^n)`` array of 0/1 values, each bit
-    for bit ``Spectrum``'s of that table alone, from one union graph."""
-    tables = [TableSpectrum() for _ in range(len(values))]
-    _prune(SensitivityGraph(values), tables)
-    return tables
+    [spec] = spectral_sensitivities(SensitivityGraph(f))
+    return spec
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ class TruthTable:
         if not 0 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be in [0, {MAX_ARITY}], got {self.arity}")
         if not 0 <= self.table <= bits.table_mask(self.arity):
-            raise ValueError("table value out of range for arity")
+            raise ValueError(f"table {self.table!r} out of range for arity {self.arity}")
 
     @property
     def size(self) -> int:

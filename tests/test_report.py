@@ -20,7 +20,7 @@ from bfc.combinatorial import (
     sensitivity,
 )
 from bfc.lp import LpNumericalError, solve_lp
-from bfc.report import MEASURE_CAPS, measure, measure_report, report_hash
+from bfc.report import MEASURE_CAPS, measure, measure_report, measure_stack, report_hash
 from bfc.spectral import SensitivityGraph, spectral_sensitivity
 from bfc.sweep import run_sweep, sample_tables
 from bfc.tables import TruthTable, named_family, parse_table
@@ -66,6 +66,26 @@ def _failing_lp(*args, **kwargs):
     raise LpNumericalError("iteration cap 50000 exceeded")
 
 
+@pytest.mark.parametrize(
+    "n, tables, names, message",
+    [
+        (2, [99], ["s"], r"^table 99 out of range for arity 2$"),
+        (2, [-1], ["s"], r"^table -1 out of range for arity 2$"),
+        (3, [0xE8], ["s", "lamda"], r"^unknown measure 'lamda'; known: s, s0, .*, certificates$"),
+        (3, [0xE8, 0x81], ["lambda", "certificates"], r"one table, not a stack of 2$"),
+    ],
+    ids=["table-too-wide", "negative-table", "unknown-name", "certificates-for-a-stack"],
+)
+def test_bad_input_is_refused_before_any_engine_runs(monkeypatch, n, tables, names, message):
+    def refuse(*args):
+        raise AssertionError("an engine ran on bad input")
+
+    monkeypatch.setattr(report, "sensitivities", refuse)
+    monkeypatch.setattr(report, "spectral_sensitivities", refuse)
+    with pytest.raises(ValueError, match=message):
+        measure_stack(n, tables, names)
+
+
 def test_engine_error_names_measure_and_table(monkeypatch):
     monkeypatch.setattr(report, "approximate_degree", _failing_lp)
     with pytest.raises(LpNumericalError) as caught:
@@ -97,13 +117,15 @@ COUNTED_ENGINES = (
 
 
 def _count_engine_calls(monkeypatch) -> dict[str, int]:
-    """The number of tables handed to each stacked engine, per engine."""
+    """The number of tables handed to each stacked engine, per engine; a
+    union graph holds ``graph.values.size >> graph.arity`` tables."""
     calls = dict.fromkeys(COUNTED_ENGINES, 0)
     for name in COUNTED_ENGINES:
         real = getattr(report, name)
 
         def counted(stack, _name=name, _real=real):
-            calls[_name] += len(stack)
+            graph = isinstance(stack, SensitivityGraph)
+            calls[_name] += stack.values.size >> stack.arity if graph else len(stack)
             return _real(stack)
 
         monkeypatch.setattr(report, name, counted)
@@ -242,8 +264,8 @@ def test_report_hash_takes_computed_sweep_floats_on_the_grid():
 
 @pytest.mark.parametrize("family, n", [("AND-OR", (3, 2)), ("XOR-OR", 6)])
 def test_report_with_certificates_solves_each_component_once(monkeypatch, family, n):
-    # lambda and the certificates share one Spectrum; the other build is
-    # the sensitivity engine's own graph
+    # lambda and the certificates share one Spectrum, on the one graph
+    # that the sensitivity engine reads too
     f = named_family(family, n)
     comps = len(SensitivityGraph(f).components())
     perron, init = spectral._perron, SensitivityGraph.__init__
@@ -262,7 +284,7 @@ def test_report_with_certificates_solves_each_component_once(monkeypatch, family
     body = measure_report(f, include_certificates=True)
     assert all(cert["verdict"] for cert in body["certificates"].values())
     assert len(solved) == len(set(solved)) == comps
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_constant_function_skips_certificates():
@@ -288,10 +310,10 @@ def test_measure_returns_the_record_that_measure_report_prints(monkeypatch):
 
 
 def test_constant_function_asked_only_for_certificates_builds_no_spectrum(monkeypatch):
-    def refuse(f):
+    def refuse(graph):
         raise AssertionError("a Spectrum built only to fill the record")
 
-    monkeypatch.setattr(report, "spectral_sensitivity", refuse)
+    monkeypatch.setattr(report, "spectral_sensitivities", refuse)
     entries, record = measure(TruthTable(3, 0), ["certificates"])
     assert entries == {"certificates": {"skipped": "constant function"}}
     assert record["lambda_solves"] == []

@@ -217,7 +217,7 @@ def test_lanczos_basis_holds_only_the_steps_it_takes():
 
     f = _random_table(13, 4)
     tracemalloc.start()
-    log = spectral.Spectrum(f).solves
+    log = spectral_sensitivity(f).solves
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     side = max(s for _, s, method, _ in log if method == "lanczos")

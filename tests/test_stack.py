@@ -6,7 +6,7 @@ import pytest
 
 from bfc import bits, report
 from bfc.report import MEASURE_NAMES, measure, measure_stack
-from bfc.spectral import Spectrum, spectral_sensitivities
+from bfc.spectral import SensitivityGraph, spectral_sensitivities, spectral_sensitivity
 from bfc.sweep import SWEEP_MEASURES, npn_canonical_array, sample_tables
 from bfc.tables import TruthTable
 from test_spectral import _spectrum_corpus
@@ -59,10 +59,26 @@ def test_stack_matches_the_spectrum_corpus_alone():
     assert sorted(by_arity) == list(range(3, 13))
     for n, tables in by_arity.items():
         _assert_stack_matches(n, tables, MEASURE_NAMES)
-        stacked = spectral_sensitivities(bits.to_bit_rows(tables, n))
+        stacked = spectral_sensitivities(SensitivityGraph(bits.to_bit_rows(tables, n)))
         for t, got in zip(tables, stacked):
-            want = Spectrum(TruthTable(n, t))
+            want = spectral_sensitivity(TruthTable(n, t))
             assert (got.value, got.residual, got.solves) == (want.value, want.residual, want.solves)
+
+
+def test_every_stacked_spectrum_is_the_spectrum_alone():
+    # the vector and every component's Perron pair, skipped ones too,
+    # read the stack's union graph exactly as they read the table's G_f
+    tables = sample_tables(8, 20, 5)
+    stacked = spectral_sensitivities(SensitivityGraph(bits.to_bit_rows(tables, 8)))
+    for t, got in zip(tables, stacked):
+        want = spectral_sensitivity(TruthTable(8, t))
+        assert (got.value, got.residual) == (want.value, want.residual)
+        assert np.array_equal(got.vector, want.vector)
+        assert len(got.components) == len(want.components) > 0
+        for k in range(len(want.components)):
+            a, b = got.perron(k), want.perron(k)
+            assert (a.value, a.residual, a.side, a.steps) == (b.value, b.residual, b.side, b.steps)
+            assert np.array_equal(a.vector, b.vector)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -40,6 +40,14 @@ def test_eigensolvers_run_only_on_the_one_spectral_path():
     assert calls == {"spectral.py": 2}
 
 
+def test_one_spectrum_type_read_off_one_graph_per_stack():
+    # stacked and single tables share ``Spectrum``, and a measured stack
+    # builds the one union graph that s, lambda and the certificates read
+    texts = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert [name for name, text in texts.items() if "TableSpectrum" in text] == []
+    assert texts["report.py"].count("SensitivityGraph(") == 1
+
+
 def test_perron_is_named_only_in_spectral():
     # other modules reach a component's Perron pair through
     # ``Spectrum.perron``, which solves it at most once

@@ -8,6 +8,7 @@ import pytest
 
 from bfc import bits, lp, report, sweep
 from bfc.report import report_hash
+from bfc.spectral import SensitivityGraph
 from bfc.sweep import (
     CHECK_NAMES,
     DEFAULT_TOLERANCE,
@@ -467,9 +468,10 @@ def test_repeated_samples_are_measured_once_and_counted_per_draw(monkeypatch):
     real = report.spectral_sensitivities
     calls = []
 
-    def counting(values):
-        calls.extend(bits.from_bit_array(row) for row in values)
-        return real(values)
+    def counting(graph):
+        rows = graph.values.reshape(-1, 1 << graph.arity)
+        calls.extend(bits.from_bit_array(row) for row in rows)
+        return real(graph)
 
     monkeypatch.setattr(report, "spectral_sensitivities", counting)
     result = run_sweep(max_n=2, sample=8, seed=1)
@@ -477,6 +479,27 @@ def test_repeated_samples_are_measured_once_and_counted_per_draw(monkeypatch):
     for entry in result.checks:
         assert entry["passes"] + entry["failures"] == 8
     assert result.diagnostics["evaluated_functions"] == 6
+
+
+@pytest.mark.parametrize("kwargs", [{"max_n": 3}, {"max_n": 5, "sample": 10, "seed": 3}])
+def test_each_measured_stack_builds_one_sensitivity_graph(monkeypatch, kwargs):
+    # s and lambda read one union G_f per stack: one stack for the
+    # exhaustive arity-3 sweep, four chunks for the sampled one
+    init, built, stacks = SensitivityGraph.__init__, [], []
+    real = sweep.measure_stack
+
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
+
+    def counting_stack(n, tables, names):
+        stacks.append(len(tables))
+        return real(n, tables, names)
+
+    monkeypatch.setattr(SensitivityGraph, "__init__", counting_init)
+    monkeypatch.setattr(sweep, "measure_stack", counting_stack)
+    run_sweep(**kwargs, threads=1)
+    assert len(built) == len(stacks) == (1 if "sample" not in kwargs else 4)
 
 
 def test_usable_cpus_bounded():
@@ -510,9 +533,10 @@ def test_exhaustive_sweep_measures_each_class_once(monkeypatch):
     real = report.spectral_sensitivities
     calls = []
 
-    def counting(values):
-        calls.extend(bits.from_bit_array(row) for row in values)
-        return real(values)
+    def counting(graph):
+        rows = graph.values.reshape(-1, 1 << graph.arity)
+        calls.extend(bits.from_bit_array(row) for row in rows)
+        return real(graph)
 
     monkeypatch.setattr(report, "spectral_sensitivities", counting)
     result = run_sweep(max_n=3)
